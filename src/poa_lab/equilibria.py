@@ -24,11 +24,11 @@ from .mechanisms import (
     UNIFORM_IFACE,
     AuctionInstance,
     BidProfile,
+    DeviationKernel,
     StandardBid,
     TieBreakRule,
     UniformBid,
     allocate,
-    beta_minus_i,
     check_no_overbidding,
     run_auction,
     social_welfare,
@@ -53,10 +53,10 @@ class BidGrid:
     no_overbidding: bool = False
 
     def __post_init__(self):
-        if self.tick <= 0:
-            raise ValueError("tick must be positive")
-        if self.max_bid < self.tick:
-            raise ValueError("max_bid must be at least one tick")
+        if not 0.0 < self.tick < math.inf:
+            raise ValueError("tick must be finite and positive")
+        if not self.tick <= self.max_bid < math.inf:
+            raise ValueError("max_bid must be finite and at least one tick")
         if self.interface not in (STANDARD, UNIFORM_IFACE):
             raise ValueError(f"unknown interface {self.interface!r}")
 
@@ -126,30 +126,31 @@ def best_response(instance: AuctionInstance, profile: BidProfile, i: int,
     Scans target unit counts j = 0..k; for each, tries the cheapest constant
     bids derived from the opposing winning-bid thresholds (exact match, and
     one tick above).  Honors the grid's no-overbidding flag and max_bid.
+    Exact for bidder-level tie-break rules only: under a slot-level
+    ("explicit") rule a bid winning fewer than its quantity can do better.
     """
     val = instance.valuations[i]
     k = instance.k
-    beta = beta_minus_i(profile, i, instance.tie_break, k)
+    kernel = DeviationKernel(profile, i, instance.tie_break, instance.pricing)
     best = BestResponse(UniformBid(0.0, 0), 0.0, 0)
     cap = grid.max_bid + 1e-12
     for j in range(1, k + 1):
-        threshold = beta[j - 1]
+        threshold = kernel.beta[j - 1]
         seen = set()
         for c in (threshold, threshold + grid.tick):
             if c <= 0.0 or c > cap or c in seen:
                 continue
             seen.add(c)
-            cand = UniformBid(c, j)
+            vector = (c,) * j + (0.0,) * (k - j)
             if grid.no_overbidding and not check_no_overbidding(
-                    val, cand.expand(k)):
+                    val, StandardBid(vector)):
                 continue
-            dev = profile.replace(i, cand)
-            out = run_auction(dev, instance.tie_break, instance.pricing)
-            if out.allocation[i] != j:
+            units, payment = kernel.outcome(vector)
+            if units != j:
                 continue
-            u = val.value(j) - out.payments[i]
+            u = val.value(j) - payment
             if u > best.utility:
-                best = BestResponse(cand, u, j)
+                best = BestResponse(UniformBid(c, j), u, j)
     return best
 
 
@@ -180,15 +181,19 @@ def best_response_enumerated(instance: AuctionInstance, profile: BidProfile,
                              include_standard: bool = False) -> BestResponse:
     """Certifying fallback: scan every uniform (optionally standard) grid bid."""
     val = instance.valuations[i]
+    kernel = DeviationKernel(profile, i, instance.tie_break, instance.pricing)
     best = BestResponse(UniformBid(0.0, 0), 0.0, 0)
     for cand in deviation_bids(grid, instance.k, val, include_standard):
-        if profile.interface == UNIFORM_IFACE and isinstance(cand, StandardBid):
+        if isinstance(cand, UniformBid):
+            vector = cand.expand(instance.k).values
+        elif profile.interface == UNIFORM_IFACE:
             continue
-        dev = profile.replace(i, cand)
-        out = run_auction(dev, instance.tie_break, instance.pricing)
-        u = val.value(out.allocation[i]) - out.payments[i]
+        else:
+            vector = cand.values
+        units, payment = kernel.outcome(vector)
+        u = val.value(units) - payment
         if u > best.utility:
-            best = BestResponse(cand, u, out.allocation[i])
+            best = BestResponse(cand, u, units)
     return best
 
 
@@ -198,7 +203,11 @@ def best_response_enumerated(instance: AuctionInstance, profile: BidProfile,
 
 def is_pure_nash(profile: BidProfile, instance: AuctionInstance,
                  grid: BidGrid) -> RegretReport:
-    """Regret of every bidder against the closed-form deviation family."""
+    """Regret of every bidder against the closed-form deviation family.
+
+    Exact only under bidder-level tie-break rules; under a slot-level
+    ("explicit") rule the regret can be understated (see best_response).
+    """
     out = run_auction(profile, instance.tie_break, instance.pricing)
     entries = []
     for i in range(instance.n):
@@ -250,7 +259,10 @@ def find_pure_nash(instance: AuctionInstance, grid: BidGrid,
 
     "exhaustive" checks every profile (raises SearchCapExceeded beyond the
     cap); "best_response_dynamics" runs seeded best-response paths and
-    reports reached fixed points, which may miss equilibria.
+    reports reached fixed points, which may miss equilibria.  Both judge
+    deviations by the closed-form best response, which is exact only under
+    bidder-level tie-break rules: under a slot-level ("explicit") rule a
+    reported profile can still admit a profitable deviation.
     """
     k = instance.k
     spaces = [grid_bids_for(grid, k, instance.valuations[i])

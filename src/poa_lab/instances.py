@@ -365,6 +365,14 @@ def default_proposition1_instance() -> AuctionInstance:
 def verify_proposition1(instance: AuctionInstance | None = None,
                         eps_values=(0.1, 0.01),
                         tick: float = 1e-3) -> list[CheckResult]:
+    """Proposition 1's all-equal equilibrium and its eps-bumped variants.
+
+    The exact equilibrium is pinned by a slot-level ("explicit") tie-break
+    rule, but its regret comes from the closed-form best response, which is
+    exact only under bidder-level rules; the prop1_pne_regret check can
+    therefore miss a deviation that wins through a favoured slot.  The eps
+    checks run under the bidder-level presets, where the check is exact.
+    """
     if instance is None:
         instance = default_proposition1_instance()
     grid = BidGrid(tick, max(v.value(v.k) for v in instance.valuations) + 1.0,

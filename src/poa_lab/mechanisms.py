@@ -11,6 +11,7 @@ uniform (pay the highest losing bid per unit won).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -35,8 +36,8 @@ class StandardBid:
 
     def __post_init__(self):
         for j, v in enumerate(self.values):
-            if v < 0:
-                raise ValueError("marginal bids must be non-negative")
+            if not 0.0 <= v < math.inf:
+                raise ValueError("marginal bids must be finite and non-negative")
             if j and v > self.values[j - 1]:
                 raise ValueError("marginal bids must be non-increasing")
 
@@ -56,8 +57,8 @@ class UniformBid:
     quantity: int
 
     def __post_init__(self):
-        if self.price < 0:
-            raise ValueError("price must be non-negative")
+        if not 0.0 <= self.price < math.inf:
+            raise ValueError("price must be finite and non-negative")
         if self.quantity < 0:
             raise ValueError("quantity must be non-negative")
 
@@ -385,6 +386,56 @@ def beta_minus_i(profile: BidProfile, i: int, tie: TieBreakRule,
     vectors = [profile.vector(j) for j in range(profile.n) if j != i]
     _, beta, _, _ = _allocate_vectors(vectors, k, tie)
     return beta
+
+
+class DeviationKernel:
+    """Bidder i's outcome for any candidate bid against the others' fixed bids.
+
+    The other bidders' positive (bid, tie priority) entries are sorted once,
+    under their indices in the full profile.  Only the top k matter: when
+    bidder i wins a unit, at most k - 1 of them win, so the highest losing
+    entry is one of them or one of bidder i's own.  outcome(vector) merges
+    the candidate's entries into them in O(k) and returns (units, payment),
+    equal bit for bit to bidder i's allocation and payment in
+    run_auction(profile.replace(i, cand), tie, pricing).
+
+    beta equals beta_minus_i(profile, i, tie): it holds the values of the top
+    k opposing entries, which do not depend on the order of tied entries.
+    """
+
+    def __init__(self, profile: BidProfile, i: int, tie: TieBreakRule,
+                 pricing: str):
+        if pricing not in PRICINGS:
+            raise ValueError(f"unknown pricing rule {pricing!r}")
+        k = profile.k
+        entries = sorted((-v,) + tie.priority(j, s)
+                         for j in range(profile.n) if j != i
+                         for s, v in enumerate(profile.vector(j)) if v > 0.0)
+        self._opposing = entries[:k]
+        self.beta = ((0.0,) * (k - len(self._opposing))
+                     + tuple(-e[0] for e in reversed(self._opposing)))
+        self._own = tuple(tie.priority(i, s) for s in range(k))
+        self._k = k
+        self._uniform = pricing == UNIFORM
+
+    def outcome(self, vector: Sequence[float]) -> tuple[int, float]:
+        """(units, payment) of bidder i bidding the marginal-bid vector."""
+        # Already in order except where a slot-level rule ranks tied slots
+        # out of slot order, so the sort is linear in practice.
+        own = sorted((-v,) + p for v, p in zip(vector, self._own) if v > 0.0)
+        opp = self._opposing
+        n_own, n_opp = len(own), len(opp)
+        # the winning entries: a of bidder i's, b opposing ones
+        a = b = 0
+        for _ in range(min(self._k, n_own + n_opp)):
+            if b == n_opp or (a < n_own and own[a] < opp[b]):
+                a += 1
+            else:
+                b += 1
+        if not self._uniform:
+            return a, sum(vector[:a])
+        losing = own[a:a + 1] + opp[b:b + 1]
+        return a, a * (-min(losing)[0] if losing else 0.0)
 
 
 def expand_uniform(bid: UniformBid, k: int) -> StandardBid:

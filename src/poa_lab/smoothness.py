@@ -25,6 +25,7 @@ from .mechanisms import (
     UNIFORM,
     AuctionInstance,
     BidProfile,
+    DeviationKernel,
     StandardBid,
     UniformBid,
     allocate,
@@ -33,7 +34,6 @@ from .mechanisms import (
     tie_favor_bidder,
     uniform_profile,
     uniformize_profile,
-    utilities,
 )
 from .valuations import Valuation, is_subadditive, is_submodular, tau, valuation
 from .welfare import optimal_allocation
@@ -556,8 +556,10 @@ def template_margins_feldman(instance: AuctionInstance, opposing,
     x_opt = optimal_allocation(instance.valuations, instance.k).allocation
     margins = []
     for i, val in enumerate(instance.valuations):
-        betas = [(beta_minus_i(profile, i, instance.tie_break, instance.k), p)
-                 for profile, p in opposing]
+        kernels = [(DeviationKernel(profile, i, instance.tie_break,
+                                    instance.pricing), p)
+                   for profile, p in opposing]
+        betas = [(kernel.beta, p) for kernel, p in kernels]
         x = x_opt[i]
         exp_beta = sum(p * sum(beta[:x]) for beta, p in betas)
         lhs = 0.0
@@ -566,12 +568,9 @@ def template_margins_feldman(instance: AuctionInstance, opposing,
                 [(beta, p) for beta, p in betas], x, instance.pricing, val,
                 tick)
             for bid, p_bid in support:
-                for (profile, p_opp) in opposing:
-                    dev = profile.replace(i, bid)
-                    out = run_auction(dev, instance.tie_break,
-                                      instance.pricing)
-                    lhs += p_bid * p_opp * (val.value(out.allocation[i])
-                                            - out.payments[i])
+                for kernel, p_opp in kernels:
+                    units, payment = kernel.outcome(bid.values)
+                    lhs += p_bid * p_opp * (val.value(units) - payment)
         margins.append(verify_template_inequality(
             lhs, val.value(x), exp_beta, 0.5, 1.0))
     return tuple(margins)
@@ -598,13 +597,13 @@ def theorem6_da_frontier(instance: AuctionInstance, profile: BidProfile,
         candidates += [v, v + deviation_tick]
     sups = []
     for i, val in enumerate(instance.valuations):
+        kernel = DeviationKernel(profile, i, instance.tie_break,
+                                 instance.pricing)
         best = 0.0
         for c in candidates:
             for q in range(1, k + 1):
-                dev = profile.replace(i, UniformBid(c, q))
-                out = run_auction(dev, instance.tie_break, instance.pricing)
-                u = val.value(out.allocation[i]) - out.payments[i]
-                best = max(best, u)
+                units, payment = kernel.outcome((c,) * q + (0.0,) * (k - q))
+                best = max(best, val.value(units) - payment)
         sups.append(best)
     out = allocate(profile, instance.tie_break)
     sum_beta = sum(out.winning_bids)
@@ -630,14 +629,14 @@ def theorem6_upa_check(tick: float = 1e-3) -> dict:
     npoints = int(math.floor(1.0 / tick + 1e-9)) + 1
     sups = []
     for i, val in enumerate(vals):
+        kernel = DeviationKernel(profile, i, instance.tie_break, UNIFORM)
         best = 0.0
         for idx in range(npoints):
             c = idx * tick
             if c > val.value(1) + 1e-12:
                 continue
-            dev = profile.replace(i, UniformBid(c, 1))
-            u = utilities(vals, dev, instance.tie_break, UNIFORM)[i]
-            best = max(best, u)
+            units, payment = kernel.outcome((c,))
+            best = max(best, val.value(units) - payment)
         sups.append(best)
     out = allocate(profile, instance.tie_break)
     total = sum(sups)

@@ -8,6 +8,7 @@ curve; the marginal value of the j-th unit is m(j) = v(j) - v(j-1).
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass
 
@@ -27,10 +28,9 @@ class Valuation:
         if self.values[0] != 0.0:
             raise ValueError("v(0) must be 0")
         for j in range(1, len(self.values)):
-            if self.values[j] < self.values[j - 1]:
-                raise ValueError(f"valuation not non-decreasing at unit {j}")
-            if self.values[j] < 0.0:
-                raise ValueError("valuation values must be non-negative")
+            if not self.values[j - 1] <= self.values[j] < math.inf:
+                raise ValueError(
+                    f"valuation not finite and non-decreasing at unit {j}")
 
     @property
     def k(self) -> int:

@@ -1,3 +1,4 @@
+import math
 
 import pytest
 
@@ -30,7 +31,9 @@ from poa_lab.mechanisms import (
     social_welfare,
     standard_bid,
     standard_profile,
+    tie_explicit,
     tie_favor_bidder,
+    tie_favor_last,
     tie_lexicographic,
     uniform_profile,
     zero_bid,
@@ -73,6 +76,16 @@ def test_grid_validation():
         BidGrid(0.5, 0.1)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_grid_rejects_non_finite_tick_and_max_bid(bad):
+    with pytest.raises(ValueError):
+        BidGrid(bad, 1.0)
+    with pytest.raises(ValueError):
+        BidGrid(0.25, bad)
+    with pytest.raises(ValueError):
+        BidGrid.from_json({"tick": 0.25, "max_bid": bad})
+
+
 # -- best responses ----------------------------------------------------------
 
 
@@ -100,6 +113,51 @@ def test_best_response_matches_enumeration():
             closed = best_response(inst, prof, i, grid)
             brute = best_response_enumerated(inst, prof, i, grid)
             assert closed.utility == pytest.approx(brute.utility, abs=1e-12)
+
+
+@pytest.mark.parametrize("interface", ["standard", "uniform"])
+@pytest.mark.parametrize("pricing", ["discriminatory", "uniform"])
+def test_best_response_matches_full_enumeration_for_bidder_level_ties(
+        pricing, interface):
+    grid = BidGrid(0.125, 1.0, interface)
+    for idx in range(40):
+        rng = case_rng(43, idx)
+        n, k = rng.randint(2, 3), rng.randint(1, 3)
+        vals = tuple(random_valuation("general", k, 1.0 / k,
+                                      seed=rng.randrange(2 ** 31))
+                     for _ in range(n))
+        prof = grid_snap_profile(random_profile(rng, n, k, 0.875), grid)
+        if interface == "uniform":
+            prof = uniform_profile(k, *(
+                UniformBid(prof.vector(i)[0], rng.randint(0, k))
+                for i in range(n)))
+        for tie in [tie_lexicographic(), tie_favor_last()] + [
+                tie_favor_bidder(i) for i in range(n)]:
+            inst = AuctionInstance(vals, k, pricing, tie)
+            for i in range(n):
+                closed = best_response(inst, prof, i, grid)
+                brute = best_response_enumerated(inst, prof, i, grid,
+                                                 include_standard=True)
+                assert closed.utility == pytest.approx(brute.utility,
+                                                       abs=1e-12)
+
+
+def test_enumeration_beats_closed_form_under_slot_level_ties():
+    # bidder 0 bids (0.125, 0.125): its favoured slot 1 wins one unit at
+    # 0.125, below the cheapest constant bid that wins exactly one unit
+    tie = tie_explicit([(0, 1), (1, 1), (0, 0), (1, 0)])
+    vals = (valuation(0, 1.0, 1.0), valuation(0, 1.0, 1.0))
+    inst = AuctionInstance(vals, 2, "discriminatory", tie)
+    prof = standard_profile(2, standard_bid(0.75, 0.125),
+                            standard_bid(0.25, 0.125))
+    grid = BidGrid(0.125, 1.0)
+    closed = best_response(inst, prof, 0, grid)
+    brute = best_response_enumerated(inst, prof, 0, grid,
+                                     include_standard=True)
+    assert closed.utility == 0.75
+    assert brute.utility - closed.utility == 0.125
+    assert brute.units == 1
+    assert brute.bid == UniformBid(0.125, 2)
 
 
 def test_best_response_respects_no_overbidding():

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from poa_lab.mechanisms import (
     AuctionInstance,
     BidProfile,
+    DeviationKernel,
     StandardBid,
     UniformBid,
     allocate,
@@ -17,6 +19,7 @@ from poa_lab.mechanisms import (
     social_welfare,
     standard_bid,
     standard_profile,
+    tie_explicit,
     tie_favor_bidder,
     tie_favor_last,
     tie_lexicographic,
@@ -47,6 +50,19 @@ def test_standard_bid_must_be_non_increasing():
         StandardBid((1.0, 2.0))
     with pytest.raises(ValueError):
         StandardBid((-0.5,))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_bids_reject_non_finite_values(bad):
+    with pytest.raises(ValueError):
+        StandardBid((bad,))
+    with pytest.raises(ValueError):
+        StandardBid((1.0, bad))
+    with pytest.raises(ValueError):
+        UniformBid(bad, 1)
+    with pytest.raises(ValueError):
+        BidProfile.from_json({"interface": "standard", "k": 1,
+                              "bids": [[bad]]})
 
 
 def test_profile_interface_enforced():
@@ -253,6 +269,52 @@ def test_beta_grows_with_extra_bidder():
         for i in range(n):
             partial = beta_minus_i(prof, i, tie_lexicographic())
             assert all(p <= f + 1e-12 for p, f in zip(partial, full))
+
+
+def _random_tie(rng, n, k):
+    kind = rng.randrange(4)
+    if kind == 0:
+        return tie_lexicographic()
+    if kind == 1:
+        return tie_favor_bidder(rng.randrange(n))
+    if kind == 2:
+        return tie_favor_last()
+    pairs = [(i, j) for i in range(n) for j in range(k)]
+    rng.shuffle(pairs)
+    return tie_explicit(pairs[:rng.randint(1, len(pairs))])
+
+
+def _random_bid(rng, k, uniform):
+    # a coarse value set, so that ties between bidders and slots are common
+    def value():
+        return rng.choice((0.0, 0.25, 0.5, 0.5, 0.75, 1.0, rng.random()))
+    if uniform:
+        return UniformBid(value(), rng.randint(0, k))
+    return StandardBid(tuple(sorted((value() for _ in range(k)),
+                                    reverse=True)))
+
+
+def test_deviation_kernel_equals_full_auction():
+    rng = random.Random(2024)
+    for _ in range(1500):
+        n, k = rng.randint(1, 5), rng.randint(1, 5)
+        uniform = rng.random() < 0.5
+        prof = BidProfile(tuple(_random_bid(rng, k, uniform)
+                                for _ in range(n)),
+                          "uniform" if uniform else "standard", k)
+        tie = _random_tie(rng, n, k)
+        i = rng.randrange(n)
+        assert (DeviationKernel(prof, i, tie, "uniform").beta
+                == beta_minus_i(prof, i, tie))
+        for pricing in ("discriminatory", "uniform"):
+            kernel = DeviationKernel(prof, i, tie, pricing)
+            for _ in range(6):
+                cand = _random_bid(rng, k, uniform or rng.random() < 0.5)
+                vector = (cand.expand(k) if isinstance(cand, UniformBid)
+                          else cand).values
+                out = run_auction(prof.replace(i, cand), tie, pricing)
+                assert kernel.outcome(vector) == (out.allocation[i],
+                                                  out.payments[i])
 
 
 # -- welfare and uniformization ---------------------------------------------

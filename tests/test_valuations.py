@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from poa_lab.valuations import (
@@ -135,6 +137,18 @@ def test_validation_rejects_bad_curves():
         Valuation((1.0, 2.0))
     with pytest.raises(ValueError):
         Valuation((0.0,))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_validation_rejects_non_finite_values(bad):
+    with pytest.raises(ValueError):
+        Valuation((0.0, bad))
+    with pytest.raises(ValueError):
+        Valuation((0.0, 1.0, bad))
+    with pytest.raises(ValueError):
+        Valuation((bad, 1.0))
+    with pytest.raises(ValueError):
+        Valuation.from_json([0.0, 0.5, bad])
 
 
 def test_json_roundtrip():
