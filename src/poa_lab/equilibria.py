@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .mechanisms import (
@@ -157,22 +157,11 @@ def best_response(instance: AuctionInstance, profile: BidProfile, i: int,
 def deviation_bids(grid: BidGrid, k: int, val: Valuation | None = None,
                    include_standard: bool = False):
     """All uniform grid bids (and optionally all standard grid bids)."""
-    bids = [UniformBid(0.0, 0)]
-    for u in grid.points():
-        if u <= 0:
-            continue
-        for q in range(1, k + 1):
-            bids.append(UniformBid(u, q))
+    bids = grid_bids_for(replace(grid, interface=UNIFORM_IFACE), k, val)
     if include_standard:
         if k > 4:
             raise SearchCapExceeded("standard-bid enumeration limited to k <= 4")
-        for combo in itertools.combinations_with_replacement(
-                sorted(grid.points(), reverse=True), k):
-            bids.append(StandardBid(combo))
-    if grid.no_overbidding and val is not None:
-        bids = [b for b in bids
-                if check_no_overbidding(
-                    val, b.expand(k) if isinstance(b, UniformBid) else b)]
+        bids += grid_bids_for(replace(grid, interface=STANDARD), k, val)
     return bids
 
 
@@ -246,6 +235,15 @@ def grid_bids_for(grid: BidGrid, k: int, val: Valuation | None = None):
 
 @dataclass(frozen=True)
 class PNESearchResult:
+    """Equilibria found by find_pure_nash.
+
+    exhaustive is True when every grid profile was covered, so equilibria is
+    the complete set, in itertools.product order.  evaluated is, for an
+    exhaustive search, the number of profiles that survived the last
+    bidder's screen and got a full auction; for best-response dynamics, the
+    number of best responses computed.
+    """
+
     equilibria: tuple[BidProfile, ...]
     exhaustive: bool
     evaluated: int
@@ -257,10 +255,13 @@ def find_pure_nash(instance: AuctionInstance, grid: BidGrid,
                    max_rounds: int = 200) -> PNESearchResult:
     """Search the grid profile space for pure Nash equilibria.
 
-    "exhaustive" checks every profile (raises SearchCapExceeded beyond the
-    cap); "best_response_dynamics" runs seeded best-response paths and
-    reports reached fixed points, which may miss equilibria.  Both judge
-    deviations by the closed-form best response, which is exact only under
+    "exhaustive" covers every profile (raises SearchCapExceeded beyond the
+    cap).  Per strategy prefix of bidders 0..n-2, one DeviationKernel
+    screens out the last bidder's strategies that leave it a profitable
+    deviation; the rest get a full auction and a check of every bidder.
+    "best_response_dynamics" runs seeded best-response paths and reports
+    reached fixed points, which may miss equilibria.  Both judge deviations
+    by the closed-form best response, which is exact only under
     bidder-level tie-break rules: under a slot-level ("explicit") rule a
     reported profile can still admit a profitable deviation.
     """
@@ -272,26 +273,48 @@ def find_pure_nash(instance: AuctionInstance, grid: BidGrid,
         if total > cap:
             raise SearchCapExceeded(
                 f"{total} profiles exceed the cap of {cap}")
+        last = instance.n - 1
+        last_val = instance.valuations[last]
+        last_vectors = [b.expand(k).values if isinstance(b, UniformBid)
+                        else b.values for b in spaces[last]]
         br_memo: dict = {}
         found = []
-        for combo in itertools.product(*spaces):
-            profile = BidProfile(combo, grid.interface, k)
-            out = run_auction(profile, instance.tie_break, instance.pricing)
-            ok = True
-            for i in range(instance.n):
-                cur = (instance.valuations[i].value(out.allocation[i])
-                       - out.payments[i])
-                key = (i,) + tuple(combo[j] for j in range(instance.n) if j != i)
-                br_util = br_memo.get(key)
-                if br_util is None:
-                    br_util = best_response(instance, profile, i, grid).utility
-                    br_memo[key] = br_util
-                if max(br_util, 0.0) - cur > EQ_TOL:
-                    ok = False
-                    break
-            if ok:
-                found.append(profile)
-        return PNESearchResult(tuple(found), True, total)
+        evaluated = 0
+        for prefix in itertools.product(*spaces[:last]):
+            # the last bid is a placeholder: only the others' bids are read
+            profile = BidProfile(prefix + (spaces[last][0],),
+                                 grid.interface, k)
+            kernel = DeviationKernel(profile, last, instance.tie_break,
+                                     instance.pricing)
+            br_last = best_response(instance, profile, last, grid).utility
+            br_memo[(last,) + prefix] = br_last
+            for bid, vector in zip(spaces[last], last_vectors):
+                # outcome equals run_auction's bit for bit, so this drops
+                # exactly the profiles the full check rejects for this bidder
+                units, payment = kernel.outcome(vector)
+                if max(br_last, 0.0) - (last_val.value(units)
+                                        - payment) > EQ_TOL:
+                    continue
+                combo = prefix + (bid,)
+                profile = BidProfile(combo, grid.interface, k)
+                out = run_auction(profile, instance.tie_break,
+                                  instance.pricing)
+                evaluated += 1
+                for i in range(instance.n):
+                    cur = (instance.valuations[i].value(out.allocation[i])
+                           - out.payments[i])
+                    key = (i,) + tuple(combo[j] for j in range(instance.n)
+                                       if j != i)
+                    br_util = br_memo.get(key)
+                    if br_util is None:
+                        br_util = best_response(instance, profile, i,
+                                                grid).utility
+                        br_memo[key] = br_util
+                    if max(br_util, 0.0) - cur > EQ_TOL:
+                        break
+                else:
+                    found.append(profile)
+        return PNESearchResult(tuple(found), True, evaluated)
 
     if mode == "best_response_dynamics":
         rng = random.Random(seed)

@@ -277,8 +277,7 @@ def _allocate_vectors(vectors: Sequence[Sequence[float]], k: int,
                       tie: TieBreakRule):
     """Core allocation on expanded bid vectors.
 
-    Returns (allocation, beta, p, selected) where selected is the list of
-    (value, bidder, slot) winning entries.  Zero bids never win.
+    Returns (allocation, beta, p).  Zero bids never win.
     """
     entries = []
     for i, vec in enumerate(vectors):
@@ -293,7 +292,7 @@ def _allocate_vectors(vectors: Sequence[Sequence[float]], k: int,
     values = sorted(e[0] for e in selected)
     beta = (0.0,) * (k - len(values)) + tuple(values)
     p = entries[k][0] if len(entries) > k else 0.0
-    return tuple(x), beta, p, selected
+    return tuple(x), beta, p
 
 
 def allocate(profile: BidProfile, tie: TieBreakRule, k: int | None = None) -> Outcome:
@@ -302,51 +301,31 @@ def allocate(profile: BidProfile, tie: TieBreakRule, k: int | None = None) -> Ou
         k = profile.k
     if k != profile.k:
         raise ValueError("k does not match profile")
-    x, beta, p, _ = _allocate_vectors(profile.vectors(), k, tie)
-    return Outcome(x, beta, p)
+    return Outcome(*_allocate_vectors(profile.vectors(), k, tie))
 
 
 def price_discriminatory(profile: BidProfile, outcome: Outcome) -> tuple[float, ...]:
     """P_i = sum of bidder i's x_i highest marginal bids (his winning bids)."""
-    pays = []
-    for i in range(profile.n):
-        vec = profile.vector(i)
-        pays.append(sum(vec[: outcome.allocation[i]]))
-    return tuple(pays)
+    return tuple(sum(vec[:units]) for vec, units
+                 in zip(profile.vectors(), outcome.allocation))
 
 
-def price_uniform(profile: BidProfile, outcome: Outcome,
-                  variant: str = "highest_losing") -> tuple[float, ...]:
-    """P_i = x_i * p with p the highest losing bid.
-
-    variant "lowest_winning" charges the lowest winning bid instead; it is
-    exposed for completeness and not used by any certification path.
-    """
-    if variant == "highest_losing":
-        p = outcome.uniform_price
-    elif variant == "lowest_winning":
-        p = outcome.winning_bids[0] if outcome.units_sold == len(outcome.winning_bids) else 0.0
-    else:
-        raise ValueError(f"unknown uniform price variant {variant!r}")
-    return tuple(x * p for x in outcome.allocation)
+def price_uniform(profile: BidProfile, outcome: Outcome) -> tuple[float, ...]:
+    """P_i = x_i * p with p the highest losing bid."""
+    return tuple(x * outcome.uniform_price for x in outcome.allocation)
 
 
-def run_auction(profile: BidProfile, tie: TieBreakRule, pricing: str,
-                price_variant: str = "highest_losing") -> Outcome:
-    out = allocate(profile, tie)
+def run_auction(profile: BidProfile, tie: TieBreakRule, pricing: str) -> Outcome:
+    """allocate's outcome with the pricing rule's payments filled in."""
+    vectors = profile.vectors()
+    x, beta, p = _allocate_vectors(vectors, profile.k, tie)
     if pricing == DISCRIMINATORY:
-        pays = price_discriminatory(profile, out)
+        pays = tuple(sum(vec[:units]) for vec, units in zip(vectors, x))
     elif pricing == UNIFORM:
-        pays = price_uniform(profile, out, price_variant)
+        pays = tuple(units * p for units in x)
     else:
         raise ValueError(f"unknown pricing rule {pricing!r}")
-    return Outcome(out.allocation, out.winning_bids, out.uniform_price, pays)
-
-
-def utility(i: int, val: Valuation, profile: BidProfile, tie: TieBreakRule,
-            pricing: str) -> float:
-    out = run_auction(profile, tie, pricing)
-    return val.value(out.allocation[i]) - out.payments[i]
+    return Outcome(x, beta, p, pays)
 
 
 def utilities(vals: Sequence[Valuation], profile: BidProfile,
@@ -379,13 +358,15 @@ def beta_minus_i(profile: BidProfile, i: int, tie: TieBreakRule,
     """Winning-bid vector of the auction run without bidder i.
 
     Sorted non-decreasing and zero-padded at the front to length k; entry j
-    is the threshold bidder i must beat to win a j-th unit.
+    is the threshold bidder i must beat to win a j-th unit.  It holds the
+    values of the top k opposing bids, which the order of tied bids cannot
+    change, so tie is not consulted.
     """
     if k is None:
         k = profile.k
-    vectors = [profile.vector(j) for j in range(profile.n) if j != i]
-    _, beta, _, _ = _allocate_vectors(vectors, k, tie)
-    return beta
+    values = sorted((v for j in range(profile.n) if j != i
+                     for v in profile.vector(j) if v > 0.0), reverse=True)[:k]
+    return (0.0,) * (k - len(values)) + tuple(reversed(values))
 
 
 class DeviationKernel:
@@ -438,10 +419,6 @@ class DeviationKernel:
         return a, a * (-min(losing)[0] if losing else 0.0)
 
 
-def expand_uniform(bid: UniformBid, k: int) -> StandardBid:
-    return bid.expand(k)
-
-
 def uniformize_profile(profile: BidProfile, tie: TieBreakRule) -> BidProfile:
     """Replace every bid by (last winning bid, units won) as a uniform bid.
 
@@ -473,6 +450,8 @@ class AuctionInstance:
     def __post_init__(self):
         if self.pricing not in PRICINGS:
             raise ValueError(f"unknown pricing rule {self.pricing!r}")
+        if not self.valuations:
+            raise ValueError("an auction needs at least one bidder")
         for v in self.valuations:
             if v.k != self.k:
                 raise ValueError("valuation k does not match instance k")

@@ -1,8 +1,12 @@
+import itertools
 import math
+import random
 
 import pytest
 
+from poa_lab import equilibria
 from poa_lab.equilibria import (
+    EQ_TOL,
     BayesianGame,
     BidGrid,
     SearchCapExceeded,
@@ -12,6 +16,7 @@ from poa_lab.equilibria import (
     best_response_enumerated,
     canonical_upa_profile,
     find_pure_nash,
+    grid_bids_for,
     is_bayes_nash,
     is_epsilon_equilibrium,
     is_pure_nash,
@@ -23,6 +28,7 @@ from poa_lab.equilibria import (
 from poa_lab.instances import appendix_c_bayesian, theorem4_instance
 from poa_lab.mechanisms import (
     AuctionInstance,
+    BidProfile,
     StandardBid,
     UniformBid,
     allocate,
@@ -44,7 +50,13 @@ from poa_lab.sweeps import (
     random_instance,
     random_no_overbidding_profile,
 )
-from poa_lab.valuations import Valuation, marginals, random_valuation, valuation
+from poa_lab.valuations import (
+    Valuation,
+    from_marginals,
+    marginals,
+    random_valuation,
+    valuation,
+)
 
 from helpers import random_profile
 
@@ -236,6 +248,98 @@ def test_find_pure_nash_cap():
                            "discriminatory", tie_lexicographic())
     with pytest.raises(SearchCapExceeded):
         find_pure_nash(inst, BidGrid(0.001, 1.0), cap=100)
+
+
+def _every_profile_pure_nash(instance, grid):
+    """Reference search: a full auction for every grid profile.
+
+    Returns the equilibria, the number of profiles where the last bidder
+    has no profitable deviation, and the number of profiles.
+    """
+    k = instance.k
+    spaces = [grid_bids_for(grid, k, v) for v in instance.valuations]
+    br_memo = {}
+    found = []
+    last_ok = 0
+    for combo in itertools.product(*spaces):
+        profile = BidProfile(combo, grid.interface, k)
+        out = run_auction(profile, instance.tie_break, instance.pricing)
+
+        def gains(i):
+            cur = (instance.valuations[i].value(out.allocation[i])
+                   - out.payments[i])
+            key = (i,) + tuple(combo[j] for j in range(instance.n) if j != i)
+            br_util = br_memo.get(key)
+            if br_util is None:
+                br_util = best_response(instance, profile, i, grid).utility
+                br_memo[key] = br_util
+            return max(br_util, 0.0) - cur > EQ_TOL
+
+        last_ok += not gains(instance.n - 1)
+        if not any(gains(i) for i in range(instance.n)):
+            found.append(profile)
+    return tuple(found), last_ok, math.prod(len(s) for s in spaces)
+
+
+def _screen_cases():
+    rng = random.Random(31)
+    kinds = itertools.product(
+        range(3), ("lexicographic", "favor_bidder", "favor_last", "explicit"),
+        ("discriminatory", "uniform"), ("standard", "uniform"), (False, True))
+    for case, (rnd, kind, pricing, iface, no_overbidding) in enumerate(kinds):
+        n = 1 + case % 3
+        k = rng.randint(1, 3 if n < 3 else 2)
+        if kind == "lexicographic":
+            tie = tie_lexicographic()
+        elif kind == "favor_bidder":
+            tie = tie_favor_bidder(rng.randrange(n))
+        elif kind == "favor_last":
+            tie = tie_favor_last()
+        else:
+            # a partial slot-level order led by the last bidder's second slot
+            first = (n - 1, min(1, k - 1))
+            rest = [(i, j) for i in range(n) for j in range(k)
+                    if (i, j) != first]
+            tie = tie_explicit(
+                [first] + rng.sample(rest, rng.randint(0, len(rest))))
+        # grid-aligned marginal values make ties common; off-grid ones make
+        # small utility gaps
+        def marginal():
+            if rnd == 2:
+                return rng.random()
+            return rng.choice((0.0, 0.25, 0.5, 0.75, 1.0))
+        vals = tuple(from_marginals(marginal() for _ in range(k))
+                     for _ in range(n))
+        yield (AuctionInstance(vals, k, pricing, tie),
+               BidGrid(0.25, 1.0 if n < 3 else 0.75, iface, no_overbidding))
+    # a lone bidder pays nothing, so the zero bid forgoes exactly its value:
+    # EQ_TOL is not a profitable gap, twice EQ_TOL is
+    for value in (EQ_TOL, 2 * EQ_TOL):
+        yield (AuctionInstance((valuation(0, value),), 1, "uniform",
+                               tie_lexicographic()), BidGrid(0.25, 0.5))
+
+
+def test_screened_search_matches_full_profile_loop(monkeypatch):
+    calls = []
+
+    def counted_run_auction(*args):
+        calls.append(args)
+        return run_auction(*args)
+
+    monkeypatch.setattr(equilibria, "run_auction", counted_run_auction)
+    screened = full = found = 0
+    for inst, grid in _screen_cases():
+        expected, last_ok, total = _every_profile_pure_nash(inst, grid)
+        calls.clear()
+        res = find_pure_nash(inst, grid)
+        assert res.exhaustive
+        assert res.equilibria == expected, (inst, grid)
+        assert res.evaluated == len(calls) == last_ok <= total, (inst, grid)
+        screened += res.evaluated
+        full += total
+        found += len(expected)
+    assert found > 0
+    assert screened < full
 
 
 def test_dynamics_fixed_points_are_equilibria():

@@ -12,7 +12,6 @@ from poa_lab.mechanisms import (
     allocate,
     beta_minus_i,
     check_no_overbidding,
-    expand_uniform,
     price_discriminatory,
     price_uniform,
     run_auction,
@@ -26,7 +25,6 @@ from poa_lab.mechanisms import (
     uniform_profile,
     uniformize_profile,
     utilities,
-    utility,
     zero_bid,
 )
 from poa_lab.valuations import Valuation, flat_valuation, random_valuation, valuation
@@ -38,10 +36,10 @@ from helpers import random_profile
 
 
 def test_expand_uniform():
-    assert expand_uniform(UniformBid(2.0, 2), 3).values == (2.0, 2.0, 0.0)
-    assert expand_uniform(UniformBid(0.5, 1), 1).values == (0.5,)
+    assert UniformBid(2.0, 2).expand(3).values == (2.0, 2.0, 0.0)
+    assert UniformBid(0.5, 1).expand(1).values == (0.5,)
     k = 5
-    flat = expand_uniform(UniformBid(1 / (k - 1), k), k)
+    flat = UniformBid(1 / (k - 1), k).expand(k)
     assert flat.values == (1 / (k - 1),) * k
 
 
@@ -161,12 +159,6 @@ def test_uniform_price_winner_takes_all():
     assert out.payments[0] == pytest.approx(k * (1 / k))
 
 
-def test_uniform_price_lowest_winning_variant():
-    prof = standard_profile(2, standard_bid(3, 1), standard_bid(2, 2))
-    out = allocate(prof, tie_lexicographic())
-    assert price_uniform(prof, out, "lowest_winning") == (2.0, 2.0)
-
-
 def test_revenue_equals_sum_of_winning_bids():
     rng = random.Random(11)
     for _ in range(100):
@@ -187,6 +179,18 @@ def test_uniform_price_below_winning_bids():
             assert pay_u <= pay_d + 1e-12
 
 
+def test_pricing_rules_match_run_auction_payments():
+    rng = random.Random(14)
+    for _ in range(100):
+        prof = random_profile(rng, rng.randint(1, 4), rng.randint(1, 5))
+        tie = tie_favor_last()
+        out = allocate(prof, tie)
+        assert (price_discriminatory(prof, out)
+                == run_auction(prof, tie, "discriminatory").payments)
+        assert (price_uniform(prof, out)
+                == run_auction(prof, tie, "uniform").payments)
+
+
 # -- utilities and no-overbidding -------------------------------------------
 
 
@@ -194,9 +198,9 @@ def test_utility_examples():
     vals = (Valuation((0.0,) + (1.0,) * 4 + (2.0,)), flat_valuation(0.2, 5))
     prof = standard_profile(5, standard_bid(1, 0, 0, 0, 0),
                             standard_bid(0.2, 0, 0, 0, 0))
-    assert utility(0, vals[0], prof, tie_lexicographic(), "uniform") == 1.0
+    assert utilities(vals, prof, tie_lexicographic(), "uniform")[0] == 1.0
     loser = standard_profile(5, standard_bid(*(0.5,) * 5), zero_bid(5))
-    assert utility(1, vals[1], loser, tie_lexicographic(), "uniform") == 0.0
+    assert utilities(vals, loser, tie_lexicographic(), "uniform")[1] == 0.0
 
 
 def test_utilities_matches_utility():
@@ -204,9 +208,9 @@ def test_utilities_matches_utility():
     vals = tuple(random_valuation("general", 3, 1.0, seed=s) for s in (1, 2))
     prof = random_profile(rng, 2, 3)
     us = utilities(vals, prof, tie_lexicographic(), "discriminatory")
+    out = run_auction(prof, tie_lexicographic(), "discriminatory")
     for i in range(2):
-        assert us[i] == utility(i, vals[i], prof, tie_lexicographic(),
-                                "discriminatory")
+        assert us[i] == vals[i].value(out.allocation[i]) - out.payments[i]
 
 
 def test_check_no_overbidding():
@@ -364,6 +368,8 @@ def test_auction_instance_validation():
         AuctionInstance(vals, 1, "vickrey", tie_lexicographic())
     with pytest.raises(ValueError):
         AuctionInstance(vals, 2, "uniform", tie_lexicographic())
+    with pytest.raises(ValueError):
+        AuctionInstance((), 1, "uniform", tie_lexicographic())
 
 
 def test_profile_json_roundtrip():
