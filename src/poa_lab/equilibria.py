@@ -233,6 +233,11 @@ def grid_bids_for(grid: BidGrid, k: int, val: Valuation | None = None):
     return bids
 
 
+def _check_cap(total: int, cap: int) -> None:
+    if total > cap:
+        raise SearchCapExceeded(f"{total} profiles exceed the cap of {cap}")
+
+
 @dataclass(frozen=True)
 class PNESearchResult:
     """Equilibria found by find_pure_nash.
@@ -266,13 +271,17 @@ def find_pure_nash(instance: AuctionInstance, grid: BidGrid,
     reported profile can still admit a profitable deviation.
     """
     k = instance.k
+    if mode == "exhaustive" and not grid.no_overbidding:
+        # every bidder has the whole grid space: count it before building it
+        per_bidder = (math.comb(grid.npoints + k - 1, k)
+                      if grid.interface == STANDARD
+                      else 1 + (grid.npoints - 1) * k)
+        _check_cap(per_bidder ** instance.n, cap)
     spaces = [grid_bids_for(grid, k, instance.valuations[i])
               for i in range(instance.n)]
     if mode == "exhaustive":
-        total = math.prod(len(s) for s in spaces)
-        if total > cap:
-            raise SearchCapExceeded(
-                f"{total} profiles exceed the cap of {cap}")
+        if grid.no_overbidding:
+            _check_cap(math.prod(len(s) for s in spaces), cap)
         last = instance.n - 1
         last_val = instance.valuations[last]
         last_vectors = [b.expand(k).values if isinstance(b, UniformBid)
@@ -482,17 +491,20 @@ def _opposing_scenarios(game: BayesianGame, strat: Strategy, i: int):
     return scenarios
 
 
+def _game_profile(game: BayesianGame, bids) -> BidProfile:
+    """The game's profile of bids, uniform bids expanded on a standard grid."""
+    return BidProfile(
+        tuple(b.expand(game.k) if game.grid.interface == STANDARD
+              and isinstance(b, UniformBid) else b for b in bids),
+        game.grid.interface, game.k)
+
+
 def _expected_utility(game: BayesianGame, i: int, val: Valuation, my_bid,
                       scenarios) -> float:
     total = 0.0
     for bids, p in scenarios:
-        entries = []
-        for j in range(game.n):
-            entries.append(my_bid if j == i else bids[j])
-        profile = BidProfile(
-            tuple(b.expand(game.k) if game.grid.interface == STANDARD
-                  and isinstance(b, UniformBid) else b for b in entries),
-            game.grid.interface, game.k)
+        profile = _game_profile(
+            game, [my_bid if j == i else bids[j] for j in range(game.n)])
         out = run_auction(profile, game.tie_break, game.pricing)
         total += p * (val.value(out.allocation[i]) - out.payments[i])
     return total
@@ -554,11 +566,7 @@ def bayesian_poa(game: BayesianGame, strat: Strategy) -> float:
                 entries.append(bid)
             if p == 0.0:
                 continue
-            profile = BidProfile(
-                tuple(b.expand(game.k) if game.grid.interface == STANDARD
-                      and isinstance(b, UniformBid) else b for b in entries),
-                game.grid.interface, game.k)
-            out = allocate(profile, game.tie_break)
+            out = allocate(_game_profile(game, entries), game.tie_break)
             e_sw += p * social_welfare(vals, out.allocation)
     if e_sw <= 0:
         raise ValueError("equilibrium welfare is not positive")

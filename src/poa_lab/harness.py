@@ -29,8 +29,8 @@ EXPERIMENT_KINDS = ("verify-instance", "sweep-key-lemma", "certify-smoothness",
                     "find-pne", "verify-bne", "bound-table",
                     "theorem6-frontier")
 
-_BASE_KEYS = {"schema_version", "experiment", "seed", "parallelism",
-              "output_json", "output_csv"}
+_BASE_KEYS = {"schema_version", "experiment", "seed", "output_json",
+              "output_csv"}
 _KIND_KEYS = {
     "verify-instance": {"instance", "params"},
     "sweep-key-lemma": {"count", "n_max", "k_max", "alphas",
@@ -55,7 +55,6 @@ class ExperimentConfig:
     experiment: str
     options: dict
     seed: int | None = None
-    parallelism: int = 1
     output_json: str | None = None
     output_csv: str | None = None
 
@@ -77,13 +76,8 @@ class ExperimentConfig:
             raise ConfigError(f"{kind} requires a seed")
         if data.get("mode") == "best_response_dynamics" and seed is None:
             raise ConfigError("best_response_dynamics requires a seed")
-        parallelism = int(data.get("parallelism", 1))
-        env = os.environ.get("POA_LAB_THREADS")
-        if env:
-            parallelism = int(env)
         options = {k: v for k, v in data.items() if k not in _BASE_KEYS}
-        return ExperimentConfig(kind, options, seed, max(1, parallelism),
-                                data.get("output_json"),
+        return ExperimentConfig(kind, options, seed, data.get("output_json"),
                                 data.get("output_csv"))
 
 
@@ -179,7 +173,7 @@ def _run_sweep_key_lemma(cfg: ExperimentConfig, report: ExperimentReport):
     k_max = int(cfg.options.get("k_max", 8))
     t0 = time.perf_counter()
     result = sweeps.key_lemma_sweep(count, alphas, vclass, cfg.seed,
-                                    n_max, k_max, cfg.parallelism)
+                                    n_max, k_max)
     report.add_row(experiment=cfg.experiment, instance=f"{vclass}-sweep",
                    alpha=",".join(str(a) for a in alphas),
                    margin=result.min_margin, runtime_ms=_row_ms(t0))
@@ -197,7 +191,7 @@ def _run_certify_smoothness(cfg: ExperimentConfig, report: ExperimentReport):
     for alpha in alphas:
         t0 = time.perf_counter()
         cert = sweeps.smoothness_sweep(count, alpha, kind, vclass, cfg.seed,
-                                       n_max, k_max, cfg.parallelism)
+                                       n_max, k_max)
         report.records.append(cert.to_json())
         report.add_row(experiment=cfg.experiment,
                        instance=f"{kind}-{vclass}",
@@ -304,7 +298,9 @@ def _run_theorem6_frontier(cfg: ExperimentConfig, report: ExperimentReport):
     report.add_check("da_frontier", frontier["holds"], frontier["lhs"],
                      f"bound {frontier['bound']}")
     t0 = time.perf_counter()
-    scan = theorem6_upa_check(tick)
+    named = inst_mod.theorem6_upa_instance()
+    scan = theorem6_upa_check(named.instance,
+                              named.profile("lower-bound-witness"), tick)
     report.add_row(experiment=cfg.experiment, instance="theorem6-upa",
                    n=2, k=1, pricing="uniform", margin=scan["total"] - 0.5,
                    runtime_ms=_row_ms(t0))

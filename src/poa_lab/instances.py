@@ -242,8 +242,8 @@ def theorem6_upa_instance() -> NamedInstance:
 def verify_theorem6_upa(tick: float = 1e-3) -> list[CheckResult]:
     named = theorem6_upa_instance()
     inst = named.instance
-    out = run_auction(named.profile("lower-bound-witness"), inst.tie_break,
-                      UNIFORM)
+    witness = named.profile("lower-bound-witness")
+    out = run_auction(witness, inst.tie_break, UNIFORM)
     checks = [
         CheckResult("bidder2_wins", out.allocation == (0, 1)),
         CheckResult("winner_payment", out.payments[1] == 0.5,
@@ -251,7 +251,7 @@ def verify_theorem6_upa(tick: float = 1e-3) -> list[CheckResult]:
         CheckResult("opt_to_bidder_1",
                     optimal_allocation(inst.valuations, 1).allocation == (1, 0)),
     ]
-    scan = theorem6_upa_check(tick)
+    scan = theorem6_upa_check(inst, witness, tick)
     checks.append(CheckResult("sup_total_utility_half", scan["exact_half"],
                               scan["total"], scan["frontier"]))
     return checks

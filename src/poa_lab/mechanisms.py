@@ -295,28 +295,17 @@ def _allocate_vectors(vectors: Sequence[Sequence[float]], k: int,
     return tuple(x), beta, p
 
 
-def allocate(profile: BidProfile, tie: TieBreakRule, k: int | None = None) -> Outcome:
+def allocate(profile: BidProfile, tie: TieBreakRule) -> Outcome:
     """Run the allocation rule; payments are left unset."""
-    if k is None:
-        k = profile.k
-    if k != profile.k:
-        raise ValueError("k does not match profile")
-    return Outcome(*_allocate_vectors(profile.vectors(), k, tie))
-
-
-def price_discriminatory(profile: BidProfile, outcome: Outcome) -> tuple[float, ...]:
-    """P_i = sum of bidder i's x_i highest marginal bids (his winning bids)."""
-    return tuple(sum(vec[:units]) for vec, units
-                 in zip(profile.vectors(), outcome.allocation))
-
-
-def price_uniform(profile: BidProfile, outcome: Outcome) -> tuple[float, ...]:
-    """P_i = x_i * p with p the highest losing bid."""
-    return tuple(x * outcome.uniform_price for x in outcome.allocation)
+    return Outcome(*_allocate_vectors(profile.vectors(), profile.k, tie))
 
 
 def run_auction(profile: BidProfile, tie: TieBreakRule, pricing: str) -> Outcome:
-    """allocate's outcome with the pricing rule's payments filled in."""
+    """allocate's outcome with the pricing rule's payments filled in.
+
+    Pay-as-bid charges each bidder the sum of its winning marginal bids;
+    uniform pricing charges every unit won the highest losing bid.
+    """
     vectors = profile.vectors()
     x, beta, p = _allocate_vectors(vectors, profile.k, tie)
     if pricing == DISCRIMINATORY:
@@ -353,14 +342,14 @@ def check_no_overbidding(val: Valuation, bid: StandardBid) -> bool:
     return True
 
 
-def beta_minus_i(profile: BidProfile, i: int, tie: TieBreakRule,
+def beta_minus_i(profile: BidProfile, i: int,
                  k: int | None = None) -> tuple[float, ...]:
     """Winning-bid vector of the auction run without bidder i.
 
     Sorted non-decreasing and zero-padded at the front to length k; entry j
     is the threshold bidder i must beat to win a j-th unit.  It holds the
     values of the top k opposing bids, which the order of tied bids cannot
-    change, so tie is not consulted.
+    change, so it needs no tie-break rule.
     """
     if k is None:
         k = profile.k
@@ -380,7 +369,7 @@ class DeviationKernel:
     equal bit for bit to bidder i's allocation and payment in
     run_auction(profile.replace(i, cand), tie, pricing).
 
-    beta equals beta_minus_i(profile, i, tie): it holds the values of the top
+    beta equals beta_minus_i(profile, i): it holds the values of the top
     k opposing entries, which do not depend on the order of tied entries.
     """
 

@@ -31,11 +31,9 @@ from .mechanisms import (
     allocate,
     beta_minus_i,
     run_auction,
-    tie_favor_bidder,
-    uniform_profile,
     uniformize_profile,
 )
-from .valuations import Valuation, is_subadditive, is_submodular, tau, valuation
+from .valuations import Valuation, is_subadditive, is_submodular, tau
 from .welfare import optimal_allocation
 
 MARGIN_TOL = 1e-9
@@ -115,15 +113,6 @@ def weak_smooth_poa_bound(lam: float, mu1: float, mu2: float) -> float:
     return (mu2 + max(1.0, mu1)) / lam
 
 
-def template_poa_bound(lam: float, mu: float, pricing: str) -> float:
-    """PoA implied by a deviation guarantee with constants (lambda, mu)."""
-    if pricing == DISCRIMINATORY:
-        return max(1.0, mu) / lam
-    if pricing == UNIFORM:
-        return (mu + 1.0) / lam
-    raise ValueError(f"unknown pricing rule {pricing!r}")
-
-
 def sequential_smooth(lam: float, mu: float) -> tuple[float, float]:
     return lam, mu + 1.0
 
@@ -173,7 +162,7 @@ def bound_table() -> list[BoundRow]:
         BoundRow("poa", "uniform_price", "submodular", "standard|uniform",
                  weak_smooth_poa_bound(lam_up, 0.0, a_up)),
         BoundRow("poa", "uniform_price", "subadditive", "standard",
-                 template_poa_bound(0.5, 1.0, UNIFORM)),
+                 weak_smooth_poa_bound(0.5, 0.0, 1.0)),
         BoundRow("poa", "uniform_price", "subadditive", "uniform",
                  weak_smooth_poa_bound(lam_up / 2.0, 0.0, a_up)),
     ]
@@ -327,7 +316,7 @@ def verify_key_lemma(instance: AuctionInstance, profile: BidProfile,
     x_opt = optimal_allocation(instance.valuations, instance.k).allocation
     margins = []
     for i, val in enumerate(instance.valuations):
-        beta = beta_minus_i(profile, i, instance.tie_break, instance.k)
+        beta = beta_minus_i(profile, i, instance.k)
         lhs = expected_deviation_utility_exact(val, x_opt[i], beta, alpha,
                                                instance.pricing)
         rhs = key_lemma_rhs(val, x_opt[i], beta, alpha)
@@ -413,7 +402,7 @@ def verify_smoothness(cases, alpha: float, kind: str,
             opposing = uniformize_profile(profile, instance.tie_break)
         lhs = 0.0
         for i, val in enumerate(instance.valuations):
-            beta = beta_minus_i(opposing, i, instance.tie_break, instance.k)
+            beta = beta_minus_i(opposing, i, instance.k)
             lhs += expected_deviation_utility_exact(
                 val, opt.allocation[i], beta, alpha, instance.pricing)
         if kind == "smooth":
@@ -467,7 +456,7 @@ def template_margins_key_lemma(instance: AuctionInstance, opposing,
         lhs = 0.0
         exp_beta = 0.0
         for profile, prob in opposing:
-            beta = beta_minus_i(profile, i, instance.tie_break, instance.k)
+            beta = beta_minus_i(profile, i, instance.k)
             lhs += prob * expected_deviation_utility_exact(
                 val, x_opt[i], beta, alpha, instance.pricing)
             exp_beta += prob * sum(beta[: x_opt[i]])
@@ -615,21 +604,22 @@ def theorem6_da_frontier(instance: AuctionInstance, profile: BidProfile,
             "lhs": lhs, "bound": bound, "holds": lhs <= bound + 1e-6}
 
 
-def theorem6_upa_check(tick: float = 1e-3) -> dict:
-    """One-item uniform-price instance pinning lambda <= (1 + mu)/2.
+def theorem6_upa_check(instance: AuctionInstance, profile: BidProfile,
+                       tick: float = 1e-3) -> dict:
+    """One-item uniform-price scan pinning lambda <= (1 + mu)/2.
 
-    Valuations (1, 1/2), both bid 1/2, ties favor the second bidder.  An
-    exhaustive no-overbidding grid scan of deviations gives total achievable
-    utility exactly 1/2 while OPT = 1 and beta_1 = 1/2, so any certified
+    Scans every no-overbidding single-unit grid bid in [0, 1] of each bidder
+    of a k = 1 instance.  On the theorem6-upa witness (valuations (1, 1/2),
+    both bid 1/2, ties favor the second bidder) the total achievable utility
+    is exactly 1/2 while OPT = 1 and beta_1 = 1/2, so any certified
     (lambda, mu) must satisfy lambda <= (1 + mu)/2.
     """
-    vals = (valuation(0, 1), valuation(0, 0.5))
-    instance = AuctionInstance(vals, 1, UNIFORM, tie_favor_bidder(1))
-    profile = uniform_profile(1, UniformBid(0.5, 1), UniformBid(0.5, 1))
+    vals = instance.valuations
     npoints = int(math.floor(1.0 / tick + 1e-9)) + 1
     sups = []
     for i, val in enumerate(vals):
-        kernel = DeviationKernel(profile, i, instance.tie_break, UNIFORM)
+        kernel = DeviationKernel(profile, i, instance.tie_break,
+                                 instance.pricing)
         best = 0.0
         for idx in range(npoints):
             c = idx * tick

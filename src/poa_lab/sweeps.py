@@ -1,7 +1,9 @@
 """Seeded randomized sweeps backing the certification suite.
 
 Every sweep derives one child generator per case from (seed, index), so
-runs are reproducible case by case and safe to fan out over a thread pool.
+runs are reproducible case by case.  Each sweep runs its cases in one
+serial loop: the work is pure Python, which threads cannot speed up under
+the interpreter lock.
 """
 
 from __future__ import annotations
@@ -9,7 +11,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, replace
-from concurrent.futures import ThreadPoolExecutor
 
 from .equilibria import (
     EQ_TOL,
@@ -52,13 +53,6 @@ from .welfare import enumerate_optimal, greedy_optimal_submodular, optimal_alloc
 
 def case_rng(seed: int, index: int) -> random.Random:
     return random.Random(f"{seed}:{index}")
-
-
-def parallel_map(fn, items, degree: int = 1):
-    if degree <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=degree) as pool:
-        return list(pool.map(fn, items))
 
 
 def random_instance(rng: random.Random, valuation_class: str, pricing: str,
@@ -120,8 +114,7 @@ class SweepResult:
 
 
 def key_lemma_sweep(count: int, alphas, valuation_class: str, seed: int,
-                    n_max: int = 5, k_max: int = 8,
-                    parallelism: int = 1) -> SweepResult:
+                    n_max: int = 5, k_max: int = 8) -> SweepResult:
     """Minimum margin of the randomized-deviation guarantee over random cases.
 
     Each case alternates between the two pricing rules; the checked margin
@@ -142,14 +135,14 @@ def key_lemma_sweep(count: int, alphas, valuation_class: str, seed: int,
                 instance, profile, alpha, valuation_class))
         return worst
 
-    margins = parallel_map(one, range(count), parallelism)
+    margins = [one(index) for index in range(count)]
     worst_index = min(range(count), key=lambda i: margins[i])
     return SweepResult(count, margins[worst_index], worst_index)
 
 
 def smoothness_sweep(count: int, alpha: float, kind: str,
                      valuation_class: str, seed: int, n_max: int = 5,
-                     k_max: int = 8, parallelism: int = 1):
+                     k_max: int = 8):
     """Certificate for the summed smoothness inequality over random cases.
 
     Weak certificates alternate between uniform-interface profiles (checked
@@ -167,7 +160,7 @@ def smoothness_sweep(count: int, alpha: float, kind: str,
             profile = random_no_overbidding_profile(instance, rng)
         return instance, profile
 
-    cases = parallel_map(one, range(count), parallelism)
+    cases = [one(index) for index in range(count)]
     return verify_smoothness(cases, alpha, kind, valuation_class)
 
 
@@ -195,8 +188,8 @@ def dp_vs_enumeration_sweep(count: int, seed: int, n_max: int = 4,
     return count
 
 
-def mc_vs_exact_sweep(count: int, seed: int, samples: int = 10 ** 5,
-                      parallelism: int = 1) -> float:
+def mc_vs_exact_sweep(count: int, seed: int,
+                      samples: int = 10 ** 5) -> float:
     """Monte Carlo deviation utility must sit within 3 sigma of the quadrature.
 
     One designated comparison per case (the first bidder the benchmark
@@ -214,7 +207,7 @@ def mc_vs_exact_sweep(count: int, seed: int, samples: int = 10 ** 5,
         x_opt = optimal_allocation(instance.valuations, instance.k).allocation
         i = next(j for j in range(instance.n) if x_opt[j] >= 1)
         val = instance.valuations[i]
-        beta = beta_minus_i(profile, i, instance.tie_break, instance.k)
+        beta = beta_minus_i(profile, i, instance.k)
         exact = expected_deviation_utility_exact(
             val, x_opt[i], beta, alpha, pricing)
         mean, stderr = expected_deviation_utility_mc(
@@ -225,7 +218,7 @@ def mc_vs_exact_sweep(count: int, seed: int, samples: int = 10 ** 5,
             return 0.0
         return abs(mean - exact) / stderr
 
-    deviations = parallel_map(one, range(count), parallelism)
+    deviations = [one(index) for index in range(count)]
     worst = max(deviations)
     if worst > 3.0:
         raise AssertionError(f"MC estimate {worst:.2f} sigma from quadrature")
@@ -250,8 +243,7 @@ class EfficiencySweepResult:
 
 def pne_efficiency_sweep(count: int, seed: int, tick: float = 0.125,
                          max_bid: float = 1.0, k_values=(2, 3),
-                         scale: float = 0.75,
-                         parallelism: int = 1) -> EfficiencySweepResult:
+                         scale: float = 0.75) -> EfficiencySweepResult:
     """Exhaustive pay-as-bid equilibrium search on tiny grids.
 
     Asserts the grid relaxation of first-price efficiency: every pure
@@ -276,7 +268,7 @@ def pne_efficiency_sweep(count: int, seed: int, tick: float = 0.125,
             slack = min(slack, sw - (opt - 2 * k * tick))
         return len(result.equilibria), slack
 
-    outcomes = parallel_map(one, range(count), parallelism)
+    outcomes = [one(index) for index in range(count)]
     total_eq = sum(n for n, _ in outcomes)
     with_pne = sum(1 for n, _ in outcomes if n > 0)
     min_slack = min((s for _, s in outcomes if s != math.inf),
@@ -314,8 +306,7 @@ def lemma1_equilibrium(rng: random.Random, winners_max: int = 3,
     return instance, profile
 
 
-def lemma1_conversion_sweep(count: int, seed: int,
-                            parallelism: int = 1) -> int:
+def lemma1_conversion_sweep(count: int, seed: int) -> int:
     """Canonical equilibria convert to uniform bidding losing nothing.
 
     Checks, per case: the standard profile is a pure equilibrium under
@@ -323,8 +314,7 @@ def lemma1_conversion_sweep(count: int, seed: int,
     and welfare exactly; and the converted profile is itself an equilibrium.
     Returns the number of cases checked.
     """
-
-    def one(index: int):
+    for index in range(count):
         rng = case_rng(seed, index)
         instance, profile = lemma1_equilibrium(rng)
         grid = BidGrid(1e-3, 2.0, STANDARD, no_overbidding=True)
@@ -344,17 +334,15 @@ def lemma1_conversion_sweep(count: int, seed: int,
             raise AssertionError(f"case {index}: allocation changed")
         if before.uniform_price != after.uniform_price:
             raise AssertionError(f"case {index}: price changed")
-
-    parallel_map(one, range(count), parallelism)
     return count
 
 
-def proposition1_sweep(count: int, seed: int, eps_values=(0.1, 0.01),
-                       parallelism: int = 1) -> int:
+def proposition1_sweep(count: int, seed: int,
+                       eps_values=(0.1, 0.01)) -> int:
     """Random submodular instances through both tie-break constructions."""
     from .instances import verify_proposition1
 
-    def one(index: int):
+    for index in range(count):
         rng = case_rng(seed, index)
         n = rng.randint(2, 4)
         k = rng.randint(2, 4)
@@ -366,6 +354,4 @@ def proposition1_sweep(count: int, seed: int, eps_values=(0.1, 0.01),
         for c in checks:
             if not c.passed:
                 raise AssertionError(f"case {index}: {c.name} failed ({c.value})")
-
-    parallel_map(one, range(count), parallelism)
     return count

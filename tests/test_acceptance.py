@@ -14,6 +14,7 @@ from poa_lab.instances import (
     appendix_c_bayesian,
     theorem4_instance,
     theorem6_da_instance,
+    theorem6_upa_instance,
 )
 from poa_lab.mechanisms import allocate, social_welfare
 from poa_lab.smoothness import (
@@ -145,7 +146,10 @@ def test_criterion_6_template_frontiers():
         bound = (1 - 1 / E + (1 / k) * (1 - 1 / E)) * k
         assert res["bound"] == pytest.approx(bound, abs=1e-9)
         assert res["lhs"] <= bound + 1e-6
-        scan = theorem6_upa_check(tick=1e-3)
+        named = theorem6_upa_instance()
+        scan = theorem6_upa_check(named.instance,
+                                  named.profile("lower-bound-witness"),
+                                  tick=1e-3)
         assert scan["total"] == 0.5
         assert scan["exact_half"]
 

@@ -248,6 +248,14 @@ def test_find_pure_nash_cap():
                            "discriminatory", tie_lexicographic())
     with pytest.raises(SearchCapExceeded):
         find_pure_nash(inst, BidGrid(0.001, 1.0), cap=100)
+    # the cap is checked against the exact number of grid profiles
+    for grid in (BidGrid(0.25, 1.0), BidGrid(0.25, 1.0, "uniform"),
+                 BidGrid(0.25, 1.0, no_overbidding=True)):
+        total = math.prod(len(grid_bids_for(grid, 2, v))
+                          for v in inst.valuations)
+        find_pure_nash(inst, grid, cap=total)
+        with pytest.raises(SearchCapExceeded):
+            find_pure_nash(inst, grid, cap=total - 1)
 
 
 def _every_profile_pure_nash(instance, grid):

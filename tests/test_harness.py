@@ -43,10 +43,10 @@ def test_randomized_sweep_requires_seed():
                                                count=5))
 
 
-def test_thread_env_override(monkeypatch):
-    monkeypatch.setenv("POA_LAB_THREADS", "3")
-    cfg = ExperimentConfig.from_dict(make_config(experiment="bound-table"))
-    assert cfg.parallelism == 3
+def test_rejects_parallelism_key():
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_dict(make_config(experiment="bound-table",
+                                               parallelism=2))
 
 
 def test_bound_table_experiment(tmp_path):
@@ -213,16 +213,3 @@ def test_verify_bne_from_game_file(tmp_path):
                              tolerance=1e-12))
     assert report.passed
     assert report.rows[0]["poa"] == pytest.approx(1.000466, abs=1e-5)
-
-
-def test_parallel_and_serial_runs_agree(monkeypatch):
-    serial = run(make_config(experiment="sweep-key-lemma", seed=9, count=30,
-                             alphas=[1.0], n_max=3, k_max=4))
-    monkeypatch.setenv("POA_LAB_THREADS", "4")
-    parallel = run(make_config(experiment="sweep-key-lemma", seed=9, count=30,
-                               alphas=[1.0], n_max=3, k_max=4))
-    s_rows = [{k: v for k, v in r.items() if k != "runtime_ms"}
-              for r in serial.rows]
-    p_rows = [{k: v for k, v in r.items() if k != "runtime_ms"}
-              for r in parallel.rows]
-    assert s_rows == p_rows

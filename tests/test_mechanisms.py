@@ -12,8 +12,6 @@ from poa_lab.mechanisms import (
     allocate,
     beta_minus_i,
     check_no_overbidding,
-    price_discriminatory,
-    price_uniform,
     run_auction,
     social_welfare,
     standard_bid,
@@ -132,8 +130,8 @@ def test_allocation_monotone_in_own_bid():
 
 def test_discriminatory_payments():
     prof = standard_profile(2, standard_bid(3, 1), standard_bid(2, 2))
-    out = allocate(prof, tie_lexicographic())
-    assert price_discriminatory(prof, out) == (3.0, 2.0)
+    out = run_auction(prof, tie_lexicographic(), "discriminatory")
+    assert out.payments == (3.0, 2.0)
 
 
 def test_losers_pay_nothing():
@@ -174,21 +172,9 @@ def test_uniform_price_below_winning_bids():
         out = run_auction(prof, tie_lexicographic(), "uniform")
         if out.units_sold == prof.k:
             assert out.uniform_price <= out.winning_bids[0] + 1e-12
-        disc = price_discriminatory(prof, allocate(prof, tie_lexicographic()))
-        for pay_u, pay_d in zip(out.payments, disc):
+        disc = run_auction(prof, tie_lexicographic(), "discriminatory")
+        for pay_u, pay_d in zip(out.payments, disc.payments):
             assert pay_u <= pay_d + 1e-12
-
-
-def test_pricing_rules_match_run_auction_payments():
-    rng = random.Random(14)
-    for _ in range(100):
-        prof = random_profile(rng, rng.randint(1, 4), rng.randint(1, 5))
-        tie = tie_favor_last()
-        out = allocate(prof, tie)
-        assert (price_discriminatory(prof, out)
-                == run_auction(prof, tie, "discriminatory").payments)
-        assert (price_uniform(prof, out)
-                == run_auction(prof, tie, "uniform").payments)
 
 
 # -- utilities and no-overbidding -------------------------------------------
@@ -248,7 +234,7 @@ def test_no_overbidding_implies_budget_balance():
 
 def test_beta_minus_i_two_bidders():
     prof = standard_profile(3, standard_bid(5, 4, 3), standard_bid(2, 1, 0))
-    beta = beta_minus_i(prof, 0, tie_lexicographic())
+    beta = beta_minus_i(prof, 0)
     assert beta == (0.0, 1.0, 2.0)
 
 
@@ -258,7 +244,7 @@ def test_beta_minus_i_matches_reallocation():
         n, k = rng.randint(2, 5), rng.randint(1, 4)
         prof = random_profile(rng, n, k)
         i = rng.randrange(n)
-        beta = beta_minus_i(prof, i, tie_lexicographic())
+        beta = beta_minus_i(prof, i)
         others = [prof.bids[j] for j in range(n) if j != i]
         out = allocate(standard_profile(k, *others), tie_lexicographic())
         assert beta == out.winning_bids
@@ -271,7 +257,7 @@ def test_beta_grows_with_extra_bidder():
         prof = random_profile(rng, n, k)
         full = allocate(prof, tie_lexicographic()).winning_bids
         for i in range(n):
-            partial = beta_minus_i(prof, i, tie_lexicographic())
+            partial = beta_minus_i(prof, i)
             assert all(p <= f + 1e-12 for p, f in zip(partial, full))
 
 
@@ -309,7 +295,7 @@ def test_deviation_kernel_equals_full_auction():
         tie = _random_tie(rng, n, k)
         i = rng.randrange(n)
         assert (DeviationKernel(prof, i, tie, "uniform").beta
-                == beta_minus_i(prof, i, tie))
+                == beta_minus_i(prof, i))
         for pricing in ("discriminatory", "uniform"):
             kernel = DeviationKernel(prof, i, tie, pricing)
             for _ in range(6):

@@ -30,7 +30,6 @@ from poa_lab.smoothness import (
     smooth_poa_bound,
     template_margins_feldman,
     template_margins_key_lemma,
-    template_poa_bound,
     theorem6_da_frontier,
     theorem6_upa_check,
     verify_key_lemma,
@@ -116,7 +115,7 @@ def test_poa_bound_arithmetic():
     lam = 1 - 1 / E
     assert smooth_poa_bound(lam, 1.0) == pytest.approx(E / (E - 1))
     assert smooth_poa_bound(lam, 2.0) == pytest.approx(2 * E / (E - 1))
-    assert template_poa_bound(0.5, 1.0, "uniform") == 4.0
+    assert weak_smooth_poa_bound(0.5, 0.0, 1.0) == 4.0
     a = optimal_alpha("uniform")
     assert weak_smooth_poa_bound(guarantee_lambda(a, "submodular"), 0.0, a) \
         == pytest.approx(abs(lambert_w_minus1(-1 / E ** 2)), abs=1e-9)
@@ -176,7 +175,7 @@ def test_quadrature_matches_real_auction_integral():
         for i, val in enumerate(instance.valuations):
             if x_opt[i] == 0:
                 continue
-            beta = beta_minus_i(profile, i, instance.tie_break, instance.k)
+            beta = beta_minus_i(profile, i, instance.k)
             dev = KeyLemmaDeviation(val, x_opt[i], 1.0)
             n = 6000
             acc = 0.0
@@ -198,7 +197,7 @@ def test_uniform_pricing_dominates_pay_as_bid():
         profile = random_no_overbidding_profile(instance, rng)
         x_opt = optimal_allocation(instance.valuations, instance.k).allocation
         for i, val in enumerate(instance.valuations):
-            beta = beta_minus_i(profile, i, instance.tie_break, instance.k)
+            beta = beta_minus_i(profile, i, instance.k)
             upa = expected_deviation_utility_exact(val, x_opt[i], beta, 1.0,
                                                    "uniform")
             da = expected_deviation_utility_exact(val, x_opt[i], beta, 1.0,
@@ -216,7 +215,7 @@ def test_monte_carlo_within_three_sigma():
         for i, val in enumerate(instance.valuations):
             if x_opt[i] == 0:
                 continue
-            beta = beta_minus_i(profile, i, instance.tie_break, instance.k)
+            beta = beta_minus_i(profile, i, instance.k)
             exact = expected_deviation_utility_exact(val, x_opt[i], beta, 0.87,
                                                      pricing)
             mean, stderr = expected_deviation_utility_mc(
@@ -315,7 +314,7 @@ def test_feldman_bid_non_increasing_and_support_probs():
     rng = case_rng(19, 0)
     instance = random_instance(rng, "subadditive", "uniform", 3, 5)
     profile = random_no_overbidding_profile(instance, rng)
-    beta = beta_minus_i(profile, 0, instance.tie_break, instance.k)
+    beta = beta_minus_i(profile, 0, instance.k)
     support = feldman_support([(beta, 1.0)], 2, "uniform",
                               instance.valuations[0], tick=1e-9)
     assert sum(p for _, p in support) == 1.0
@@ -333,7 +332,7 @@ def test_feldman_complement_never_overbids():
         for i, val in enumerate(instance.valuations):
             if x_opt[i] == 0:
                 continue
-            beta = beta_minus_i(profile, i, instance.tie_break, instance.k)
+            beta = beta_minus_i(profile, i, instance.k)
             assert feldman_complement_ok(beta, x_opt[i], val)
 
 
@@ -370,7 +369,10 @@ def test_feldman_point_distribution_exact():
 
 
 def test_theorem6_upa_scan():
-    result = theorem6_upa_check(1e-3)
+    from poa_lab.instances import theorem6_upa_instance
+    named = theorem6_upa_instance()
+    result = theorem6_upa_check(named.instance,
+                                named.profile("lower-bound-witness"), 1e-3)
     assert result["exact_half"]
     assert result["total"] == 0.5
     assert result["sup_utilities"] == (0.5, 0.0)
