@@ -19,11 +19,14 @@ import random
 from dataclasses import dataclass, replace
 from typing import Sequence
 
+import numpy as np
+
 from .mechanisms import (
     STANDARD,
     UNIFORM_IFACE,
     AuctionInstance,
     BidProfile,
+    DeviationCandidates,
     DeviationKernel,
     StandardBid,
     TieBreakRule,
@@ -244,9 +247,10 @@ class PNESearchResult:
 
     exhaustive is True when every grid profile was covered, so equilibria is
     the complete set, in itertools.product order.  evaluated is, for an
-    exhaustive search, the number of profiles that survived the last
-    bidder's screen and got a full auction; for best-response dynamics, the
-    number of best responses computed.
+    exhaustive search, the number of profiles that the best-response mask
+    marked for every bidder and that got a full auction, which equals the
+    number of equilibria; for best-response dynamics, the number of best
+    responses computed.
     """
 
     equilibria: tuple[BidProfile, ...]
@@ -261,14 +265,18 @@ def find_pure_nash(instance: AuctionInstance, grid: BidGrid,
     """Search the grid profile space for pure Nash equilibria.
 
     "exhaustive" covers every profile (raises SearchCapExceeded beyond the
-    cap).  Per strategy prefix of bidders 0..n-2, one DeviationKernel
-    screens out the last bidder's strategies that leave it a profitable
-    deviation; the rest get a full auction and a check of every bidder.
-    "best_response_dynamics" runs seeded best-response paths and reports
-    reached fixed points, which may miss equilibria.  Both judge deviations
-    by the closed-form best response, which is exact only under
-    bidder-level tie-break rules: under a slot-level ("explicit") rule a
-    reported profile can still admit a profitable deviation.
+    cap).  It keeps a boolean mask with one cell, one byte, per grid
+    profile, at most cap bytes.  For each bidder and each choice of the
+    other bidders' strategies, one closed-form best response and one
+    DeviationKernel.outcomes call over the bidder's whole strategy list
+    clear the cells along the bidder's axis where it could gain.  The
+    cells left, in itertools.product order, get a full auction and a
+    check of every bidder.  "best_response_dynamics" runs seeded
+    best-response paths and reports reached fixed points, which may miss
+    equilibria.  Both judge deviations by the closed-form best response,
+    which is exact only under bidder-level tie-break rules: under a
+    slot-level ("explicit") rule a reported profile can still admit a
+    profitable deviation.
     """
     k = instance.k
     if mode == "exhaustive" and not grid.no_overbidding:
@@ -282,47 +290,52 @@ def find_pure_nash(instance: AuctionInstance, grid: BidGrid,
     if mode == "exhaustive":
         if grid.no_overbidding:
             _check_cap(math.prod(len(s) for s in spaces), cap)
-        last = instance.n - 1
-        last_val = instance.valuations[last]
-        last_vectors = [b.expand(k).values if isinstance(b, UniformBid)
-                        else b.values for b in spaces[last]]
+        shape = tuple(len(s) for s in spaces)
+        # one byte per grid profile: True where no bidder has yet been
+        # found to gain by deviating
+        mask = np.ones(shape, dtype=bool)
         br_memo: dict = {}
+        for i, space in enumerate(spaces):
+            val = instance.valuations[i]
+            values = np.array([val.value(units) for units in range(k + 1)])
+            candidates = DeviationCandidates(
+                [b.expand(k).values if isinstance(b, UniformBid) else b.values
+                 for b in space], i, instance.n, instance.tie_break)
+            # the mask viewed with bidder i's axis last: one row per choice
+            # of the others' bids, in itertools.product order
+            rows = np.moveaxis(mask, i, -1)
+            for index, bids in zip(np.ndindex(rows.shape[:-1]),
+                                   itertools.product(*spaces[:i],
+                                                     *spaces[i + 1:])):
+                # bidder i's own bid is a placeholder: only the others' bids
+                # are read
+                profile = BidProfile(bids[:i] + (space[0],) + bids[i:],
+                                     grid.interface, k)
+                br_util = best_response(instance, profile, i, grid).utility
+                br_memo[(i,) + bids] = br_util
+                # outcomes equal run_auction's bit for bit, so this marks
+                # exactly the profiles where the full check passes bidder i
+                units, payments = DeviationKernel(
+                    profile, i, instance.tie_break,
+                    instance.pricing).outcomes(candidates)
+                rows[index] &= (
+                    max(br_util, 0.0) - (values[units] - payments) <= EQ_TOL)
         found = []
         evaluated = 0
-        for prefix in itertools.product(*spaces[:last]):
-            # the last bid is a placeholder: only the others' bids are read
-            profile = BidProfile(prefix + (spaces[last][0],),
-                                 grid.interface, k)
-            kernel = DeviationKernel(profile, last, instance.tie_break,
-                                     instance.pricing)
-            br_last = best_response(instance, profile, last, grid).utility
-            br_memo[(last,) + prefix] = br_last
-            for bid, vector in zip(spaces[last], last_vectors):
-                # outcome equals run_auction's bit for bit, so this drops
-                # exactly the profiles the full check rejects for this bidder
-                units, payment = kernel.outcome(vector)
-                if max(br_last, 0.0) - (last_val.value(units)
-                                        - payment) > EQ_TOL:
-                    continue
-                combo = prefix + (bid,)
-                profile = BidProfile(combo, grid.interface, k)
-                out = run_auction(profile, instance.tie_break,
-                                  instance.pricing)
-                evaluated += 1
-                for i in range(instance.n):
-                    cur = (instance.valuations[i].value(out.allocation[i])
-                           - out.payments[i])
-                    key = (i,) + tuple(combo[j] for j in range(instance.n)
-                                       if j != i)
-                    br_util = br_memo.get(key)
-                    if br_util is None:
-                        br_util = best_response(instance, profile, i,
-                                                grid).utility
-                        br_memo[key] = br_util
-                    if max(br_util, 0.0) - cur > EQ_TOL:
-                        break
-                else:
-                    found.append(profile)
+        # np.nonzero lists cells in C order, which is itertools.product order
+        for cell in zip(*np.nonzero(mask)):
+            combo = tuple(s[c] for s, c in zip(spaces, cell))
+            profile = BidProfile(combo, grid.interface, k)
+            out = run_auction(profile, instance.tie_break, instance.pricing)
+            evaluated += 1
+            for i in range(instance.n):
+                cur = (instance.valuations[i].value(out.allocation[i])
+                       - out.payments[i])
+                key = (i,) + combo[:i] + combo[i + 1:]
+                if max(br_memo[key], 0.0) - cur > EQ_TOL:
+                    break
+            else:
+                found.append(profile)
         return PNESearchResult(tuple(found), True, evaluated)
 
     if mode == "best_response_dynamics":
@@ -463,14 +476,15 @@ def pure_strategy(bids_per_bidder) -> Strategy:
         for per_type in bids_per_bidder))
 
 
-def _opposing_scenarios(game: BayesianGame, strat: Strategy, i: int):
-    """All (others' bid vector dict, probability) pairs conditioned on i absent.
+def _opposing_kernels(game: BayesianGame, strat: Strategy, i: int):
+    """One (DeviationKernel, probability) pair per opposing scenario.
 
     Enumerates opposing type tuples under the product prior, then each
-    combination of support bids; probabilities multiply exactly.
+    combination of support bids; probabilities multiply exactly.  Each
+    kernel scores bidder i's bids against that scenario's bids.
     """
     others = [j for j in range(game.n) if j != i]
-    scenarios = []
+    kernels = []
     type_ranges = [range(len(game.types[j])) for j in others]
     for type_combo in itertools.product(*type_ranges):
         p_type = 1.0
@@ -481,14 +495,17 @@ def _opposing_scenarios(game: BayesianGame, strat: Strategy, i: int):
         mixes = [strat.rules[j][t] for j, t in zip(others, type_combo)]
         for bid_combo in itertools.product(*mixes):
             p = p_type
-            bids = {}
+            # bidder i's own bid is a placeholder: the kernel reads only
+            # the others' bids
+            bids = [UniformBid(0.0, 0)] * game.n
             for j, (bid, pb) in zip(others, bid_combo):
                 p *= pb
                 bids[j] = bid
             if p == 0.0:
                 continue
-            scenarios.append((bids, p))
-    return scenarios
+            kernels.append((DeviationKernel(_game_profile(game, bids), i,
+                                            game.tie_break, game.pricing), p))
+    return kernels
 
 
 def _game_profile(game: BayesianGame, bids) -> BidProfile:
@@ -499,14 +516,15 @@ def _game_profile(game: BayesianGame, bids) -> BidProfile:
         game.grid.interface, game.k)
 
 
-def _expected_utility(game: BayesianGame, i: int, val: Valuation, my_bid,
-                      scenarios) -> float:
+def _expected_utility(game: BayesianGame, val: Valuation, my_bid,
+                      kernels) -> float:
+    # the game's profile refuses a bid it cannot hold, such as a standard
+    # bid in a uniform-interface game
+    vector = _game_profile(game, [my_bid]).vector(0)
     total = 0.0
-    for bids, p in scenarios:
-        profile = _game_profile(
-            game, [my_bid if j == i else bids[j] for j in range(game.n)])
-        out = run_auction(profile, game.tie_break, game.pricing)
-        total += p * (val.value(out.allocation[i]) - out.payments[i])
+    for kernel, p in kernels:
+        units, payment = kernel.outcome(vector)
+        total += p * (val.value(units) - payment)
     return total
 
 
@@ -521,11 +539,11 @@ def is_bayes_nash(game: BayesianGame, strat: Strategy,
     strat.validate(game)
     entries = []
     for i in range(game.n):
-        scenarios = _opposing_scenarios(game, strat, i)
+        kernels = _opposing_kernels(game, strat, i)
         for t, val in enumerate(game.types[i]):
             cur = 0.0
             for my_bid, pm in strat.rules[i][t]:
-                cur += pm * _expected_utility(game, i, val, my_bid, scenarios)
+                cur += pm * _expected_utility(game, val, my_bid, kernels)
             best = cur
             best_bid = None
             for cand in deviation_bids(game.grid, game.k,
@@ -534,7 +552,7 @@ def is_bayes_nash(game: BayesianGame, strat: Strategy,
                 if game.grid.interface == UNIFORM_IFACE and isinstance(
                         cand, StandardBid):
                     continue
-                u = _expected_utility(game, i, val, cand, scenarios)
+                u = _expected_utility(game, val, cand, kernels)
                 if u > best:
                     best = u
                     best_bid = cand

@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
+import numpy as np
+
 from .valuations import Valuation
 
 DISCRIMINATORY = "discriminatory"
@@ -367,7 +369,8 @@ class DeviationKernel:
     entry is one of them or one of bidder i's own.  outcome(vector) merges
     the candidate's entries into them in O(k) and returns (units, payment),
     equal bit for bit to bidder i's allocation and payment in
-    run_auction(profile.replace(i, cand), tie, pricing).
+    run_auction(profile.replace(i, cand), tie, pricing).  outcomes(candidates)
+    returns the same for a whole DeviationCandidates set as two arrays.
 
     beta equals beta_minus_i(profile, i): it holds the values of the top
     k opposing entries, which do not depend on the order of tied entries.
@@ -406,6 +409,65 @@ class DeviationKernel:
             return a, sum(vector[:a])
         losing = own[a:a + 1] + opp[b:b + 1]
         return a, a * (-min(losing)[0] if losing else 0.0)
+
+    def outcomes(self, candidates: "DeviationCandidates"):
+        """(units, payments) arrays of bidder i over a whole candidate set.
+
+        Entry c equals outcome of the set's c-th vector, bit for bit.  Own
+        entry j wins iff it outranks opposing entry k-1-j: exactly j own
+        and at most k-1-j opposing entries precede it then.  That test is
+        monotone in j, so the number of own entries passing it is the
+        number of units won.
+        """
+        k = self._k
+        # opposing values and ranks, highest first, padded to k + 1 with
+        # zero entries that rank below every real one and above own padding
+        values = np.zeros(k + 1)
+        ranks = np.full(k + 1, candidates.pad_rank)
+        for s, entry in enumerate(self._opposing):
+            values[s] = -entry[0]
+            ranks[s] = candidates.rank[entry[1:]]
+        own, own_ranks = candidates.values[:, :k], candidates.ranks[:, :k]
+        facing, facing_ranks = values[k - 1::-1], ranks[k - 1::-1]
+        wins = (own > facing) | ((own == facing) & (own_ranks < facing_ranks))
+        units = wins.sum(axis=1)
+        rows = np.arange(len(units))
+        if not self._uniform:
+            return units, candidates.paid[rows, units]
+        # the highest losing entry: the next own one or the next opposing one
+        return units, units * np.maximum(candidates.values[rows, units],
+                                         values[k - units])
+
+
+class DeviationCandidates:
+    """Bidder i's candidate marginal-bid vectors, prepared once for
+    DeviationKernel.outcomes against any opposing bids of n - 1 bidders.
+
+    values and ranks hold each candidate's positive entries in the order
+    of its merge, by (-value, tie priority), padded to k + 1 with zeros
+    that rank last.  rank maps the tie priority of every (bidder, slot)
+    pair to its integer position under the tie rule.  paid[c, a] is
+    sum(vectors[c][:a]), the pay-as-bid payment for a units.
+    """
+
+    def __init__(self, vectors: Sequence[Sequence[float]], i: int, n: int,
+                 tie: TieBreakRule):
+        k = len(vectors[0])
+        pairs = sorted(((j, s) for j in range(n) for s in range(k)),
+                       key=lambda pair: tie.priority(*pair))
+        self.rank = {tie.priority(*pair): r for r, pair in enumerate(pairs)}
+        # opposing padding ranks below every pair; own padding below that
+        self.pad_rank = len(pairs)
+        self.values = np.zeros((len(vectors), k + 1))
+        self.ranks = np.full((len(vectors), k + 1), self.pad_rank + 1)
+        for c, vector in enumerate(vectors):
+            own = sorted((-v,) + tie.priority(i, s)
+                         for s, v in enumerate(vector) if v > 0.0)
+            for j, entry in enumerate(own):
+                self.values[c, j] = -entry[0]
+                self.ranks[c, j] = self.rank[entry[1:]]
+        self.paid = np.array([[sum(vector[:a]) for a in range(k + 1)]
+                              for vector in vectors], dtype=float)
 
 
 def uniformize_profile(profile: BidProfile, tie: TieBreakRule) -> BidProfile:

@@ -14,7 +14,6 @@ from poa_lab.equilibria import (
     bayesian_poa,
     best_response,
     best_response_enumerated,
-    canonical_upa_profile,
     find_pure_nash,
     grid_bids_for,
     is_bayes_nash,
@@ -261,14 +260,12 @@ def test_find_pure_nash_cap():
 def _every_profile_pure_nash(instance, grid):
     """Reference search: a full auction for every grid profile.
 
-    Returns the equilibria, the number of profiles where the last bidder
-    has no profitable deviation, and the number of profiles.
+    Returns the equilibria and the number of profiles.
     """
     k = instance.k
     spaces = [grid_bids_for(grid, k, v) for v in instance.valuations]
     br_memo = {}
     found = []
-    last_ok = 0
     for combo in itertools.product(*spaces):
         profile = BidProfile(combo, grid.interface, k)
         out = run_auction(profile, instance.tie_break, instance.pricing)
@@ -283,10 +280,9 @@ def _every_profile_pure_nash(instance, grid):
                 br_memo[key] = br_util
             return max(br_util, 0.0) - cur > EQ_TOL
 
-        last_ok += not gains(instance.n - 1)
         if not any(gains(i) for i in range(instance.n)):
             found.append(profile)
-    return tuple(found), last_ok, math.prod(len(s) for s in spaces)
+    return tuple(found), math.prod(len(s) for s in spaces)
 
 
 def _screen_cases():
@@ -337,12 +333,12 @@ def test_screened_search_matches_full_profile_loop(monkeypatch):
     monkeypatch.setattr(equilibria, "run_auction", counted_run_auction)
     screened = full = found = 0
     for inst, grid in _screen_cases():
-        expected, last_ok, total = _every_profile_pure_nash(inst, grid)
+        expected, total = _every_profile_pure_nash(inst, grid)
         calls.clear()
         res = find_pure_nash(inst, grid)
         assert res.exhaustive
         assert res.equilibria == expected, (inst, grid)
-        assert res.evaluated == len(calls) == last_ok <= total, (inst, grid)
+        assert res.evaluated == len(calls) == len(expected), (inst, grid)
         screened += res.evaluated
         full += total
         found += len(expected)

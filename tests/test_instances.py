@@ -19,11 +19,7 @@ from poa_lab.mechanisms import (
     social_welfare,
     tie_lexicographic,
 )
-from poa_lab.sweeps import (
-    case_rng,
-    lemma1_conversion_sweep,
-    proposition1_sweep,
-)
+from poa_lab.sweeps import lemma1_conversion_sweep, proposition1_sweep
 from poa_lab.valuations import Valuation, random_valuation
 from poa_lab.welfare import optimal_allocation, poa_ratio
 from dataclasses import replace

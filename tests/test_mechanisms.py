@@ -6,6 +6,7 @@ import pytest
 from poa_lab.mechanisms import (
     AuctionInstance,
     BidProfile,
+    DeviationCandidates,
     DeviationKernel,
     StandardBid,
     UniformBid,
@@ -305,6 +306,28 @@ def test_deviation_kernel_equals_full_auction():
                 out = run_auction(prof.replace(i, cand), tie, pricing)
                 assert kernel.outcome(vector) == (out.allocation[i],
                                                   out.payments[i])
+
+
+def test_deviation_kernel_outcomes_match_outcome():
+    rng = random.Random(2025)
+    for _ in range(1500):
+        n, k = rng.randint(1, 5), rng.randint(1, 5)
+        uniform = rng.random() < 0.5
+        prof = BidProfile(tuple(_random_bid(rng, k, uniform)
+                                for _ in range(n)),
+                          "uniform" if uniform else "standard", k)
+        tie = _random_tie(rng, n, k)
+        i = rng.randrange(n)
+        vectors = [(cand.expand(k) if isinstance(cand, UniformBid)
+                    else cand).values
+                   for cand in (_random_bid(rng, k, rng.random() < 0.5)
+                                for _ in range(8))]
+        candidates = DeviationCandidates(vectors, i, n, tie)
+        for pricing in ("discriminatory", "uniform"):
+            kernel = DeviationKernel(prof, i, tie, pricing)
+            units, pay = kernel.outcomes(candidates)
+            for c, vector in enumerate(vectors):
+                assert (int(units[c]), float(pay[c])) == kernel.outcome(vector)
 
 
 # -- welfare and uniformization ---------------------------------------------

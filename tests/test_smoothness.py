@@ -5,7 +5,6 @@ import pytest
 
 from poa_lab.mechanisms import (
     AuctionInstance,
-    UniformBid,
     beta_minus_i,
     check_no_overbidding,
     run_auction,
@@ -42,7 +41,7 @@ from poa_lab.sweeps import (
     random_no_overbidding_profile,
     random_no_overbidding_uniform_profile,
 )
-from poa_lab.valuations import random_valuation, tau, valuation
+from poa_lab.valuations import random_valuation, valuation
 from poa_lab.welfare import optimal_allocation
 
 E = math.e
