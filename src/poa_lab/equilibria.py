@@ -7,8 +7,11 @@ non-constant bid winning j units dominates it slot-wise, and has pointwise
 larger prefix sums, so the restriction is also exact under no-overbidding).
 The candidate values are therefore the thresholds themselves (ties may be
 resolved in the deviator's favor) and one grid tick above.  This closed form
-is exact for bidder-level tie-break rules; a full enumeration over uniform
+is exact for bidder-level tie-break rules, and so are is_pure_nash and
+best-response dynamics, which rely on it; a full enumeration over uniform
 (and optionally standard) grid bids is available as a certifying fallback.
+The exhaustive pure-Nash search scores every grid strategy instead, which is
+exact under every tie-break rule.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from .mechanisms import (
     TieBreakRule,
     UniformBid,
     allocate,
+    block_outcomes,
     check_no_overbidding,
     run_auction,
     social_welfare,
@@ -40,6 +44,8 @@ from .valuations import Valuation, is_submodular, marginals
 from .welfare import optimal_allocation
 
 EQ_TOL = 1e-9
+# cells of one (rows x own strategies) block scored by the exhaustive search
+_BLOCK_CELLS = 1 << 16
 
 
 class SearchCapExceeded(RuntimeError):
@@ -246,7 +252,8 @@ class PNESearchResult:
     """Equilibria found by find_pure_nash.
 
     exhaustive is True when every grid profile was covered, so equilibria is
-    the complete set, in itertools.product order.  evaluated is, for an
+    the complete set of the grid game's pure equilibria, exact under every
+    tie-break rule, in itertools.product order.  evaluated is, for an
     exhaustive search, the number of profiles that the best-response mask
     marked for every bidder and that got a full auction, which equals the
     number of equilibria; for best-response dynamics, the number of best
@@ -266,14 +273,15 @@ def find_pure_nash(instance: AuctionInstance, grid: BidGrid,
 
     "exhaustive" covers every profile (raises SearchCapExceeded beyond the
     cap).  It keeps a boolean mask with one cell, one byte, per grid
-    profile, at most cap bytes.  For each bidder and each choice of the
-    other bidders' strategies, one closed-form best response and one
-    DeviationKernel.outcomes call over the bidder's whole strategy list
-    clear the cells along the bidder's axis where it could gain.  The
-    cells left, in itertools.product order, get a full auction and a
-    check of every bidder.  "best_response_dynamics" runs seeded
+    profile, at most cap bytes.  For each bidder, block_outcomes scores
+    its whole strategy list against every choice of the others' (in
+    blocks of at most _BLOCK_CELLS cells); each row's maximum is its exact
+    grid best response under every tie-break rule, and the row's cells
+    where it gains more than EQ_TOL are cleared.  The cells left, in
+    itertools.product order, get a full auction and a check of every
+    bidder against those maxima.  "best_response_dynamics" runs seeded
     best-response paths and reports reached fixed points, which may miss
-    equilibria.  Both judge deviations by the closed-form best response,
+    equilibria.  It judges deviations by the closed-form best response,
     which is exact only under bidder-level tie-break rules: under a
     slot-level ("explicit") rule a reported profile can still admit a
     profitable deviation.
@@ -291,52 +299,49 @@ def find_pure_nash(instance: AuctionInstance, grid: BidGrid,
         if grid.no_overbidding:
             _check_cap(math.prod(len(s) for s in spaces), cap)
         shape = tuple(len(s) for s in spaces)
-        # one byte per grid profile: True where no bidder has yet been
-        # found to gain by deviating
+        candidates = [DeviationCandidates(
+            [b.expand(k).values if isinstance(b, UniformBid) else b.values
+             for b in space], i, instance.n, instance.tie_break)
+            for i, space in enumerate(spaces)]
+        # one byte per grid profile: True where no bidder can gain by
+        # deviating on the grid
         mask = np.ones(shape, dtype=bool)
-        br_memo: dict = {}
-        for i, space in enumerate(spaces):
-            val = instance.valuations[i]
-            values = np.array([val.value(units) for units in range(k + 1)])
-            candidates = DeviationCandidates(
-                [b.expand(k).values if isinstance(b, UniformBid) else b.values
-                 for b in space], i, instance.n, instance.tie_break)
-            # the mask viewed with bidder i's axis last: one row per choice
-            # of the others' bids, in itertools.product order
-            rows = np.moveaxis(mask, i, -1)
-            for index, bids in zip(np.ndindex(rows.shape[:-1]),
-                                   itertools.product(*spaces[:i],
-                                                     *spaces[i + 1:])):
-                # bidder i's own bid is a placeholder: only the others' bids
-                # are read
-                profile = BidProfile(bids[:i] + (space[0],) + bids[i:],
-                                     grid.interface, k)
-                br_util = best_response(instance, profile, i, grid).utility
-                br_memo[(i,) + bids] = br_util
-                # outcomes equal run_auction's bit for bit, so this marks
-                # exactly the profiles where the full check passes bidder i
-                units, payments = DeviationKernel(
-                    profile, i, instance.tie_break,
-                    instance.pricing).outcomes(candidates)
-                rows[index] &= (
-                    max(br_util, 0.0) - (values[units] - payments) <= EQ_TOL)
+        # best[i][others' indices]: bidder i's best utility on the grid
+        best = []
+        for i, own in enumerate(candidates):
+            values = np.array(instance.valuations[i].values, dtype=float)
+            # rows: the others' bids in itertools.product order; columns:
+            # bidder i's own
+            others_shape = shape[:i] + shape[i + 1:]
+            nrows = math.prod(others_shape)
+            keep = np.empty((nrows, shape[i]), dtype=bool)
+            rowmax = np.empty(nrows)
+            step = max(1, _BLOCK_CELLS // shape[i])
+            for start in range(0, nrows, step):
+                stop = min(start + step, nrows)
+                units, payments = block_outcomes(
+                    own, candidates[:i] + candidates[i + 1:],
+                    instance.pricing, np.arange(start, stop))
+                utils = values[units] - payments
+                rowmax[start:stop] = utils.max(axis=1)
+                keep[start:stop] = rowmax[start:stop, None] - utils <= EQ_TOL
+            mask &= np.moveaxis(keep.reshape(others_shape + shape[i:i + 1]),
+                                -1, i)
+            best.append(rowmax.reshape(others_shape))
         found = []
-        evaluated = 0
         # np.nonzero lists cells in C order, which is itertools.product order
-        for cell in zip(*np.nonzero(mask)):
-            combo = tuple(s[c] for s, c in zip(spaces, cell))
-            profile = BidProfile(combo, grid.interface, k)
+        cells = list(zip(*np.nonzero(mask)))
+        for cell in cells:
+            profile = BidProfile(tuple(s[c] for s, c in zip(spaces, cell)),
+                                 grid.interface, k)
             out = run_auction(profile, instance.tie_break, instance.pricing)
-            evaluated += 1
-            for i in range(instance.n):
-                cur = (instance.valuations[i].value(out.allocation[i])
-                       - out.payments[i])
-                key = (i,) + combo[:i] + combo[i + 1:]
-                if max(br_memo[key], 0.0) - cur > EQ_TOL:
-                    break
-            else:
+            # fails only where block_outcomes and run_auction disagree
+            if all(best[i][cell[:i] + cell[i + 1:]]
+                   - (instance.valuations[i].value(out.allocation[i])
+                      - out.payments[i]) <= EQ_TOL
+                   for i in range(instance.n)):
                 found.append(profile)
-        return PNESearchResult(tuple(found), True, evaluated)
+        return PNESearchResult(tuple(found), True, len(cells))
 
     if mode == "best_response_dynamics":
         rng = random.Random(seed)

@@ -369,8 +369,8 @@ class DeviationKernel:
     entry is one of them or one of bidder i's own.  outcome(vector) merges
     the candidate's entries into them in O(k) and returns (units, payment),
     equal bit for bit to bidder i's allocation and payment in
-    run_auction(profile.replace(i, cand), tie, pricing).  outcomes(candidates)
-    returns the same for a whole DeviationCandidates set as two arrays.
+    run_auction(profile.replace(i, cand), tie, pricing).  block_outcomes
+    returns the same for whole candidate sets at once.
 
     beta equals beta_minus_i(profile, i): it holds the values of the top
     k opposing entries, which do not depend on the order of tied entries.
@@ -410,44 +410,17 @@ class DeviationKernel:
         losing = own[a:a + 1] + opp[b:b + 1]
         return a, a * (-min(losing)[0] if losing else 0.0)
 
-    def outcomes(self, candidates: "DeviationCandidates"):
-        """(units, payments) arrays of bidder i over a whole candidate set.
-
-        Entry c equals outcome of the set's c-th vector, bit for bit.  Own
-        entry j wins iff it outranks opposing entry k-1-j: exactly j own
-        and at most k-1-j opposing entries precede it then.  That test is
-        monotone in j, so the number of own entries passing it is the
-        number of units won.
-        """
-        k = self._k
-        # opposing values and ranks, highest first, padded to k + 1 with
-        # zero entries that rank below every real one and above own padding
-        values = np.zeros(k + 1)
-        ranks = np.full(k + 1, candidates.pad_rank)
-        for s, entry in enumerate(self._opposing):
-            values[s] = -entry[0]
-            ranks[s] = candidates.rank[entry[1:]]
-        own, own_ranks = candidates.values[:, :k], candidates.ranks[:, :k]
-        facing, facing_ranks = values[k - 1::-1], ranks[k - 1::-1]
-        wins = (own > facing) | ((own == facing) & (own_ranks < facing_ranks))
-        units = wins.sum(axis=1)
-        rows = np.arange(len(units))
-        if not self._uniform:
-            return units, candidates.paid[rows, units]
-        # the highest losing entry: the next own one or the next opposing one
-        return units, units * np.maximum(candidates.values[rows, units],
-                                         values[k - units])
-
 
 class DeviationCandidates:
     """Bidder i's candidate marginal-bid vectors, prepared once for
-    DeviationKernel.outcomes against any opposing bids of n - 1 bidders.
+    block_outcomes, as the deviator's list or as one opposing bidder's.
 
     values and ranks hold each candidate's positive entries in the order
-    of its merge, by (-value, tie priority), padded to k + 1 with zeros
-    that rank last.  rank maps the tie priority of every (bidder, slot)
-    pair to its integer position under the tie rule.  paid[c, a] is
-    sum(vectors[c][:a]), the pay-as-bid payment for a units.
+    of its merge, by (-value, tie priority), padded to k + 1 with zeros.
+    A rank is the integer position of the entry's (bidder, slot) pair
+    under the tie rule; the zeros rank after every pair, so they never
+    win.  paid[c, a] is sum(vectors[c][:a]), the pay-as-bid payment for a
+    units.
     """
 
     def __init__(self, vectors: Sequence[Sequence[float]], i: int, n: int,
@@ -455,19 +428,61 @@ class DeviationCandidates:
         k = len(vectors[0])
         pairs = sorted(((j, s) for j in range(n) for s in range(k)),
                        key=lambda pair: tie.priority(*pair))
-        self.rank = {tie.priority(*pair): r for r, pair in enumerate(pairs)}
-        # opposing padding ranks below every pair; own padding below that
-        self.pad_rank = len(pairs)
+        rank = {tie.priority(*pair): r for r, pair in enumerate(pairs)}
         self.values = np.zeros((len(vectors), k + 1))
-        self.ranks = np.full((len(vectors), k + 1), self.pad_rank + 1)
+        self.ranks = np.full((len(vectors), k + 1), len(pairs))
         for c, vector in enumerate(vectors):
             own = sorted((-v,) + tie.priority(i, s)
                          for s, v in enumerate(vector) if v > 0.0)
             for j, entry in enumerate(own):
                 self.values[c, j] = -entry[0]
-                self.ranks[c, j] = self.rank[entry[1:]]
+                self.ranks[c, j] = rank[entry[1:]]
         self.paid = np.array([[sum(vector[:a]) for a in range(k + 1)]
                               for vector in vectors], dtype=float)
+
+
+def block_outcomes(own: DeviationCandidates,
+                   others: Sequence[DeviationCandidates], pricing: str,
+                   rows: np.ndarray):
+    """(units, payments) arrays of bidder i: entry [r, c] scores own's c-th
+    vector against rows[r], an index into the combinations of the other
+    bidders' candidates (others, in bidder order) in itertools.product
+    order.  It equals DeviationKernel.outcome on those bids, bit for bit.
+
+    Own entry j wins iff it outranks opposing entry k-1-j: exactly j own
+    and at most k-1-j opposing entries precede it then.  That test is
+    monotone in j, so the number of own entries passing it is the number
+    of units won.
+    """
+    if pricing not in PRICINGS:
+        raise ValueError(f"unknown pricing rule {pricing!r}")
+    k = own.values.shape[1] - 1
+    picks = (np.unravel_index(rows, [len(c.values) for c in others])
+             if others else ())
+    # every row's opposing entries, then k + 1 zeros, which never win
+    values = np.concatenate([c.values[p] for c, p in zip(others, picks)]
+                            + [np.zeros((len(rows), k + 1))], axis=1)
+    ranks = np.concatenate([c.ranks[p] for c, p in zip(others, picks)]
+                           + [np.zeros((len(rows), k + 1), dtype=int)], axis=1)
+    if len(others) > 1:
+        # merge the others' entries of every row, highest first
+        order = np.lexsort((ranks, -values), axis=1)[:, :k + 1]
+        values = np.take_along_axis(values, order, axis=1)
+        ranks = np.take_along_axis(ranks, order, axis=1)
+    facing = values[:, k - 1::-1, None]
+    facing_ranks = ranks[:, k - 1::-1, None]
+    own_values = own.values[:, :k].T
+    wins = (own_values > facing) | ((own_values == facing)
+                                    & (own.ranks[:, :k].T < facing_ranks))
+    units = wins.sum(axis=1)
+    cols = np.arange(len(own.values))
+    if pricing == DISCRIMINATORY:
+        return units, own.paid[cols, units]
+    # the highest losing entry: the next own one or the next opposing one;
+    # column k is read only when no unit is won
+    return units, units * np.maximum(
+        own.values[cols, units],
+        values[np.arange(len(values))[:, None], k - units])
 
 
 def uniformize_profile(profile: BidProfile, tie: TieBreakRule) -> BidProfile:

@@ -273,6 +273,13 @@ def expected_deviation_utility_exact(val: Valuation, x_opt: int,
     return total
 
 
+def _units_won(thresholds: np.ndarray, bids: np.ndarray) -> np.ndarray:
+    """How many sorted thresholds each bid beats strictly, as
+    np.searchsorted(thresholds, bids, side="left") gives; over at most k
+    thresholds, one pass per threshold is faster."""
+    return sum(bids > t for t in thresholds)
+
+
 def expected_deviation_utility_mc(val: Valuation, x_opt: int,
                                   beta_minus: Sequence[float], alpha: float,
                                   pricing: str, samples: int = 10 ** 6,
@@ -287,7 +294,7 @@ def expected_deviation_utility_mc(val: Valuation, x_opt: int,
     ts = dev.sample_ts(samples, seed)
     bids = ts * per_unit
     thresholds = np.asarray(beta_minus[:x_opt], dtype=float)
-    won = np.searchsorted(thresholds, bids, side="left")
+    won = _units_won(thresholds, bids)
     gains = np.asarray(val.values, dtype=float)[won]
     if pricing == DISCRIMINATORY:
         pay = won * bids

@@ -7,7 +7,6 @@ curve; the marginal value of the j-th unit is m(j) = v(j) - v(j-1).
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass
@@ -142,13 +141,3 @@ def random_valuation(kind: str, k: int, scale: float = 1.0,
                 return val
         raise RuntimeError("subadditive rejection sampling did not converge")
     raise ValueError(f"unknown valuation class {kind!r}")
-
-
-def dump_valuations(vals, path) -> None:
-    with open(path, "w") as fh:
-        json.dump([v.to_json() for v in vals], fh)
-
-
-def load_valuations(path) -> list[Valuation]:
-    with open(path) as fh:
-        return [Valuation.from_json(row) for row in json.load(fh)]

@@ -257,32 +257,37 @@ def test_find_pure_nash_cap():
             find_pure_nash(inst, grid, cap=total - 1)
 
 
-def _every_profile_pure_nash(instance, grid):
-    """Reference search: a full auction for every grid profile.
+def _grid_oracle_pure_nash(instance, grid):
+    """Reference search: a profile is an equilibrium iff no bidder gains
+    more than EQ_TOL by switching to any other of its grid strategies (the
+    grid honours no-overbidding), every utility scored by a full auction.
 
     Returns the equilibria and the number of profiles.
     """
     k = instance.k
     spaces = [grid_bids_for(grid, k, v) for v in instance.valuations]
-    br_memo = {}
-    found = []
-    for combo in itertools.product(*spaces):
-        profile = BidProfile(combo, grid.interface, k)
-        out = run_auction(profile, instance.tie_break, instance.pricing)
 
-        def gains(i):
-            cur = (instance.valuations[i].value(out.allocation[i])
-                   - out.payments[i])
-            key = (i,) + tuple(combo[j] for j in range(instance.n) if j != i)
-            br_util = br_memo.get(key)
-            if br_util is None:
-                br_util = best_response(instance, profile, i, grid).utility
-                br_memo[key] = br_util
-            return max(br_util, 0.0) - cur > EQ_TOL
+    def utility(i, combo):
+        out = run_auction(BidProfile(combo, grid.interface, k),
+                          instance.tie_break, instance.pricing)
+        return (instance.valuations[i].value(out.allocation[i])
+                - out.payments[i])
 
-        if not any(gains(i) for i in range(instance.n)):
-            found.append(profile)
-    return tuple(found), math.prod(len(s) for s in spaces)
+    best = {}
+
+    def best_utility(i, combo):
+        key = (i,) + combo[:i] + combo[i + 1:]
+        if key not in best:
+            best[key] = max(utility(i, combo[:i] + (alt,) + combo[i + 1:])
+                            for alt in spaces[i])
+        return best[key]
+
+    found = tuple(
+        BidProfile(combo, grid.interface, k)
+        for combo in itertools.product(*spaces)
+        if all(best_utility(i, combo) - utility(i, combo) <= EQ_TOL
+               for i in range(instance.n)))
+    return found, math.prod(len(s) for s in spaces)
 
 
 def _screen_cases():
@@ -333,7 +338,7 @@ def test_screened_search_matches_full_profile_loop(monkeypatch):
     monkeypatch.setattr(equilibria, "run_auction", counted_run_auction)
     screened = full = found = 0
     for inst, grid in _screen_cases():
-        expected, total = _every_profile_pure_nash(inst, grid)
+        expected, total = _grid_oracle_pure_nash(inst, grid)
         calls.clear()
         res = find_pure_nash(inst, grid)
         assert res.exhaustive
@@ -344,6 +349,46 @@ def test_screened_search_matches_full_profile_loop(monkeypatch):
         found += len(expected)
     assert found > 0
     assert screened < full
+
+
+def test_exhaustive_search_is_exact_under_slot_level_ties():
+    # bidder 2 pays 0.5 for one unit; bidding (0.25, 0.25) its favoured
+    # second slot wins one unit at 0.25.  The closed form tries only
+    # constant bids that win their whole quantity, so it misses this.
+    tie = tie_explicit([(2, 1), (0, 1), (1, 0), (2, 0)])
+    vals = (valuation(0, 0.25, 1.25), valuation(0, 0.5, 0.5),
+            valuation(0, 0.75, 0.75))
+    inst = AuctionInstance(vals, 2, "discriminatory", tie)
+    grid = BidGrid(0.25, 0.75, "uniform", no_overbidding=True)
+    prof = uniform_profile(2, UniformBid(0.25, 2), UniformBid(0.25, 1),
+                           UniformBid(0.5, 1))
+    assert prof not in find_pure_nash(inst, grid).equilibria
+    cur = is_pure_nash(prof, inst, grid).entries[2].current_utility
+    assert best_response(inst, prof, 2, grid).utility <= cur
+    brute = best_response_enumerated(inst, prof, 2, grid,
+                                     include_standard=True)
+    assert brute.utility - cur == 0.25
+    assert brute.bid == UniformBid(0.25, 2)
+
+
+@pytest.mark.parametrize("interface", ["standard", "uniform"])
+def test_search_sliced_into_many_blocks_matches_oracle(monkeypatch,
+                                                       interface):
+    # unequal strategy counts per bidder and blocks of a few rows each; on
+    # the standard grid one bidder's last block is partial
+    tie = tie_explicit([(1, 1), (2, 0), (0, 1)])
+    vals = (valuation(0, 0.5, 0.75), valuation(0, 0.75, 1.0),
+            valuation(0, 0.25, 0.75))
+    inst = AuctionInstance(vals, 2, "uniform", tie)
+    grid = BidGrid(0.25, 0.75, interface, no_overbidding=True)
+    sizes = [len(grid_bids_for(grid, 2, v)) for v in vals]
+    assert len(set(sizes)) > 1
+    whole = find_pure_nash(inst, grid)
+    monkeypatch.setattr(equilibria, "_BLOCK_CELLS", 2 * max(sizes) + 1)
+    sliced = find_pure_nash(inst, grid)
+    expected, _ = _grid_oracle_pure_nash(inst, grid)
+    assert expected
+    assert sliced.equilibria == whole.equilibria == expected
 
 
 def test_dynamics_fixed_points_are_equilibria():

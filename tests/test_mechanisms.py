@@ -1,6 +1,8 @@
+import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from poa_lab.mechanisms import (
@@ -12,6 +14,7 @@ from poa_lab.mechanisms import (
     UniformBid,
     allocate,
     beta_minus_i,
+    block_outcomes,
     check_no_overbidding,
     run_auction,
     social_welfare,
@@ -308,8 +311,15 @@ def test_deviation_kernel_equals_full_auction():
                                                   out.payments[i])
 
 
-def test_deviation_kernel_outcomes_match_outcome():
+def _vector(bid, k):
+    return (bid.expand(k) if isinstance(bid, UniformBid) else bid).values
+
+
+def test_block_outcomes_match_kernel_outcome():
     rng = random.Random(2025)
+    # a second generator draws the others' alternative bids, so the
+    # seed-2025 stream yields the same profiles with or without them
+    extra = random.Random(2026)
     for _ in range(1500):
         n, k = rng.randint(1, 5), rng.randint(1, 5)
         uniform = rng.random() < 0.5
@@ -318,16 +328,29 @@ def test_deviation_kernel_outcomes_match_outcome():
                           "uniform" if uniform else "standard", k)
         tie = _random_tie(rng, n, k)
         i = rng.randrange(n)
-        vectors = [(cand.expand(k) if isinstance(cand, UniformBid)
-                    else cand).values
-                   for cand in (_random_bid(rng, k, rng.random() < 0.5)
-                                for _ in range(8))]
-        candidates = DeviationCandidates(vectors, i, n, tie)
+        vectors = [_vector(_random_bid(rng, k, rng.random() < 0.5), k)
+                   for _ in range(8)]
+        own = DeviationCandidates(vectors, i, n, tie)
+        # each other bidder's bid, and at times one more
+        opposing = [j for j in range(n) if j != i]
+        choices = [[prof.bids[j]] + [_random_bid(extra, k, uniform)
+                                     for _ in range(extra.randint(0, 1))]
+                   for j in opposing]
+        others = [DeviationCandidates([_vector(b, k) for b in bids], j, n,
+                                      tie)
+                  for j, bids in zip(opposing, choices)]
+        rows = list(itertools.product(*choices))
         for pricing in ("discriminatory", "uniform"):
-            kernel = DeviationKernel(prof, i, tie, pricing)
-            units, pay = kernel.outcomes(candidates)
-            for c, vector in enumerate(vectors):
-                assert (int(units[c]), float(pay[c])) == kernel.outcome(vector)
+            units, pay = block_outcomes(own, others, pricing,
+                                        np.arange(len(rows)))
+            assert units.shape == pay.shape == (len(rows), len(vectors))
+            for r, bids in enumerate(rows):
+                row = BidProfile(bids[:i] + (prof.bids[i],) + bids[i:],
+                                 prof.interface, k)
+                kernel = DeviationKernel(row, i, tie, pricing)
+                for c, vector in enumerate(vectors):
+                    assert ((int(units[r, c]), float(pay[r, c]))
+                            == kernel.outcome(vector))
 
 
 # -- welfare and uniformization ---------------------------------------------

@@ -1,8 +1,10 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
+from poa_lab import smoothness
 from poa_lab.mechanisms import (
     AuctionInstance,
     beta_minus_i,
@@ -222,6 +224,18 @@ def test_monte_carlo_within_three_sigma():
                 seed=idx * 13 + i)
             if stderr:
                 assert abs(mean - exact) <= 3 * stderr
+
+
+def test_mc_units_won_equal_searchsorted():
+    # repeated and zero thresholds, and bids equal to each of them: a bid
+    # wins a unit only by beating its threshold strictly
+    thresholds = np.array([0.0, 0.0, 0.25, 0.25, 0.25, 0.5])
+    bids = np.concatenate([thresholds, [0.1, 0.3, 0.75],
+                           np.random.default_rng(3).random(1000)])
+    for m in range(1, len(thresholds) + 1):
+        assert np.array_equal(
+            smoothness._units_won(thresholds[:m], bids),
+            np.searchsorted(thresholds[:m], bids, side="left"))
 
 
 # -- guarantee margins -----------------------------------------------------------
