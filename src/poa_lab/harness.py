@@ -2,15 +2,16 @@
 
 Configs carry a schema_version and are rejected on unknown keys.  Reports
 echo the config, list result rows with the fixed CSV columns and a set of
-named pass/fail checks; a report passes iff every check does.  Timestamps
-and runtimes live in dedicated fields so reports are otherwise
-deterministic for a fixed config.
+named pass/fail checks; a report passes iff at least one check ran and
+every check passed.  Timestamps and runtimes live in dedicated fields so
+reports are otherwise deterministic for a fixed config.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -50,6 +51,27 @@ class ConfigError(ValueError):
     """Invalid experiment configuration (exit code 2)."""
 
 
+def _check_sweep(kind: str, data: dict):
+    """A randomized sweep needs a seed, instance sizes it can draw, and at
+    least one case and one positive finite alpha: a sweep that checks
+    nothing would pass."""
+    if data.get("seed") is None:
+        raise ConfigError(f"{kind} requires a seed")
+    for key, least in (("count", 1), ("n_max", 2), ("k_max", 2)):
+        try:
+            value = int(data.get(key, least))
+        except (TypeError, ValueError):
+            value = least - 1
+        if value < least:
+            raise ConfigError(f"{kind} {key} must be an integer >= {least}")
+    alphas = data.get("alphas", (1.0,))
+    if not isinstance(alphas, (list, tuple)) or not alphas or not all(
+            isinstance(a, (int, float)) and 0.0 < a < math.inf
+            for a in alphas):
+        raise ConfigError(f"{kind} alphas must be a non-empty list of "
+                          f"positive finite numbers, got {alphas!r}")
+
+
 @dataclass
 class ExperimentConfig:
     experiment: str
@@ -72,8 +94,8 @@ class ExperimentConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         seed = data.get("seed")
-        if kind in _RANDOMIZED and seed is None:
-            raise ConfigError(f"{kind} requires a seed")
+        if kind in _RANDOMIZED:
+            _check_sweep(kind, data)
         if data.get("mode") == "best_response_dynamics" and seed is None:
             raise ConfigError("best_response_dynamics requires a seed")
         options = {k: v for k, v in data.items() if k not in _BASE_KEYS}
@@ -90,7 +112,7 @@ class ExperimentReport:
 
     @property
     def passed(self) -> bool:
-        return all(c["passed"] for c in self.checks)
+        return bool(self.checks) and all(c["passed"] for c in self.checks)
 
     def add_row(self, **kwargs):
         row = {c: "" for c in CSV_COLUMNS}

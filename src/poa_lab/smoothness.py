@@ -195,6 +195,14 @@ def bound_table() -> list[BoundRow]:
 # The randomized uniform deviation and its exact expected utility
 
 
+def _per_unit_value(val: Valuation, x_opt: int) -> float:
+    """v(tau)/tau over the first x_opt units; 0 when x_opt = 0."""
+    if x_opt == 0:
+        return 0.0
+    t = tau(val, x_opt)
+    return val.value(t) / t
+
+
 @dataclass(frozen=True)
 class KeyLemmaDeviation:
     """Bid t*c on the first x_opt slots, t ~ alpha/(1-t) on [0, B]."""
@@ -210,15 +218,8 @@ class KeyLemmaDeviation:
             raise ValueError("x_opt out of range")
 
     @property
-    def tau_units(self) -> int:
-        return tau(self.valuation, self.x_opt) if self.x_opt >= 1 else 1
-
-    @property
     def per_unit(self) -> float:
-        if self.x_opt == 0:
-            return 0.0
-        t = self.tau_units
-        return self.valuation.value(t) / t
+        return _per_unit_value(self.valuation, self.x_opt)
 
     @property
     def upper(self) -> float:
@@ -307,28 +308,56 @@ def expected_deviation_utility_mc(val: Valuation, x_opt: int,
     return float(util.mean()), float(util.std(ddof=1) / math.sqrt(samples))
 
 
+def _key_lemma_bound(alpha: float, x_opt: int, per_unit: float,
+                     beta_sum: float) -> float:
+    if alpha <= 0:
+        raise ValueError("alpha must be positive")
+    return (alpha * (1.0 - math.exp(-1.0 / alpha)) * x_opt * per_unit
+            - alpha * beta_sum)
+
+
 def key_lemma_rhs(val: Valuation, x_opt: int, beta_minus: Sequence[float],
                   alpha: float) -> float:
     """alpha*(1 - e^(-1/alpha))*x_opt*v(tau)/tau - alpha*sum(beta_1..beta_x)."""
-    if x_opt == 0:
-        return 0.0
-    dev = KeyLemmaDeviation(val, x_opt, alpha)
-    return (alpha * dev.upper * x_opt * dev.per_unit
-            - alpha * sum(beta_minus[:x_opt]))
+    return _key_lemma_bound(alpha, x_opt, _per_unit_value(val, x_opt),
+                            sum(beta_minus[:x_opt]))
+
+
+def key_lemma_margins(instance: AuctionInstance, opposing, alphas,
+                      valuation_class: str = "submodular"):
+    """[(per_unit, template)] per alpha: the per-bidder margins of
+    verify_key_lemma (with E[sum beta] against a mixed opposing) and of
+    template_margins_key_lemma, from one optimum and one exact expectation
+    per (bidder, alpha, opposing profile)."""
+    if isinstance(opposing, BidProfile):
+        opposing = [(opposing, 1.0)]
+    x_opt = optimal_allocation(instance.valuations, instance.k).allocation
+    margins = [([], []) for _ in alphas]
+    for i, val in enumerate(instance.valuations):
+        x = x_opt[i]
+        betas = [(beta_minus_i(profile, i, instance.k), prob)
+                 for profile, prob in opposing]
+        exp_beta = 0.0
+        for beta, prob in betas:
+            exp_beta += prob * sum(beta[:x])
+        unit_value = _per_unit_value(val, x)
+        for alpha, (per_unit, template) in zip(alphas, margins):
+            lhs = 0.0
+            for beta, prob in betas:
+                lhs += prob * expected_deviation_utility_exact(
+                    val, x, beta, alpha, instance.pricing)
+            per_unit.append(
+                lhs - _key_lemma_bound(alpha, x, unit_value, exp_beta))
+            template.append(verify_template_inequality(
+                lhs, val.value(x), exp_beta,
+                guarantee_lambda(alpha, valuation_class), alpha))
+    return [(tuple(p), tuple(t)) for p, t in margins]
 
 
 def verify_key_lemma(instance: AuctionInstance, profile: BidProfile,
                      alpha: float) -> tuple[float, ...]:
     """Per-bidder margin (exact expected deviation utility) - (lower bound)."""
-    x_opt = optimal_allocation(instance.valuations, instance.k).allocation
-    margins = []
-    for i, val in enumerate(instance.valuations):
-        beta = beta_minus_i(profile, i, instance.k)
-        lhs = expected_deviation_utility_exact(val, x_opt[i], beta, alpha,
-                                               instance.pricing)
-        rhs = key_lemma_rhs(val, x_opt[i], beta, alpha)
-        margins.append(lhs - rhs)
-    return tuple(margins)
+    return key_lemma_margins(instance, profile, (alpha,))[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -454,22 +483,8 @@ def template_margins_key_lemma(instance: AuctionInstance, opposing,
     the deviation is the randomized uniform one, lambda the class constant,
     mu = alpha.
     """
-    if isinstance(opposing, BidProfile):
-        opposing = [(opposing, 1.0)]
-    lam = guarantee_lambda(alpha, valuation_class)
-    x_opt = optimal_allocation(instance.valuations, instance.k).allocation
-    margins = []
-    for i, val in enumerate(instance.valuations):
-        lhs = 0.0
-        exp_beta = 0.0
-        for profile, prob in opposing:
-            beta = beta_minus_i(profile, i, instance.k)
-            lhs += prob * expected_deviation_utility_exact(
-                val, x_opt[i], beta, alpha, instance.pricing)
-            exp_beta += prob * sum(beta[: x_opt[i]])
-        margins.append(verify_template_inequality(
-            lhs, val.value(x_opt[i]), exp_beta, lam, alpha))
-    return tuple(margins)
+    return key_lemma_margins(instance, opposing, (alpha,),
+                             valuation_class)[0][1]
 
 
 def feldman_tbeta(beta_prefix: Sequence[float], val: Valuation) -> tuple[int, ...]:

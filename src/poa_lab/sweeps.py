@@ -38,8 +38,7 @@ from .mechanisms import (
 from .smoothness import (
     expected_deviation_utility_exact,
     expected_deviation_utility_mc,
-    template_margins_key_lemma,
-    verify_key_lemma,
+    key_lemma_margins,
     verify_smoothness,
 )
 from .valuations import (
@@ -129,10 +128,9 @@ def key_lemma_sweep(count: int, alphas, valuation_class: str, seed: int,
         instance = random_instance(rng, valuation_class, pricing, n_max, k_max)
         profile = random_no_overbidding_profile(instance, rng)
         worst = math.inf
-        for alpha in alphas:
-            worst = min(worst, *verify_key_lemma(instance, profile, alpha))
-            worst = min(worst, *template_margins_key_lemma(
-                instance, profile, alpha, valuation_class))
+        for per_unit, template in key_lemma_margins(
+                instance, profile, alphas, valuation_class):
+            worst = min(worst, *per_unit, *template)
         return worst
 
     margins = [one(index) for index in range(count)]

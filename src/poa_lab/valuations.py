@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import accumulate
 
 # Slack for class predicates only; construction/validation is exact.
 _PRED_TOL = 1e-12
@@ -84,8 +85,12 @@ def is_subadditive(val: Valuation) -> bool:
     The curve is undefined beyond k units, so pairs with x + y > k are not
     constrained.
     """
-    v = val.values
-    k = val.k
+    return _pairs_subadditive(val.values)
+
+
+def _pairs_subadditive(v) -> bool:
+    """The pair test of is_subadditive on a raw curve v(0..k)."""
+    k = len(v) - 1
     for x in range(1, k):
         for y in range(x, k - x + 1):
             if v[x + y] > v[x] + v[y] + _PRED_TOL:
@@ -116,7 +121,7 @@ def random_valuation(kind: str, k: int, scale: float = 1.0,
     """Deterministic-in-seed random valuation of the requested class.
 
     kind: "submodular" draws k marginals and sorts them non-increasing;
-    "subadditive" rejection-samples monotone curves against the pair check;
+    "subadditive" rejection-samples raw curves against the pair check;
     "general" is any monotone curve.  The class predicate is re-verified
     before returning.
     """
@@ -136,8 +141,9 @@ def random_valuation(kind: str, k: int, scale: float = 1.0,
         return from_marginals(rng.uniform(0.0, scale) for _ in range(k))
     if kind == "subadditive":
         for _ in range(10000):
-            val = from_marginals(rng.uniform(0.0, scale) for _ in range(k))
-            if is_subadditive(val):
-                return val
+            vals = (0.0, *accumulate(rng.uniform(0.0, scale)
+                                     for _ in range(k)))
+            if _pairs_subadditive(vals):
+                return Valuation(vals)
         raise RuntimeError("subadditive rejection sampling did not converge")
     raise ValueError(f"unknown valuation class {kind!r}")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -7,10 +8,12 @@ from poa_lab.harness import (
     CSV_COLUMNS,
     ConfigError,
     ExperimentConfig,
+    ExperimentReport,
     bound_table_csv,
     run,
 )
 from poa_lab.mechanisms import AuctionInstance, tie_favor_bidder
+from poa_lab.smoothness import optimal_alpha
 from poa_lab.valuations import valuation
 
 
@@ -213,3 +216,69 @@ def test_verify_bne_from_game_file(tmp_path):
                              tolerance=1e-12))
     assert report.passed
     assert report.rows[0]["poa"] == pytest.approx(1.000466, abs=1e-5)
+
+
+@pytest.mark.parametrize("kind", ["sweep-key-lemma", "certify-smoothness"])
+@pytest.mark.parametrize("bad", [{"alphas": []}, {"alphas": [0.0]},
+                                 {"alphas": [1.0, -0.5]}, {"count": 0},
+                                 {"count": -3}, {"count": "many"},
+                                 {"n_max": 1}, {"k_max": 1}])
+def test_rejects_vacuous_sweeps(kind, bad):
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_dict(make_config(experiment=kind, seed=1,
+                                               **bad))
+
+
+def test_cli_vacuous_sweep_exit_code(tmp_path):
+    for options in ({"count": 0}, {"alphas": []}, {"k_max": 1}):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(make_config(
+            experiment="sweep-key-lemma", seed=1, **options)))
+        assert cli_main(["run", str(path)]) == 2
+
+
+def test_report_without_checks_fails():
+    report = ExperimentReport(config={})
+    assert not report.passed
+    report.add_check("ran", True)
+    assert report.passed
+
+
+# sha256 of each report body (meta and row runtimes dropped, keys sorted),
+# recorded before the key-lemma margins were computed once per case.
+PINNED_REPORTS = (
+    ("sweep-key-lemma", {"valuation_class": "submodular"},
+     "98b67e39f106964a692605a46b3c0884d05306592544512ab457ba6e0bd9f460"),
+    ("sweep-key-lemma", {"valuation_class": "subadditive"},
+     "ab03d39b86e4226bf4c56ebb01e741f9b9aec94141a08ebfb67a60395b360d9d"),
+    ("certify-smoothness", {"kind": "smooth", "valuation_class": "submodular"},
+     "92fb4186fd1192740fb6a9f7cca0ec08cdb3d22fbae59e631eeca11746edc584"),
+    ("certify-smoothness", {"kind": "smooth", "valuation_class": "subadditive"},
+     "84d4300b9575e8ba400657fc9dc4d3efca45c40fe3783160d3b5a2d864aee7ee"),
+    ("certify-smoothness", {"kind": "weakly_smooth",
+                            "valuation_class": "submodular"},
+     "758d4d6e080eb2689672ef5b4ad599fdba77a6922dcb0b4aebe718b9b2966d8f"),
+    ("certify-smoothness", {"kind": "weakly_smooth",
+                            "valuation_class": "subadditive"},
+     "b91aa0656ac889564435d76a401cbb9e61d027c12d2235be3cf0e69cd292f7f5"),
+)
+
+
+def test_certificate_reports_pinned():
+    """The certificate configs of the deviation-certify benchmark, at 60
+    cases each, reproduce their recorded reports bit for bit."""
+    for offset, (kind, options, digest) in enumerate(PINNED_REPORTS):
+        if kind == "sweep-key-lemma":
+            alphas = [0.5, 0.87, 1.0, 2.0]
+        elif options["kind"] == "smooth":
+            alphas = [1.0]
+        else:
+            alphas = [optimal_alpha("uniform")]
+        body = run(make_config(experiment=kind, seed=1001 + offset, count=60,
+                               n_max=5, k_max=8, alphas=alphas,
+                               **options)).to_json()
+        del body["meta"]
+        for row in body["rows"]:
+            del row["runtime_ms"]
+        blob = json.dumps(body, sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest() == digest, (kind, options)

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from poa_lab import smoothness
+from poa_lab import smoothness, sweeps
 from poa_lab.mechanisms import (
     AuctionInstance,
     beta_minus_i,
@@ -25,6 +25,7 @@ from poa_lab.smoothness import (
     feldman_deviation,
     feldman_support,
     guarantee_lambda,
+    key_lemma_margins,
     key_lemma_rhs,
     lambert_w_minus1,
     optimal_alpha,
@@ -277,6 +278,125 @@ def test_template_margins_subadditive_halved():
         margins = template_margins_key_lemma(instance, profile, 1.0,
                                              "subadditive")
         assert min(margins) >= -1e-9
+
+
+def _per_alpha_key_lemma(instance, opposing, alpha, valuation_class):
+    """The two key-lemma forms as first written: everything per alpha."""
+    lam = guarantee_lambda(alpha, valuation_class)
+    x_opt = optimal_allocation(instance.valuations, instance.k).allocation
+    per_unit, template = [], []
+    for i, val in enumerate(instance.valuations):
+        if len(opposing) == 1:
+            beta = beta_minus_i(opposing[0][0], i, instance.k)
+            rhs = 0.0
+            if x_opt[i] >= 1:
+                dev = KeyLemmaDeviation(val, x_opt[i], alpha)
+                rhs = (alpha * dev.upper * x_opt[i] * dev.per_unit
+                       - alpha * sum(beta[:x_opt[i]]))
+            assert key_lemma_rhs(val, x_opt[i], beta, alpha) == rhs
+            per_unit.append(
+                expected_deviation_utility_exact(val, x_opt[i], beta, alpha,
+                                                 instance.pricing) - rhs)
+        lhs = 0.0
+        exp_beta = 0.0
+        for profile, prob in opposing:
+            beta = beta_minus_i(profile, i, instance.k)
+            lhs += prob * expected_deviation_utility_exact(
+                val, x_opt[i], beta, alpha, instance.pricing)
+            exp_beta += prob * sum(beta[: x_opt[i]])
+        template.append(lhs - (lam * val.value(x_opt[i]) - alpha * exp_beta))
+    return tuple(per_unit), tuple(template)
+
+
+def test_key_lemma_margins_match_per_alpha_loop():
+    idle_bidders = 0
+    for vclass in ("submodular", "subadditive"):
+        for idx in range(40):
+            rng = case_rng(31, idx)
+            pricing = "discriminatory" if idx % 2 == 0 else "uniform"
+            instance = random_instance(rng, vclass, pricing, 5, 8)
+            profile = random_no_overbidding_profile(instance, rng)
+            x_opt = optimal_allocation(instance.valuations,
+                                       instance.k).allocation
+            idle_bidders += x_opt.count(0)
+            got = key_lemma_margins(instance, profile, ALPHAS, vclass)
+            assert len(got) == len(ALPHAS)
+            for alpha, (per_unit, template) in zip(ALPHAS, got):
+                assert (per_unit, template) == _per_alpha_key_lemma(
+                    instance, [(profile, 1.0)], alpha, vclass)
+                assert per_unit == verify_key_lemma(instance, profile, alpha)
+                assert template == template_margins_key_lemma(
+                    instance, profile, alpha, vclass)
+    assert idle_bidders > 0
+
+
+def test_key_lemma_margins_idle_bidder():
+    vals = (valuation(0, 1, 2), valuation(0, 0.1, 0.2))
+    for pricing in ("discriminatory", "uniform"):
+        instance = AuctionInstance(vals, 2, pricing, tie_lexicographic())
+        profile = standard_profile(2, standard_bid(0.6, 0.3),
+                                   standard_bid(0.1, 0.05))
+        assert optimal_allocation(vals, 2).allocation == (2, 0)
+        for alpha, (per_unit, template) in zip(
+                ALPHAS, key_lemma_margins(instance, profile, ALPHAS)):
+            assert per_unit[1] == 0.0 and template[1] == 0.0
+            assert (per_unit, template) == _per_alpha_key_lemma(
+                instance, [(profile, 1.0)], alpha, "submodular")
+
+
+def test_key_lemma_margins_mixed_opposition():
+    for vclass in ("submodular", "subadditive"):
+        for idx in range(20):
+            rng = case_rng(32, idx)
+            pricing = "discriminatory" if idx % 2 == 0 else "uniform"
+            instance = random_instance(rng, vclass, pricing, 4, 6)
+            opposing = [(random_no_overbidding_profile(instance, rng), 0.3),
+                        (random_no_overbidding_profile(instance, rng), 0.7)]
+            got = key_lemma_margins(instance, opposing, ALPHAS, vclass)
+            for alpha, (per_unit, template) in zip(ALPHAS, got):
+                assert template == _per_alpha_key_lemma(
+                    instance, opposing, alpha, vclass)[1]
+                # the per-unit bound is linear in the opposing distribution
+                mixed = [sum(prob * verify_key_lemma(instance, p, alpha)[i]
+                             for p, prob in opposing)
+                         for i in range(instance.n)]
+                assert per_unit == pytest.approx(mixed, abs=1e-12)
+
+
+def test_key_lemma_sweep_one_optimum_per_case(monkeypatch):
+    calls = {"optimal_allocation": 0, "beta_minus_i": 0, "bidders": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def counted_instance(*args, **kwargs):
+        instance = random_instance(*args, **kwargs)
+        calls["bidders"] += instance.n
+        return instance
+
+    monkeypatch.setattr(smoothness, "optimal_allocation",
+                        counted("optimal_allocation", optimal_allocation))
+    monkeypatch.setattr(smoothness, "beta_minus_i",
+                        counted("beta_minus_i", beta_minus_i))
+    monkeypatch.setattr(sweeps, "random_instance", counted_instance)
+    result = sweeps.key_lemma_sweep(25, ALPHAS, "subadditive", seed=33)
+    assert result.cases == 25 and result.passed
+    assert calls["optimal_allocation"] == 25
+    assert calls["beta_minus_i"] == calls["bidders"] >= 50
+
+
+def test_key_lemma_margins_reject_non_positive_alpha():
+    rng = case_rng(34, 0)
+    instance = random_instance(rng, "submodular", "uniform", 3, 4)
+    profile = random_no_overbidding_profile(instance, rng)
+    for alpha in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            verify_key_lemma(instance, profile, alpha)
+        with pytest.raises(ValueError):
+            key_lemma_rhs(instance.valuations[0], 0, (0.5,) * 4, alpha)
 
 
 def test_verify_smoothness_small_sweeps():

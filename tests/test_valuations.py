@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -96,6 +97,29 @@ def test_random_valuation_class_and_determinism(kind):
         assert is_submodular(a)
     if kind == "subadditive":
         assert is_subadditive(a)
+
+
+def _reference_random_valuation(kind, k, scale, seed):
+    """The generator as first written: a validated Valuation per draw."""
+    rng = random.Random(seed)
+    if kind == "submodular":
+        return from_marginals(sorted(
+            (rng.uniform(0.0, scale) for _ in range(k)), reverse=True))
+    if kind == "general":
+        return from_marginals(rng.uniform(0.0, scale) for _ in range(k))
+    for _ in range(10000):
+        val = from_marginals(rng.uniform(0.0, scale) for _ in range(k))
+        if is_subadditive(val):
+            return val
+    raise RuntimeError("subadditive rejection sampling did not converge")
+
+
+@pytest.mark.parametrize("kind", ["submodular", "subadditive", "general"])
+def test_random_valuation_draws_unchanged(kind):
+    for k in range(1, 9):
+        for seed in range(300):
+            assert (random_valuation(kind, k, 1.0, seed=seed)
+                    == _reference_random_valuation(kind, k, 1.0, seed))
 
 
 def test_random_valuation_rejects_unknown_class():
