@@ -5,13 +5,17 @@ j units against fixed opposing bids, the cheapest standard bid is constant
 at the lowest value that beats the j-th lowest opposing winning bid (every
 non-constant bid winning j units dominates it slot-wise, and has pointwise
 larger prefix sums, so the restriction is also exact under no-overbidding).
-The candidate values are therefore the thresholds themselves (ties may be
-resolved in the deviator's favor) and one grid tick above.  This closed form
-is exact for bidder-level tie-break rules, and so are is_pure_nash and
-best-response dynamics, which rely on it; a full enumeration over uniform
-(and optionally standard) grid bids is available as a certifying fallback.
-The exhaustive pure-Nash search scores every grid strategy instead, which is
-exact under every tie-break rule.
+The candidates, the threshold beta_j (ties may go the deviator's way) and
+one tick above, are scored by arithmetic on one ranking of the profile's
+positive entries by (-value, tie priority, bidder).  With opp the first k
+entries not bidder i's, beta_j is the value of opp[k - j] (0 if there is
+none); (c,) * j wins all j units iff its lowest-ranked entry ranks ahead
+of opp[k - j], and then pays sum((c,) * j) as bid or j * beta_j at the
+uniform price.  is_pure_nash and best-response dynamics rank each profile
+once for the outcome and every response.  This closed form is exact for
+bidder-level tie-break rules only; a full enumeration over uniform (and
+optionally standard) grid bids is a certifying fallback.  The exhaustive
+pure-Nash search scores every grid strategy, exact under every tie rule.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import numpy as np
 
 from .mechanisms import (
     STANDARD,
+    UNIFORM,
     UNIFORM_IFACE,
     AuctionInstance,
     BidProfile,
@@ -34,6 +39,7 @@ from .mechanisms import (
     StandardBid,
     TieBreakRule,
     UniformBid,
+    _ranked_outcome,
     allocate,
     block_outcomes,
     check_no_overbidding,
@@ -132,32 +138,40 @@ def best_response(instance: AuctionInstance, profile: BidProfile, i: int,
                   grid: BidGrid) -> BestResponse:
     """Best deviation of bidder i against the other bids in the profile.
 
-    Scans target unit counts j = 0..k; for each, tries the cheapest constant
-    bids derived from the opposing winning-bid thresholds (exact match, and
-    one tick above).  Honors the grid's no-overbidding flag and max_bid.
-    Exact for bidder-level tie-break rules only: under a slot-level
-    ("explicit") rule a bid winning fewer than its quantity can do better.
+    The closed form of the module docstring, on the profile's ranking.
+    Honors the grid's no-overbidding flag and max_bid.  Exact for
+    bidder-level tie-break rules only: under a slot-level ("explicit") rule
+    a bid winning fewer than its quantity can do better.
     """
-    val = instance.valuations[i]
+    return _closed_form_response(
+        instance, grid, _ranked_outcome(profile, instance.tie_break)[0], i)
+
+
+def _closed_form_response(instance: AuctionInstance, grid: BidGrid,
+                          ranked: list, i: int) -> BestResponse:
+    """best_response on a profile's ranking from _ranked_outcome; equal bit
+    for bit to scoring each candidate by run_auction."""
     k = instance.k
-    kernel = DeviationKernel(profile, i, instance.tie_break, instance.pricing)
+    val = instance.valuations[i]
+    uniform = instance.pricing == UNIFORM
+    opp = list(itertools.islice((e for e in ranked if e[2] != i), k))
     best = BestResponse(UniformBid(0.0, 0), 0.0, 0)
     cap = grid.max_bid + 1e-12
-    for j in range(1, k + 1):
-        threshold = kernel.beta[j - 1]
-        seen = set()
+    # worst: bidder i's largest tie priority on slots 0..j-1
+    slots = (instance.tie_break.priority(i, s) for s in range(k))
+    for j, worst in enumerate(itertools.accumulate(slots, max), 1):
+        rival = opp[k - j] if k - j < len(opp) else None
+        threshold = -rival[0] if rival else 0.0
+        # a repeat, where threshold + tick rounds down, cannot beat itself
         for c in (threshold, threshold + grid.tick):
-            if c <= 0.0 or c > cap or c in seen:
+            if c <= 0.0 or c > cap or (rival and rival < (-c, worst)):
                 continue
-            seen.add(c)
-            vector = (c,) * j + (0.0,) * (k - j)
-            if grid.no_overbidding and not check_no_overbidding(
-                    val, StandardBid(vector)):
+            # the no-overbidding prefix sums; past j they stay put
+            if grid.no_overbidding and any(
+                    acc > val.value(s) + 1e-12 for s, acc in
+                    enumerate(itertools.accumulate((c,) * j), 1)):
                 continue
-            units, payment = kernel.outcome(vector)
-            if units != j:
-                continue
-            u = val.value(j) - payment
+            u = val.value(j) - (j * threshold if uniform else sum((c,) * j))
             if u > best.utility:
                 best = BestResponse(UniformBid(c, j), u, j)
     return best
@@ -203,14 +217,16 @@ def is_pure_nash(profile: BidProfile, instance: AuctionInstance,
                  grid: BidGrid) -> RegretReport:
     """Regret of every bidder against the closed-form deviation family.
 
-    Exact only under bidder-level tie-break rules; under a slot-level
-    ("explicit") rule the regret can be understated (see best_response).
+    The current outcome and every best response come from one ranking of
+    the profile.  Exact only under bidder-level tie-break rules; under a
+    slot-level ("explicit") rule the regret can be understated.
     """
-    out = run_auction(profile, instance.tie_break, instance.pricing)
+    ranked, out = _ranked_outcome(profile, instance.tie_break,
+                                  instance.pricing)
     entries = []
     for i in range(instance.n):
         cur = instance.valuations[i].value(out.allocation[i]) - out.payments[i]
-        br = best_response(instance, profile, i, grid)
+        br = _closed_form_response(instance, grid, ranked, i)
         regret = max(0.0, max(br.utility, cur) - cur)
         entries.append(RegretEntry(i, 0, cur, max(br.utility, cur), regret,
                                    br.bid))
@@ -351,17 +367,19 @@ def find_pure_nash(instance: AuctionInstance, grid: BidGrid,
         for _ in range(starts):
             combo = [rng.choice(s) for s in spaces]
             profile = BidProfile(tuple(combo), grid.interface, k)
+            ranked, out = _ranked_outcome(profile, instance.tie_break,
+                                          instance.pricing)
             for _ in range(max_rounds):
                 changed = False
                 for i in range(instance.n):
-                    cur_out = run_auction(profile, instance.tie_break,
-                                          instance.pricing)
-                    cur = (instance.valuations[i].value(cur_out.allocation[i])
-                           - cur_out.payments[i])
-                    br = best_response(instance, profile, i, grid)
+                    cur = (instance.valuations[i].value(out.allocation[i])
+                           - out.payments[i])
+                    br = _closed_form_response(instance, grid, ranked, i)
                     evaluated += 1
                     if br.utility - cur > EQ_TOL:
                         profile = profile.replace(i, br.bid)
+                        ranked, out = _ranked_outcome(
+                            profile, instance.tie_break, instance.pricing)
                         changed = True
                 if not changed:
                     break

@@ -314,6 +314,14 @@ def proposition1_pne(instance: AuctionInstance) -> tuple[BidProfile, TieBreakRul
     Requires submodular valuations (so every allocated marginal covers the
     common bid) and a positive k-th marginal; see the loser-never-wins rule.
     """
+    return _proposition1(instance)[:2]
+
+
+def _proposition1(instance: AuctionInstance, eps_values=()):
+    """proposition1_pne's profile and rule, then the eps-bumped profiles of
+    proposition1_epsilon_pne, all from one optimal allocation."""
+    if any(eps <= 0 for eps in eps_values):
+        raise ValueError("eps must be positive")
     if instance.n < 2:
         raise ValueError("needs at least two bidders")
     if instance.pricing != DISCRIMINATORY:
@@ -334,7 +342,10 @@ def proposition1_pne(instance: AuctionInstance) -> tuple[BidProfile, TieBreakRul
     profile = BidProfile(tuple(StandardBid((d,) * k) for _ in range(instance.n)),
                          STANDARD, k)
     order = [(i, j) for i in range(instance.n) for j in range(x[i])]
-    return profile, tie_explicit(order)
+    bumped = [BidProfile(tuple(
+        StandardBid((d + eps / k,) * units + (d,) * (k - units))
+        for units in x), STANDARD, k) for eps in eps_values]
+    return profile, tie_explicit(order), bumped
 
 
 def proposition1_epsilon_pne(instance: AuctionInstance,
@@ -344,16 +355,7 @@ def proposition1_epsilon_pne(instance: AuctionInstance,
     The bumped bids are strictly highest, so no ties remain and the profile
     is an eps-equilibrium under every tie-break rule.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    profile, _ = proposition1_pne(instance)
-    k = instance.k
-    x = optimal_allocation(instance.valuations, k).allocation
-    d = profile.vector(0)[0]
-    bids = []
-    for units in x:
-        bids.append(StandardBid((d + eps / k,) * units + (d,) * (k - units)))
-    return BidProfile(tuple(bids), STANDARD, k)
+    return _proposition1(instance, (eps,))[2][0]
 
 
 def default_proposition1_instance() -> AuctionInstance:
@@ -377,7 +379,7 @@ def verify_proposition1(instance: AuctionInstance | None = None,
         instance = default_proposition1_instance()
     grid = BidGrid(tick, max(v.value(v.k) for v in instance.valuations) + 1.0,
                    STANDARD)
-    profile, tie = proposition1_pne(instance)
+    profile, tie, bumped_profiles = _proposition1(instance, eps_values)
     pinned = replace(instance, tie_break=tie)
     report = is_pure_nash(profile, pinned, grid)
     checks = [CheckResult("prop1_pne_regret", report.max_regret <= 1e-9,
@@ -389,8 +391,7 @@ def verify_proposition1(instance: AuctionInstance | None = None,
                               structure["winner_blocks_cover_ld"]))
     checks.append(CheckResult("lemma5_loser_blocks",
                               structure["loser_blocks_at_most_ld"]))
-    for eps in eps_values:
-        bumped = proposition1_epsilon_pne(instance, eps)
+    for eps, bumped in zip(eps_values, bumped_profiles):
         ok = all(
             is_epsilon_equilibrium(bumped, replace(instance, tie_break=tb),
                                    grid, eps)

@@ -275,31 +275,39 @@ class Outcome:
         return out
 
 
-def _allocate_vectors(vectors: Sequence[Sequence[float]], k: int,
-                      tie: TieBreakRule):
-    """Core allocation on expanded bid vectors.
+def _ranked_outcome(profile: BidProfile, tie: TieBreakRule,
+                    pricing: str | None = None) -> tuple[list, Outcome]:
+    """A profile's ranking and outcome, with payments if pricing is given.
 
-    Returns (allocation, beta, p).  Zero bids never win.
-    """
-    entries = []
-    for i, vec in enumerate(vectors):
-        for j, v in enumerate(vec):
-            if v > 0.0:
-                entries.append((v, i, j))
-    entries.sort(key=lambda e: (-e[0],) + tie.priority(e[1], e[2]))
-    selected = entries[:k]
+    The ranking holds the positive marginal bids, highest first, as
+    (-value, tie priority, bidder); tie priorities are distinct, so its
+    first k entries win."""
+    vectors = profile.vectors()
+    k = profile.k
+    ranked = sorted((-v, tie.priority(i, s), i)
+                    for i, vec in enumerate(vectors)
+                    for s, v in enumerate(vec) if v > 0.0)
+    selected = ranked[:k]
     x = [0] * len(vectors)
-    for _, i, _ in selected:
+    for _, _, i in selected:
         x[i] += 1
-    values = sorted(e[0] for e in selected)
-    beta = (0.0,) * (k - len(values)) + tuple(values)
-    p = entries[k][0] if len(entries) > k else 0.0
-    return tuple(x), beta, p
+    beta = ((0.0,) * (k - len(selected))
+            + tuple(-e[0] for e in reversed(selected)))
+    p = -ranked[k][0] if len(ranked) > k else 0.0
+    if pricing is None:
+        pays = None
+    elif pricing == DISCRIMINATORY:
+        pays = tuple(sum(vec[:units]) for vec, units in zip(vectors, x))
+    elif pricing == UNIFORM:
+        pays = tuple(units * p for units in x)
+    else:
+        raise ValueError(f"unknown pricing rule {pricing!r}")
+    return ranked, Outcome(tuple(x), beta, p, pays)
 
 
 def allocate(profile: BidProfile, tie: TieBreakRule) -> Outcome:
     """Run the allocation rule; payments are left unset."""
-    return Outcome(*_allocate_vectors(profile.vectors(), profile.k, tie))
+    return _ranked_outcome(profile, tie)[1]
 
 
 def run_auction(profile: BidProfile, tie: TieBreakRule, pricing: str) -> Outcome:
@@ -308,15 +316,7 @@ def run_auction(profile: BidProfile, tie: TieBreakRule, pricing: str) -> Outcome
     Pay-as-bid charges each bidder the sum of its winning marginal bids;
     uniform pricing charges every unit won the highest losing bid.
     """
-    vectors = profile.vectors()
-    x, beta, p = _allocate_vectors(vectors, profile.k, tie)
-    if pricing == DISCRIMINATORY:
-        pays = tuple(sum(vec[:units]) for vec, units in zip(vectors, x))
-    elif pricing == UNIFORM:
-        pays = tuple(units * p for units in x)
-    else:
-        raise ValueError(f"unknown pricing rule {pricing!r}")
-    return Outcome(x, beta, p, pays)
+    return _ranked_outcome(profile, tie, pricing)[1]
 
 
 def utilities(vals: Sequence[Valuation], profile: BidProfile,

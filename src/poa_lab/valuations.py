@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import accumulate
 
 # Slack for class predicates only; construction/validation is exact.
 _PRED_TOL = 1e-12
@@ -85,17 +84,9 @@ def is_subadditive(val: Valuation) -> bool:
     The curve is undefined beyond k units, so pairs with x + y > k are not
     constrained.
     """
-    return _pairs_subadditive(val.values)
-
-
-def _pairs_subadditive(v) -> bool:
-    """The pair test of is_subadditive on a raw curve v(0..k)."""
-    k = len(v) - 1
-    for x in range(1, k):
-        for y in range(x, k - x + 1):
-            if v[x + y] > v[x] + v[y] + _PRED_TOL:
-                return False
-    return True
+    v = val.values
+    return all(v[x + y] <= v[x] + v[y] + _PRED_TOL
+               for x in range(1, val.k) for y in range(x, val.k - x + 1))
 
 
 def tau(val: Valuation, x: int) -> int:
@@ -130,20 +121,30 @@ def random_valuation(kind: str, k: int, scale: float = 1.0,
     if scale <= 0:
         raise ValueError("scale must be positive")
     rng = random.Random(seed)
+    # scale * rng.random() is rng.uniform(0.0, scale), bit for bit
     if kind == "submodular":
-        margs = sorted((rng.uniform(0.0, scale) for _ in range(k)),
+        margs = sorted((scale * rng.random() for _ in range(k)),
                        reverse=True)
         val = from_marginals(margs)
         if not is_submodular(val):
             raise AssertionError("generator produced non-submodular curve")
         return val
     if kind == "general":
-        return from_marginals(rng.uniform(0.0, scale) for _ in range(k))
+        return from_marginals(scale * rng.random() for _ in range(k))
     if kind == "subadditive":
         for _ in range(10000):
-            vals = (0.0, *accumulate(rng.uniform(0.0, scale)
-                                     for _ in range(k)))
-            if _pairs_subadditive(vals):
-                return Valuation(vals)
+            # v(m) is tested against each v(x) + v(m - x) as it is drawn; a
+            # rejected curve still draws all k numbers, keeping the stream
+            vals = [0.0]
+            ok = True
+            for m in range(1, k + 1):
+                v = vals[-1] + scale * rng.random()
+                vals.append(v)
+                for x in range(1, m // 2 + 1) if ok else ():
+                    if v > vals[x] + vals[m - x] + _PRED_TOL:
+                        ok = False
+                        break
+            if ok:
+                return Valuation(tuple(vals))
         raise RuntimeError("subadditive rejection sampling did not converge")
     raise ValueError(f"unknown valuation class {kind!r}")

@@ -116,10 +116,13 @@ def _reference_random_valuation(kind, k, scale, seed):
 
 @pytest.mark.parametrize("kind", ["submodular", "subadditive", "general"])
 def test_random_valuation_draws_unchanged(kind):
-    for k in range(1, 9):
-        for seed in range(300):
-            assert (random_valuation(kind, k, 1.0, seed=seed)
-                    == _reference_random_valuation(kind, k, 1.0, seed))
+    # the subadditive sampler tests each curve while drawing it, so a
+    # rejected curve must still use up its k draws
+    for scale in (1.0, 0.3, 1.0 / 7):
+        for k in range(1, 9):
+            for seed in range(300):
+                assert (random_valuation(kind, k, scale, seed=seed)
+                        == _reference_random_valuation(kind, k, scale, seed))
 
 
 def test_random_valuation_rejects_unknown_class():
