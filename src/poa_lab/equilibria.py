@@ -16,6 +16,10 @@ once for the outcome and every response.  This closed form is exact for
 bidder-level tie-break rules only; a full enumeration over uniform (and
 optionally standard) grid bids is a certifying fallback.  The exhaustive
 pure-Nash search scores every grid strategy, exact under every tie rule.
+It enumerates the grid once, as an array of marginal-bid vectors in
+grid_bids_for order, keys every bid entry by one integer in the global
+(-value, tie rank) order, and builds bid objects only for the profiles
+its best-response mask leaves.
 """
 
 from __future__ import annotations
@@ -34,8 +38,8 @@ from .mechanisms import (
     UNIFORM_IFACE,
     AuctionInstance,
     BidProfile,
-    DeviationCandidates,
     DeviationKernel,
+    SearchCandidates,
     StandardBid,
     TieBreakRule,
     UniformBid,
@@ -238,24 +242,55 @@ def is_epsilon_equilibrium(profile: BidProfile, instance: AuctionInstance,
     return is_pure_nash(profile, instance, grid).max_regret <= eps + EQ_TOL
 
 
-def grid_bids_for(grid: BidGrid, k: int, val: Valuation | None = None):
-    """Strategy space of one bidder on the grid, per the grid interface."""
+def _grid_vectors(grid: BidGrid, k: int) -> np.ndarray:
+    """The grid's whole strategy space as a (strategies x k) array of
+    marginal-bid vectors, uniform bids expanded, in grid_bids_for order."""
+    points = np.array(grid.points())
     if grid.interface == UNIFORM_IFACE:
-        bids = [UniformBid(0.0, 0)]
-        for u in grid.points():
-            if u <= 0:
-                continue
-            for q in range(1, k + 1):
-                bids.append(UniformBid(u, q))
-    else:
-        bids = [StandardBid(combo) for combo in
-                itertools.combinations_with_replacement(
-                    sorted(grid.points(), reverse=True), k)]
-    if grid.no_overbidding and val is not None:
-        bids = [b for b in bids
-                if check_no_overbidding(
-                    val, b.expand(k) if isinstance(b, UniformBid) else b)]
-    return bids
+        # (0, 0), then every positive price with quantities 1..k: row q - 1
+        # of np.tri(k) holds q ones
+        return np.concatenate([np.zeros((1, k)),
+                               (points[1:, None, None] * np.tri(k))
+                               .reshape(-1, k)])
+    combos = itertools.combinations_with_replacement(range(len(points)), k)
+    index = np.fromiter(itertools.chain.from_iterable(combos), dtype=int)
+    return points[::-1][index.reshape(-1, k)]
+
+
+def _grid_spaces(grid: BidGrid, k: int, vals: Sequence[Valuation | None]):
+    """Every bidder's strategy space as an array, cut from one enumeration
+    of the grid.  Under no-overbidding a bidder keeps the rows that
+    check_no_overbidding accepts: prefix sums, accumulated in slot order,
+    at most v(s) + 1e-12."""
+    vectors = _grid_vectors(grid, k)
+    if not grid.no_overbidding:
+        return [vectors] * len(vals)
+    prefix = np.cumsum(vectors, axis=1)
+    spaces = []
+    for val in vals:
+        if val is not None and val.k != k:
+            raise ValueError("bid and valuation dimensions differ")
+        spaces.append(vectors if val is None else vectors[
+            (prefix <= np.array(val.values[1:]) + 1e-12).all(axis=1)])
+    return spaces
+
+
+def _grid_bids(interface: str, vectors: np.ndarray) -> list:
+    """The grid bids, holding Python floats, whose expanded marginal-bid
+    vectors are the rows of vectors."""
+    if interface == UNIFORM_IFACE:
+        return [UniformBid(price, quantity) for price, quantity in
+                zip(vectors[:, 0].tolist(),
+                    (vectors > 0.0).sum(axis=1).tolist())]
+    return [StandardBid(tuple(row)) for row in vectors.tolist()]
+
+
+def grid_bids_for(grid: BidGrid, k: int, val: Valuation | None = None):
+    """Strategy space of one bidder on the grid, per the grid interface:
+    the uniform bids (0, 0) then (u, q) for every positive point u and
+    q = 1..k, or every non-increasing standard vector in lexicographic
+    order of the descending points."""
+    return _grid_bids(grid.interface, _grid_spaces(grid, k, [val])[0])
 
 
 def _check_cap(total: int, cap: int) -> None:
@@ -288,43 +323,43 @@ def find_pure_nash(instance: AuctionInstance, grid: BidGrid,
     """Search the grid profile space for pure Nash equilibria.
 
     "exhaustive" covers every profile (raises SearchCapExceeded beyond the
-    cap).  It keeps a boolean mask with one cell, one byte, per grid
-    profile, at most cap bytes.  For each bidder, block_outcomes scores
-    its whole strategy list against every choice of the others' (in
-    blocks of at most _BLOCK_CELLS cells); each row's maximum is its exact
-    grid best response under every tie-break rule, and the row's cells
-    where it gains more than EQ_TOL are cleared.  The cells left, in
-    itertools.product order, get a full auction and a check of every
-    bidder against those maxima.  "best_response_dynamics" runs seeded
-    best-response paths and reports reached fixed points, which may miss
-    equilibria.  It judges deviations by the closed-form best response,
-    which is exact only under bidder-level tie-break rules: under a
-    slot-level ("explicit") rule a reported profile can still admit a
-    profitable deviation.
+    cap).  Each bidder's strategy space is one (strategies x k) array of
+    marginal-bid vectors, cut from one enumeration of the grid, and
+    SearchCandidates keys every entry of them by one integer.  The search
+    keeps a boolean mask with one cell, one byte, per grid profile, at
+    most cap bytes.  For each bidder, block_outcomes scores its whole
+    strategy array against every choice of the others' (in blocks of at
+    most _BLOCK_CELLS cells) by comparing those keys; each row's maximum
+    is its exact grid best response under every tie-break rule, and the
+    row's cells where it gains more than EQ_TOL are cleared.  The cells
+    left, in itertools.product order, become BidProfiles of grid bids and
+    get a full auction and a check of every bidder against those maxima.
+    "best_response_dynamics" runs seeded best-response paths and reports
+    reached fixed points, which may miss equilibria.  It judges deviations
+    by the closed-form best response, which is exact only under
+    bidder-level tie-break rules: under a slot-level ("explicit") rule a
+    reported profile can still admit a profitable deviation.
     """
     k = instance.k
-    if mode == "exhaustive" and not grid.no_overbidding:
-        # every bidder has the whole grid space: count it before building it
-        per_bidder = (math.comb(grid.npoints + k - 1, k)
-                      if grid.interface == STANDARD
-                      else 1 + (grid.npoints - 1) * k)
-        _check_cap(per_bidder ** instance.n, cap)
-    spaces = [grid_bids_for(grid, k, instance.valuations[i])
-              for i in range(instance.n)]
     if mode == "exhaustive":
-        if grid.no_overbidding:
-            _check_cap(math.prod(len(s) for s in spaces), cap)
+        if not grid.no_overbidding:
+            # every bidder has the whole grid space: count it before
+            # building it
+            per_bidder = (math.comb(grid.npoints + k - 1, k)
+                          if grid.interface == STANDARD
+                          else 1 + (grid.npoints - 1) * k)
+            _check_cap(per_bidder ** instance.n, cap)
+        spaces = _grid_spaces(grid, k, instance.valuations)
         shape = tuple(len(s) for s in spaces)
-        candidates = [DeviationCandidates(
-            [b.expand(k).values if isinstance(b, UniformBid) else b.values
-             for b in space], i, instance.n, instance.tie_break)
-            for i, space in enumerate(spaces)]
+        if grid.no_overbidding:
+            _check_cap(math.prod(shape), cap)
+        cands = SearchCandidates(spaces, instance.tie_break)
         # one byte per grid profile: True where no bidder can gain by
         # deviating on the grid
         mask = np.ones(shape, dtype=bool)
         # best[i][others' indices]: bidder i's best utility on the grid
         best = []
-        for i, own in enumerate(candidates):
+        for i in range(instance.n):
             values = np.array(instance.valuations[i].values, dtype=float)
             # rows: the others' bids in itertools.product order; columns:
             # bidder i's own
@@ -336,8 +371,7 @@ def find_pure_nash(instance: AuctionInstance, grid: BidGrid,
             for start in range(0, nrows, step):
                 stop = min(start + step, nrows)
                 units, payments = block_outcomes(
-                    own, candidates[:i] + candidates[i + 1:],
-                    instance.pricing, np.arange(start, stop))
+                    cands, i, instance.pricing, np.arange(start, stop))
                 utils = values[units] - payments
                 rowmax[start:stop] = utils.max(axis=1)
                 keep[start:stop] = rowmax[start:stop, None] - utils <= EQ_TOL
@@ -346,10 +380,12 @@ def find_pure_nash(instance: AuctionInstance, grid: BidGrid,
             best.append(rowmax.reshape(others_shape))
         found = []
         # np.nonzero lists cells in C order, which is itertools.product order
-        cells = list(zip(*np.nonzero(mask)))
-        for cell in cells:
-            profile = BidProfile(tuple(s[c] for s, c in zip(spaces, cell)),
-                                 grid.interface, k)
+        picked = np.nonzero(mask)
+        bids = [_grid_bids(grid.interface, space[rows])
+                for space, rows in zip(spaces, picked)]
+        cells = list(zip(*picked))
+        for cell, combo in zip(cells, zip(*bids)):
+            profile = BidProfile(combo, grid.interface, k)
             out = run_auction(profile, instance.tie_break, instance.pricing)
             # fails only where block_outcomes and run_auction disagree
             if all(best[i][cell[:i] + cell[i + 1:]]
@@ -364,6 +400,7 @@ def find_pure_nash(instance: AuctionInstance, grid: BidGrid,
         seen = set()
         found = []
         evaluated = 0
+        spaces = [grid_bids_for(grid, k, val) for val in instance.valuations]
         for _ in range(starts):
             combo = [rng.choice(s) for s in spaces]
             profile = BidProfile(tuple(combo), grid.interface, k)

@@ -411,78 +411,94 @@ class DeviationKernel:
         return a, a * (-min(losing)[0] if losing else 0.0)
 
 
-class DeviationCandidates:
-    """Bidder i's candidate marginal-bid vectors, prepared once for
-    block_outcomes, as the deviator's list or as one opposing bidder's.
+class SearchCandidates:
+    """Every bidder's candidate marginal-bid vectors, keyed once for
+    block_outcomes.
 
-    values and ranks hold each candidate's positive entries in the order
-    of its merge, by (-value, tie priority), padded to k + 1 with zeros.
-    A rank is the integer position of the entry's (bidder, slot) pair
-    under the tie rule; the zeros rank after every pair, so they never
-    win.  paid[c, a] is sum(vectors[c][:a]), the pay-as-bid payment for a
-    units.
+    spaces[j] is bidder j's (candidates x k) array of vectors.  Each entry
+    of a vector is a (value, tie rank) pair, where the rank is the integer
+    position of its (bidder, slot) under the tie rule; a zero entry never
+    wins, so every zero gets the rank after all pairs.  keys[j][c] holds
+    candidate c's entries as dense integer keys in the global (-value,
+    rank) order, ascending, then the zero key as padding to k + 1: a lower
+    key outranks a higher one, and equal pairs share a key, so an own zero
+    never beats an opposing one.  value_of_key maps a key back to its
+    value.  paid[j][c, a] is sum(spaces[j][c][:a]), the pay-as-bid payment
+    for a units.
     """
 
-    def __init__(self, vectors: Sequence[Sequence[float]], i: int, n: int,
-                 tie: TieBreakRule):
-        k = len(vectors[0])
-        pairs = sorted(((j, s) for j in range(n) for s in range(k)),
-                       key=lambda pair: tie.priority(*pair))
-        rank = {tie.priority(*pair): r for r, pair in enumerate(pairs)}
-        self.values = np.zeros((len(vectors), k + 1))
-        self.ranks = np.full((len(vectors), k + 1), len(pairs))
-        for c, vector in enumerate(vectors):
-            own = sorted((-v,) + tie.priority(i, s)
-                         for s, v in enumerate(vector) if v > 0.0)
-            for j, entry in enumerate(own):
-                self.values[c, j] = -entry[0]
-                self.ranks[c, j] = rank[entry[1:]]
-        self.paid = np.array([[sum(vector[:a]) for a in range(k + 1)]
-                              for vector in vectors], dtype=float)
+    def __init__(self, spaces: Sequence[np.ndarray], tie: TieBreakRule):
+        n, k = len(spaces), spaces[0].shape[1]
+        # rank[j, s]: the position of (j, s) among all pairs by tie priority
+        by_priority = sorted(range(n * k),
+                             key=lambda e: tie.priority(*divmod(e, k)))
+        rank = np.argsort(by_priority).reshape(n, k)
+        # every entry of the search, then one zero for the padding
+        values = np.concatenate([space.ravel() for space in spaces] + [[0.0]])
+        ranks = np.concatenate(
+            [np.broadcast_to(rank[j], space.shape).ravel()
+             for j, space in enumerate(spaces)] + [[n * k]])
+        positive = values > 0.0
+        ranks = np.where(positive, ranks, n * k)
+        # the keys number the distinct (-value, rank) pairs in that order
+        levels, level = np.unique(-np.where(positive, values, 0.0),
+                                  return_inverse=True)
+        distinct, keys = np.unique(level * (n * k + 1) + ranks,
+                                   return_inverse=True)
+        self.value_of_key = -levels[distinct // (n * k + 1)]
+        self.pad_key = keys[-1]
+        self.k = k
+        self.keys, self.paid = [], []
+        start = 0
+        for space in spaces:
+            part = keys[start:start + space.size].reshape(space.shape)
+            start += space.size
+            # int32 halves the bytes block_outcomes gathers per cell
+            block = np.full((len(space), k + 1), self.pad_key, dtype=np.int32)
+            block[:, :k] = np.sort(part, axis=1)
+            self.keys.append(block)
+            paid = np.zeros((len(space), k + 1))
+            np.cumsum(space, axis=1, out=paid[:, 1:])
+            self.paid.append(paid)
 
 
-def block_outcomes(own: DeviationCandidates,
-                   others: Sequence[DeviationCandidates], pricing: str,
+def block_outcomes(cands: SearchCandidates, i: int, pricing: str,
                    rows: np.ndarray):
-    """(units, payments) arrays of bidder i: entry [r, c] scores own's c-th
-    vector against rows[r], an index into the combinations of the other
-    bidders' candidates (others, in bidder order) in itertools.product
-    order.  It equals DeviationKernel.outcome on those bids, bit for bit.
+    """(units, payments) arrays of bidder i: entry [r, c] scores its c-th
+    candidate against rows[r], an index into the combinations of the other
+    bidders' candidates (in bidder order) in itertools.product order.  It
+    equals DeviationKernel.outcome on those bids, bit for bit.
 
-    Own entry j wins iff it outranks opposing entry k-1-j: exactly j own
-    and at most k-1-j opposing entries precede it then.  That test is
-    monotone in j, so the number of own entries passing it is the number
-    of units won.
+    The facing entries of a row are the other bidder's keys, or for n > 2
+    the lowest k + 1 of all the others' keys, by np.sort.  Own entry j wins
+    iff its key is below facing entry k-1-j's: exactly j own and at most
+    k-1-j opposing entries precede it then.  That test is monotone in j,
+    so the number of own entries passing it is the number of units won.
     """
     if pricing not in PRICINGS:
         raise ValueError(f"unknown pricing rule {pricing!r}")
-    k = own.values.shape[1] - 1
-    picks = (np.unravel_index(rows, [len(c.values) for c in others])
-             if others else ())
-    # every row's opposing entries, then k + 1 zeros, which never win
-    values = np.concatenate([c.values[p] for c, p in zip(others, picks)]
-                            + [np.zeros((len(rows), k + 1))], axis=1)
-    ranks = np.concatenate([c.ranks[p] for c, p in zip(others, picks)]
-                           + [np.zeros((len(rows), k + 1), dtype=int)], axis=1)
-    if len(others) > 1:
-        # merge the others' entries of every row, highest first
-        order = np.lexsort((ranks, -values), axis=1)[:, :k + 1]
-        values = np.take_along_axis(values, order, axis=1)
-        ranks = np.take_along_axis(ranks, order, axis=1)
-    facing = values[:, k - 1::-1, None]
-    facing_ranks = ranks[:, k - 1::-1, None]
-    own_values = own.values[:, :k].T
-    wins = (own_values > facing) | ((own_values == facing)
-                                    & (own.ranks[:, :k].T < facing_ranks))
-    units = wins.sum(axis=1)
-    cols = np.arange(len(own.values))
+    k = cands.k
+    others = cands.keys[:i] + cands.keys[i + 1:]
+    own = cands.keys[i]
+    if others:
+        picks = np.unravel_index(rows, [len(keys) for keys in others])
+        facing = np.concatenate(
+            [keys[p] for keys, p in zip(others, picks)], axis=1)
+        if len(others) > 1:
+            facing = np.sort(facing, axis=1)[:, :k + 1]
+    else:
+        facing = np.full((len(rows), k + 1), cands.pad_key)
+    units = np.zeros((len(rows), len(own)), dtype=int)
+    for j in range(k):
+        units += own[:, j] < facing[:, k - 1 - j, None]
+    cols = np.arange(len(own))
     if pricing == DISCRIMINATORY:
-        return units, own.paid[cols, units]
+        return units, cands.paid[i][cols, units]
     # the highest losing entry: the next own one or the next opposing one;
     # column k is read only when no unit is won
-    return units, units * np.maximum(
-        own.values[cols, units],
-        values[np.arange(len(values))[:, None], k - units])
+    losing = np.minimum(own[cols, units],
+                        facing[np.arange(len(rows))[:, None], k - units])
+    return units, units * cands.value_of_key[losing]
 
 
 def uniformize_profile(profile: BidProfile, tie: TieBreakRule) -> BidProfile:

@@ -252,10 +252,17 @@ def expected_deviation_utility_exact(val: Valuation, x_opt: int,
     if x_opt == 0:
         return 0.0
     dev = KeyLemmaDeviation(val, x_opt, alpha)
-    per_unit = dev.per_unit
+    return _deviation_utility(val, x_opt, beta_minus, alpha, pricing,
+                              dev.per_unit, dev.upper)
+
+
+def _deviation_utility(val: Valuation, x_opt: int,
+                       beta_minus: Sequence[float], alpha: float,
+                       pricing: str, per_unit: float, upper: float) -> float:
+    """expected_deviation_utility_exact given the deviation's v(tau)/tau
+    (0 when x_opt = 0) and upper limit B, with no check of its inputs."""
     if per_unit <= 0.0:
         return 0.0
-    upper = dev.upper
     gammas = [min(max(beta_minus[j - 1] / per_unit, 0.0), upper)
               for j in range(1, x_opt + 1)]
     gammas.append(upper)
@@ -342,12 +349,13 @@ def key_lemma_margins(instance: AuctionInstance, opposing, alphas,
             exp_beta += prob * sum(beta[:x])
         unit_value = _per_unit_value(val, x)
         for alpha, (per_unit, template) in zip(alphas, margins):
+            bound = _key_lemma_bound(alpha, x, unit_value, exp_beta)
+            upper = 1.0 - math.exp(-1.0 / alpha)
             lhs = 0.0
             for beta, prob in betas:
-                lhs += prob * expected_deviation_utility_exact(
-                    val, x, beta, alpha, instance.pricing)
-            per_unit.append(
-                lhs - _key_lemma_bound(alpha, x, unit_value, exp_beta))
+                lhs += prob * _deviation_utility(
+                    val, x, beta, alpha, instance.pricing, unit_value, upper)
+            per_unit.append(lhs - bound)
             template.append(verify_template_inequality(
                 lhs, val.value(x), exp_beta,
                 guarantee_lambda(alpha, valuation_class), alpha))

@@ -31,7 +31,7 @@ from .mechanisms import (
     UniformBid,
     allocate,
     beta_minus_i,
-    run_auction,
+    run_auction,  # noqa: F401  bound here for perfbench's tracer
     social_welfare,
     tie_lexicographic,
 )
@@ -309,8 +309,9 @@ def lemma1_conversion_sweep(count: int, seed: int) -> int:
 
     Checks, per case: the standard profile is a pure equilibrium under
     no-overbidding deviations; the conversion preserves allocation, price
-    and welfare exactly; and the converted profile is itself an equilibrium.
-    Returns the number of cases checked.
+    and welfare exactly (pne_standard_to_uniform raises otherwise); and the
+    converted profile is itself an equilibrium.  Returns the number of
+    cases checked.
     """
     for index in range(count):
         rng = case_rng(seed, index)
@@ -326,12 +327,6 @@ def lemma1_conversion_sweep(count: int, seed: int) -> int:
         if report_u.max_regret > EQ_TOL:
             raise AssertionError(
                 f"case {index}: converted profile has regret {report_u.max_regret}")
-        before = run_auction(profile, instance.tie_break, UNIFORM)
-        after = run_auction(converted, instance.tie_break, UNIFORM)
-        if before.allocation != after.allocation:
-            raise AssertionError(f"case {index}: allocation changed")
-        if before.uniform_price != after.uniform_price:
-            raise AssertionError(f"case {index}: price changed")
     return count
 
 

@@ -97,6 +97,60 @@ def test_grid_rejects_non_finite_tick_and_max_bid(bad):
         BidGrid.from_json({"tick": 0.25, "max_bid": bad})
 
 
+def _listed_grid_bids(grid, k, val):
+    """The strategy space enumerated bid by bid: the reference order."""
+    if grid.interface == "uniform":
+        bids = [UniformBid(0.0, 0)]
+        for u in grid.points():
+            if u <= 0:
+                continue
+            for q in range(1, k + 1):
+                bids.append(UniformBid(u, q))
+    else:
+        bids = [StandardBid(combo) for combo in
+                itertools.combinations_with_replacement(
+                    sorted(grid.points(), reverse=True), k)]
+    if grid.no_overbidding and val is not None:
+        bids = [b for b in bids
+                if check_no_overbidding(
+                    val, b.expand(k) if isinstance(b, UniformBid) else b)]
+    return bids
+
+
+def test_grid_bids_match_the_listed_enumeration():
+    # v(1) and v(2) sit exactly 1e-12 below the prefix sums 0.375 and
+    # 0.625, so bids reaching them pass the no-overbidding slack with no
+    # room to spare; one float lower, they fail it
+    edge = valuation(0, 0.374999999999, 0.624999999999)
+    below = valuation(0, math.nextafter(0.374999999999, 0),
+                      math.nextafter(0.624999999999, 0))
+    vals = [None, edge, below, valuation(0, 0.6, 0.7),
+            random_valuation("general", 2, 0.5, seed=3)]
+    for interface, no_overbidding in itertools.product(
+            ("standard", "uniform"), (False, True)):
+        for tick, max_bid in ((0.125, 1.0), (0.1, 0.7), (0.25, 0.25)):
+            grid = BidGrid(tick, max_bid, interface, no_overbidding)
+            for val in vals:
+                bids = grid_bids_for(grid, 2, val)
+                assert bids == _listed_grid_bids(grid, 2, val)
+                for b in bids:
+                    numbers = ((b.price,) if isinstance(b, UniformBid)
+                               else b.values)
+                    assert all(type(x) is float for x in numbers)
+                    assert (not isinstance(b, UniformBid)
+                            or type(b.quantity) is int)
+        k3 = BidGrid(0.125, 0.5, interface, no_overbidding)
+        val = valuation(0, 0.3, 0.5, 0.6)
+        assert grid_bids_for(k3, 3, val) == _listed_grid_bids(k3, 3, val)
+    grid = BidGrid(0.125, 1.0, no_overbidding=True)
+    assert StandardBid((0.375, 0.25)) in grid_bids_for(grid, 2, edge)
+    assert StandardBid((0.375, 0.0)) not in grid_bids_for(grid, 2, below)
+    assert StandardBid((0.25, 0.25)) in grid_bids_for(grid, 2, below)
+    ugrid = BidGrid(0.125, 1.0, "uniform", no_overbidding=True)
+    assert UniformBid(0.375, 1) in grid_bids_for(ugrid, 2, edge)
+    assert UniformBid(0.375, 1) not in grid_bids_for(ugrid, 2, below)
+
+
 # -- best responses ----------------------------------------------------------
 
 

@@ -1,5 +1,6 @@
 import pytest
 
+from poa_lab import equilibria
 from poa_lab.equilibria import is_bayes_nash, lemma5_structure
 from poa_lab.instances import (
     appendix_c_bayesian,
@@ -124,6 +125,22 @@ def test_proposition1_random_sweep():
 
 def test_lemma1_conversion_sweep():
     assert lemma1_conversion_sweep(15, seed=102) == 15
+
+
+def test_lemma1_conversion_sweep_fails_on_a_shifted_price(monkeypatch):
+    # the converter sees every converted (uniform-interface) profile price
+    # one tick higher; its own check is the sweep's only price check
+    real = equilibria.allocate
+
+    def shifted(profile, tie):
+        out = real(profile, tie)
+        if profile.interface == "uniform":
+            out = replace(out, uniform_price=out.uniform_price + 1e-3)
+        return out
+
+    monkeypatch.setattr(equilibria, "allocate", shifted)
+    with pytest.raises(AssertionError, match="uniform price"):
+        lemma1_conversion_sweep(15, seed=102)
 
 
 def test_named_instance_json_shape():

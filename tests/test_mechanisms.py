@@ -8,8 +8,8 @@ import pytest
 from poa_lab.mechanisms import (
     AuctionInstance,
     BidProfile,
-    DeviationCandidates,
     DeviationKernel,
+    SearchCandidates,
     StandardBid,
     UniformBid,
     allocate,
@@ -330,18 +330,21 @@ def test_block_outcomes_match_kernel_outcome():
         i = rng.randrange(n)
         vectors = [_vector(_random_bid(rng, k, rng.random() < 0.5), k)
                    for _ in range(8)]
-        own = DeviationCandidates(vectors, i, n, tie)
         # each other bidder's bid, and at times one more
         opposing = [j for j in range(n) if j != i]
         choices = [[prof.bids[j]] + [_random_bid(extra, k, uniform)
                                      for _ in range(extra.randint(0, 1))]
                    for j in opposing]
-        others = [DeviationCandidates([_vector(b, k) for b in bids], j, n,
-                                      tie)
-                  for j, bids in zip(opposing, choices)]
+        spaces = [[_vector(b, k) for b in bids] for bids in choices]
+        spaces.insert(i, vectors)
+        cands = SearchCandidates([np.array(s) for s in spaces], tie)
+        for j, space in enumerate(spaces):
+            for c, vector in enumerate(space):
+                for a in range(k + 1):
+                    assert cands.paid[j][c, a] == sum(vector[:a])
         rows = list(itertools.product(*choices))
         for pricing in ("discriminatory", "uniform"):
-            units, pay = block_outcomes(own, others, pricing,
+            units, pay = block_outcomes(cands, i, pricing,
                                         np.arange(len(rows)))
             assert units.shape == pay.shape == (len(rows), len(vectors))
             for r, bids in enumerate(rows):
