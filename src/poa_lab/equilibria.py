@@ -13,13 +13,13 @@ none); (c,) * j wins all j units iff its lowest-ranked entry ranks ahead
 of opp[k - j], and then pays sum((c,) * j) as bid or j * beta_j at the
 uniform price.  is_pure_nash and best-response dynamics rank each profile
 once for the outcome and every response.  This closed form is exact for
-bidder-level tie-break rules only; a full enumeration over uniform (and
-optionally standard) grid bids is a certifying fallback.  The exhaustive
-pure-Nash search scores every grid strategy, exact under every tie rule.
-It enumerates the grid once, as an array of marginal-bid vectors in
-grid_bids_for order, keys every bid entry by one integer in the global
-(-value, tie rank) order, and builds bid objects only for the profiles
-its best-response mask leaves.
+bidder-level tie-break rules only; best_response_enumerated, a scan of
+every uniform (and optionally standard) grid bid, is a certifying
+fallback.  Grid scans enumerate the grid once, as an array of marginal-bid
+vectors in grid_bids_for order: that fallback, the Bayes-Nash regrets and
+the exhaustive pure-Nash search (exact under every tie rule) score whole
+arrays through block_outcomes and build bid objects only for the bids and
+profiles they report.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .mechanisms import (
     UNIFORM_IFACE,
     AuctionInstance,
     BidProfile,
-    DeviationKernel,
     SearchCandidates,
     StandardBid,
     TieBreakRule,
@@ -47,6 +46,7 @@ from .mechanisms import (
     allocate,
     block_outcomes,
     check_no_overbidding,
+    deviation_outcomes,
     run_auction,
     social_welfare,
 )
@@ -181,36 +181,47 @@ def _closed_form_response(instance: AuctionInstance, grid: BidGrid,
     return best
 
 
-def deviation_bids(grid: BidGrid, k: int, val: Valuation | None = None,
-                   include_standard: bool = False):
-    """All uniform grid bids (and optionally all standard grid bids)."""
-    bids = grid_bids_for(replace(grid, interface=UNIFORM_IFACE), k, val)
+def _deviation_vectors(grid: BidGrid, k: int, val: Valuation,
+                       include_standard: bool, interface: str):
+    """The grid bids a deviation scan tries, as one array of marginal-bid
+    vectors: every uniform grid bid, then, with include_standard in a
+    standard-interface game, every standard one (k <= 4).  Also returns
+    the number of uniform rows."""
+    vectors = _grid_spaces(replace(grid, interface=UNIFORM_IFACE), k, [val])[0]
+    n_uniform = len(vectors)
     if include_standard:
         if k > 4:
             raise SearchCapExceeded("standard-bid enumeration limited to k <= 4")
-        bids += grid_bids_for(replace(grid, interface=STANDARD), k, val)
-    return bids
+        if interface == STANDARD:
+            vectors = np.concatenate([vectors, _grid_spaces(
+                replace(grid, interface=STANDARD), k, [val])[0]])
+    return vectors, n_uniform
+
+
+def _deviation_bid(vectors: np.ndarray, n_uniform: int, c: int):
+    """The grid bid of row c of _deviation_vectors."""
+    return _grid_bids(UNIFORM_IFACE if c < n_uniform else STANDARD,
+                      vectors[c:c + 1])[0]
 
 
 def best_response_enumerated(instance: AuctionInstance, profile: BidProfile,
                              i: int, grid: BidGrid,
                              include_standard: bool = False) -> BestResponse:
-    """Certifying fallback: scan every uniform (optionally standard) grid bid."""
+    """Certifying fallback: scan every uniform (optionally standard) grid
+    bid, keeping the first best one that beats bidding nothing."""
     val = instance.valuations[i]
-    kernel = DeviationKernel(profile, i, instance.tie_break, instance.pricing)
-    best = BestResponse(UniformBid(0.0, 0), 0.0, 0)
-    for cand in deviation_bids(grid, instance.k, val, include_standard):
-        if isinstance(cand, UniformBid):
-            vector = cand.expand(instance.k).values
-        elif profile.interface == UNIFORM_IFACE:
-            continue
-        else:
-            vector = cand.values
-        units, payment = kernel.outcome(vector)
-        u = val.value(units) - payment
-        if u > best.utility:
-            best = BestResponse(cand, u, units)
-    return best
+    vectors, n_uniform = _deviation_vectors(grid, instance.k, val,
+                                            include_standard,
+                                            profile.interface)
+    units, payments = deviation_outcomes([profile], i, vectors,
+                                         instance.tie_break, instance.pricing)
+    utils = np.array(val.values)[units[0]] - payments[0]
+    # np.argmax returns the first maximum
+    c = int(np.argmax(utils))
+    if not utils[c] > 0.0:
+        return BestResponse(UniformBid(0.0, 0), 0.0, 0)
+    return BestResponse(_deviation_bid(vectors, n_uniform, c),
+                        float(utils[c]), int(units[0, c]))
 
 
 # ---------------------------------------------------------------------------
@@ -370,8 +381,10 @@ def find_pure_nash(instance: AuctionInstance, grid: BidGrid,
             step = max(1, _BLOCK_CELLS // shape[i])
             for start in range(0, nrows, step):
                 stop = min(start + step, nrows)
-                units, payments = block_outcomes(
-                    cands, i, instance.pricing, np.arange(start, stop))
+                picks = (np.unravel_index(np.arange(start, stop), others_shape)
+                         if others_shape else ())
+                units, payments = block_outcomes(cands, i, instance.pricing,
+                                                 picks)
                 utils = values[units] - payments
                 rowmax[start:stop] = utils.max(axis=1)
                 keep[start:stop] = rowmax[start:stop, None] - utils <= EQ_TOL
@@ -400,9 +413,10 @@ def find_pure_nash(instance: AuctionInstance, grid: BidGrid,
         seen = set()
         found = []
         evaluated = 0
-        spaces = [grid_bids_for(grid, k, val) for val in instance.valuations]
+        spaces = _grid_spaces(grid, k, instance.valuations)
         for _ in range(starts):
-            combo = [rng.choice(s) for s in spaces]
+            combo = [_grid_bids(grid.interface, s[[rng.randrange(len(s))]])[0]
+                     for s in spaces]
             profile = BidProfile(tuple(combo), grid.interface, k)
             ranked, out = _ranked_outcome(profile, instance.tie_break,
                                           instance.pricing)
@@ -536,15 +550,15 @@ def pure_strategy(bids_per_bidder) -> Strategy:
         for per_type in bids_per_bidder))
 
 
-def _opposing_kernels(game: BayesianGame, strat: Strategy, i: int):
-    """One (DeviationKernel, probability) pair per opposing scenario.
+def _opposing_scenarios(game: BayesianGame, strat: Strategy, i: int):
+    """One (profile, probability) pair per opposing scenario.
 
     Enumerates opposing type tuples under the product prior, then each
-    combination of support bids; probabilities multiply exactly.  Each
-    kernel scores bidder i's bids against that scenario's bids.
+    combination of support bids; probabilities multiply exactly.  Bidder
+    i's own bid in each profile is a placeholder.
     """
     others = [j for j in range(game.n) if j != i]
-    kernels = []
+    scenarios = []
     type_ranges = [range(len(game.types[j])) for j in others]
     for type_combo in itertools.product(*type_ranges):
         p_type = 1.0
@@ -555,17 +569,14 @@ def _opposing_kernels(game: BayesianGame, strat: Strategy, i: int):
         mixes = [strat.rules[j][t] for j, t in zip(others, type_combo)]
         for bid_combo in itertools.product(*mixes):
             p = p_type
-            # bidder i's own bid is a placeholder: the kernel reads only
-            # the others' bids
             bids = [UniformBid(0.0, 0)] * game.n
             for j, (bid, pb) in zip(others, bid_combo):
                 p *= pb
                 bids[j] = bid
             if p == 0.0:
                 continue
-            kernels.append((DeviationKernel(_game_profile(game, bids), i,
-                                            game.tie_break, game.pricing), p))
-    return kernels
+            scenarios.append((_game_profile(game, bids), p))
+    return scenarios
 
 
 def _game_profile(game: BayesianGame, bids) -> BidProfile:
@@ -576,46 +587,45 @@ def _game_profile(game: BayesianGame, bids) -> BidProfile:
         game.grid.interface, game.k)
 
 
-def _expected_utility(game: BayesianGame, val: Valuation, my_bid,
-                      kernels) -> float:
-    # the game's profile refuses a bid it cannot hold, such as a standard
-    # bid in a uniform-interface game
-    vector = _game_profile(game, [my_bid]).vector(0)
-    total = 0.0
-    for kernel, p in kernels:
-        units, payment = kernel.outcome(vector)
-        total += p * (val.value(units) - payment)
-    return total
-
-
 def is_bayes_nash(game: BayesianGame, strat: Strategy,
                   include_standard: bool = False) -> RegretReport:
     """Exact expected regret of every (bidder, type) against grid deviations.
 
     Expectations enumerate opposing type tuples and mixed supports exactly;
     deviations scan every uniform grid bid (plus all standard grid bids when
-    include_standard is set, k <= 4).
+    include_standard is set, k <= 4), and one counts only if it beats the
+    current expected utility.
     """
     strat.validate(game)
     entries = []
     for i in range(game.n):
-        kernels = _opposing_kernels(game, strat, i)
+        scenarios = _opposing_scenarios(game, strat, i)
+        profiles = [profile for profile, _ in scenarios]
         for t, val in enumerate(game.types[i]):
+            mixed = strat.rules[i][t]
+            # the game's profile refuses a bid it cannot hold, such as a
+            # standard bid in a uniform-interface game
+            support = np.array([_game_profile(game, [bid]).vector(0)
+                                for bid, _ in mixed])
+            vectors, n_uniform = _deviation_vectors(
+                game.grid, game.k, val, include_standard, game.grid.interface)
+            units, payments = deviation_outcomes(
+                profiles, i, np.concatenate([support, vectors]),
+                game.tie_break, game.pricing)
+            values = np.array(val.values)
+            # the expectations add scenario by scenario, as scalar sums would
+            expected = np.zeros(units.shape[1])
+            for (_, p), u, pay in zip(scenarios, units, payments):
+                expected += p * (values[u] - pay)
             cur = 0.0
-            for my_bid, pm in strat.rules[i][t]:
-                cur += pm * _expected_utility(game, val, my_bid, kernels)
-            best = cur
-            best_bid = None
-            for cand in deviation_bids(game.grid, game.k,
-                                       val if game.grid.no_overbidding else None,
-                                       include_standard):
-                if game.grid.interface == UNIFORM_IFACE and isinstance(
-                        cand, StandardBid):
-                    continue
-                u = _expected_utility(game, val, cand, kernels)
-                if u > best:
-                    best = u
-                    best_bid = cand
+            for (_, pm), u in zip(mixed, expected.tolist()):
+                cur += pm * u
+            deviations = expected[len(mixed):]
+            c = int(np.argmax(deviations))
+            best, best_bid = cur, None
+            if deviations[c] > cur:
+                best = float(deviations[c])
+                best_bid = _deviation_bid(vectors, n_uniform, c)
             entries.append(RegretEntry(i, t, cur, best,
                                        max(0.0, best - cur), best_bid))
     return RegretReport(tuple(entries))

@@ -360,57 +360,6 @@ def beta_minus_i(profile: BidProfile, i: int,
     return (0.0,) * (k - len(values)) + tuple(reversed(values))
 
 
-class DeviationKernel:
-    """Bidder i's outcome for any candidate bid against the others' fixed bids.
-
-    The other bidders' positive (bid, tie priority) entries are sorted once,
-    under their indices in the full profile.  Only the top k matter: when
-    bidder i wins a unit, at most k - 1 of them win, so the highest losing
-    entry is one of them or one of bidder i's own.  outcome(vector) merges
-    the candidate's entries into them in O(k) and returns (units, payment),
-    equal bit for bit to bidder i's allocation and payment in
-    run_auction(profile.replace(i, cand), tie, pricing).  block_outcomes
-    returns the same for whole candidate sets at once.
-
-    beta equals beta_minus_i(profile, i): it holds the values of the top
-    k opposing entries, which do not depend on the order of tied entries.
-    """
-
-    def __init__(self, profile: BidProfile, i: int, tie: TieBreakRule,
-                 pricing: str):
-        if pricing not in PRICINGS:
-            raise ValueError(f"unknown pricing rule {pricing!r}")
-        k = profile.k
-        entries = sorted((-v,) + tie.priority(j, s)
-                         for j in range(profile.n) if j != i
-                         for s, v in enumerate(profile.vector(j)) if v > 0.0)
-        self._opposing = entries[:k]
-        self.beta = ((0.0,) * (k - len(self._opposing))
-                     + tuple(-e[0] for e in reversed(self._opposing)))
-        self._own = tuple(tie.priority(i, s) for s in range(k))
-        self._k = k
-        self._uniform = pricing == UNIFORM
-
-    def outcome(self, vector: Sequence[float]) -> tuple[int, float]:
-        """(units, payment) of bidder i bidding the marginal-bid vector."""
-        # Already in order except where a slot-level rule ranks tied slots
-        # out of slot order, so the sort is linear in practice.
-        own = sorted((-v,) + p for v, p in zip(vector, self._own) if v > 0.0)
-        opp = self._opposing
-        n_own, n_opp = len(own), len(opp)
-        # the winning entries: a of bidder i's, b opposing ones
-        a = b = 0
-        for _ in range(min(self._k, n_own + n_opp)):
-            if b == n_opp or (a < n_own and own[a] < opp[b]):
-                a += 1
-            else:
-                b += 1
-        if not self._uniform:
-            return a, sum(vector[:a])
-        losing = own[a:a + 1] + opp[b:b + 1]
-        return a, a * (-min(losing)[0] if losing else 0.0)
-
-
 class SearchCandidates:
     """Every bidder's candidate marginal-bid vectors, keyed once for
     block_outcomes.
@@ -463,11 +412,11 @@ class SearchCandidates:
 
 
 def block_outcomes(cands: SearchCandidates, i: int, pricing: str,
-                   rows: np.ndarray):
+                   picks: Sequence[np.ndarray]):
     """(units, payments) arrays of bidder i: entry [r, c] scores its c-th
-    candidate against rows[r], an index into the combinations of the other
-    bidders' candidates (in bidder order) in itertools.product order.  It
-    equals DeviationKernel.outcome on those bids, bit for bit.
+    candidate against the others' candidates picks[0][r], picks[1][r], ...
+    (one index array per other bidder, in bidder order; with none, one row
+    faces no entry), equal bit for bit to run_auction on those bids.
 
     The facing entries of a row are the other bidder's keys, or for n > 2
     the lowest k + 1 of all the others' keys, by np.sort.  Own entry j wins
@@ -481,14 +430,14 @@ def block_outcomes(cands: SearchCandidates, i: int, pricing: str,
     others = cands.keys[:i] + cands.keys[i + 1:]
     own = cands.keys[i]
     if others:
-        picks = np.unravel_index(rows, [len(keys) for keys in others])
         facing = np.concatenate(
             [keys[p] for keys, p in zip(others, picks)], axis=1)
         if len(others) > 1:
             facing = np.sort(facing, axis=1)[:, :k + 1]
     else:
-        facing = np.full((len(rows), k + 1), cands.pad_key)
-    units = np.zeros((len(rows), len(own)), dtype=int)
+        facing = np.full((1, k + 1), cands.pad_key)
+    nrows = len(facing)
+    units = np.zeros((nrows, len(own)), dtype=int)
     for j in range(k):
         units += own[:, j] < facing[:, k - 1 - j, None]
     cols = np.arange(len(own))
@@ -497,8 +446,24 @@ def block_outcomes(cands: SearchCandidates, i: int, pricing: str,
     # the highest losing entry: the next own one or the next opposing one;
     # column k is read only when no unit is won
     losing = np.minimum(own[cols, units],
-                        facing[np.arange(len(rows))[:, None], k - units])
+                        facing[np.arange(nrows)[:, None], k - units])
     return units, units * cands.value_of_key[losing]
+
+
+def deviation_outcomes(profiles: Sequence[BidProfile], i: int,
+                       vectors: np.ndarray, tie: TieBreakRule, pricing: str):
+    """(units, payments) arrays of bidder i: entry [r, c] is its outcome
+    bidding the marginal-bid vector vectors[c] against the other bids of
+    profiles[r], equal bit for bit to run_auction on profiles[r] with
+    bidder i's bid replaced.  Each profile is one block_outcomes row."""
+    n = profiles[0].n
+    spaces = [vectors if j == i else np.array([p.vector(j) for p in profiles])
+              for j in range(n)]
+    units, payments = block_outcomes(SearchCandidates(spaces, tie), i, pricing,
+                                     [np.arange(len(profiles))] * (n - 1))
+    # with no other bidder the one row stands for every profile
+    shape = (len(profiles), len(vectors))
+    return np.broadcast_to(units, shape), np.broadcast_to(payments, shape)
 
 
 def uniformize_profile(profile: BidProfile, tie: TieBreakRule) -> BidProfile:

@@ -25,11 +25,11 @@ from .mechanisms import (
     UNIFORM,
     AuctionInstance,
     BidProfile,
-    DeviationKernel,
     StandardBid,
     UniformBid,
     allocate,
     beta_minus_i,
+    deviation_outcomes,
     run_auction,
     uniformize_profile,
 )
@@ -574,22 +574,21 @@ def template_margins_feldman(instance: AuctionInstance, opposing,
         opposing = [(opposing, 1.0)]
     x_opt = optimal_allocation(instance.valuations, instance.k).allocation
     margins = []
+    profiles = [profile for profile, _ in opposing]
     for i, val in enumerate(instance.valuations):
-        kernels = [(DeviationKernel(profile, i, instance.tie_break,
-                                    instance.pricing), p)
-                   for profile, p in opposing]
-        betas = [(kernel.beta, p) for kernel, p in kernels]
+        betas = [(beta_minus_i(profile, i), p) for profile, p in opposing]
         x = x_opt[i]
         exp_beta = sum(p * sum(beta[:x]) for beta, p in betas)
         lhs = 0.0
         if x >= 1:
-            support = feldman_support(
-                [(beta, p) for beta, p in betas], x, instance.pricing, val,
-                tick)
-            for bid, p_bid in support:
-                for kernel, p_opp in kernels:
-                    units, payment = kernel.outcome(bid.values)
-                    lhs += p_bid * p_opp * (val.value(units) - payment)
+            support = feldman_support(betas, x, instance.pricing, val, tick)
+            units, payments = deviation_outcomes(
+                profiles, i, np.array([bid.values for bid, _ in support]),
+                instance.tie_break, instance.pricing)
+            utils = (np.array(val.values)[units] - payments).tolist()
+            for c, (_, p_bid) in enumerate(support):
+                for (_, p_opp), row in zip(opposing, utils):
+                    lhs += p_bid * p_opp * row[c]
         margins.append(verify_template_inequality(
             lhs, val.value(x), exp_beta, 0.5, 1.0))
     return tuple(margins)
@@ -597,6 +596,16 @@ def template_margins_feldman(instance: AuctionInstance, opposing,
 
 # ---------------------------------------------------------------------------
 # Lower-bound frontiers for the proof template
+
+
+def _sup_utility(instance: AuctionInstance, profile: BidProfile, i: int,
+                 vectors: np.ndarray) -> float:
+    """Bidder i's best utility bidding a row of vectors against the
+    profile's other bids, or 0."""
+    units, payments = deviation_outcomes([profile], i, vectors,
+                                         instance.tie_break, instance.pricing)
+    utils = np.array(instance.valuations[i].values)[units[0]] - payments[0]
+    return max(0.0, float(utils.max()))
 
 
 def theorem6_da_frontier(instance: AuctionInstance, profile: BidProfile,
@@ -614,16 +623,10 @@ def theorem6_da_frontier(instance: AuctionInstance, profile: BidProfile,
     candidates = [deviation_tick]
     for v in values:
         candidates += [v, v + deviation_tick]
-    sups = []
-    for i, val in enumerate(instance.valuations):
-        kernel = DeviationKernel(profile, i, instance.tie_break,
-                                 instance.pricing)
-        best = 0.0
-        for c in candidates:
-            for q in range(1, k + 1):
-                units, payment = kernel.outcome((c,) * q + (0.0,) * (k - q))
-                best = max(best, val.value(units) - payment)
-        sups.append(best)
+    # every candidate at every quantity: row q - 1 of np.tri(k) holds q ones
+    vectors = (np.array(candidates)[:, None, None] * np.tri(k)).reshape(-1, k)
+    sups = [_sup_utility(instance, profile, i, vectors)
+            for i in range(instance.n)]
     out = allocate(profile, instance.tie_break)
     sum_beta = sum(out.winning_bids)
     opt = optimal_allocation(instance.valuations, k).value
@@ -646,18 +649,10 @@ def theorem6_upa_check(instance: AuctionInstance, profile: BidProfile,
     """
     vals = instance.valuations
     npoints = int(math.floor(1.0 / tick + 1e-9)) + 1
-    sups = []
-    for i, val in enumerate(vals):
-        kernel = DeviationKernel(profile, i, instance.tie_break,
-                                 instance.pricing)
-        best = 0.0
-        for idx in range(npoints):
-            c = idx * tick
-            if c > val.value(1) + 1e-12:
-                continue
-            units, payment = kernel.outcome((c,))
-            best = max(best, val.value(units) - payment)
-        sups.append(best)
+    bids = np.arange(npoints) * tick
+    sups = [_sup_utility(instance, profile, i,
+                         bids[bids <= val.value(1) + 1e-12, None])
+            for i, val in enumerate(vals)]
     out = allocate(profile, instance.tie_break)
     total = sum(sups)
     return {

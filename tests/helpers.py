@@ -2,7 +2,14 @@
 
 import random
 
-from poa_lab.mechanisms import StandardBid, standard_profile
+from poa_lab.mechanisms import (
+    StandardBid,
+    standard_profile,
+    tie_explicit,
+    tie_favor_bidder,
+    tie_favor_last,
+    tie_lexicographic,
+)
 
 
 def random_profile(rng: random.Random, n: int, k: int, scale: float = 1.0):
@@ -11,3 +18,19 @@ def random_profile(rng: random.Random, n: int, k: int, scale: float = 1.0):
         vec = sorted((rng.uniform(0, scale) for _ in range(k)), reverse=True)
         bids.append(StandardBid(tuple(vec)))
     return standard_profile(k, *bids)
+
+
+def random_tie(rng: random.Random, n: int, k: int):
+    """A tie rule of a random kind; an explicit one ranks a shuffled subset
+    of the (bidder, slot) pairs, so later slots often rank ahead of earlier
+    ones."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return tie_lexicographic()
+    if kind == 1:
+        return tie_favor_bidder(rng.randrange(n))
+    if kind == 2:
+        return tie_favor_last()
+    pairs = [(i, s) for i in range(n) for s in range(k)]
+    rng.shuffle(pairs)
+    return tie_explicit(pairs[:rng.randint(1, len(pairs))])

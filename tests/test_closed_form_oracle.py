@@ -1,6 +1,6 @@
 """The closed-form best response and is_pure_nash read from one ranking,
 checked bit for bit against reference implementations that run a whole
-auction and score every candidate through a DeviationKernel."""
+auction for the outcome and for every candidate."""
 
 import pytest
 
@@ -17,7 +17,6 @@ from poa_lab.mechanisms import (
     UNIFORM,
     AuctionInstance,
     BidProfile,
-    DeviationKernel,
     Outcome,
     StandardBid,
     UniformBid,
@@ -28,13 +27,14 @@ from poa_lab.mechanisms import (
     standard_bid,
     standard_profile,
     tie_explicit,
-    tie_favor_bidder,
     tie_favor_last,
     tie_lexicographic,
     zero_bid,
 )
 from poa_lab.sweeps import case_rng
 from poa_lab.valuations import random_valuation, valuation
+
+from helpers import random_tie
 
 # -- reference implementations -------------------------------------------------
 
@@ -64,29 +64,32 @@ def reference_run_auction(profile, tie, pricing):
 
 
 def reference_best_response(instance, profile, i, grid):
-    """Every constant candidate scored by a DeviationKernel merge."""
+    """Every constant candidate scored by its own full auction."""
     val = instance.valuations[i]
     k = instance.k
-    kernel = DeviationKernel(profile, i, instance.tie_break, instance.pricing)
+    tie, pricing = instance.tie_break, instance.pricing
+    # the winning bids with bidder i bidding nothing are its thresholds
+    beta = reference_run_auction(profile.replace(i, UniformBid(0.0, 0)), tie,
+                                 pricing).winning_bids
     best = BestResponse(UniformBid(0.0, 0), 0.0, 0)
     cap = grid.max_bid + 1e-12
     for j in range(1, k + 1):
-        threshold = kernel.beta[j - 1]
+        threshold = beta[j - 1]
         seen = set()
         for c in (threshold, threshold + grid.tick):
             if c <= 0.0 or c > cap or c in seen:
                 continue
             seen.add(c)
-            vector = (c,) * j + (0.0,) * (k - j)
+            bid = UniformBid(c, j)
             if grid.no_overbidding and not check_no_overbidding(
-                    val, StandardBid(vector)):
+                    val, bid.expand(k)):
                 continue
-            units, payment = kernel.outcome(vector)
-            if units != j:
+            out = reference_run_auction(profile.replace(i, bid), tie, pricing)
+            if out.allocation[i] != j:
                 continue
-            u = val.value(j) - payment
+            u = val.value(j) - out.payments[i]
             if u > best.utility:
-                best = BestResponse(UniformBid(c, j), u, j)
+                best = BestResponse(bid, u, j)
     return best
 
 
@@ -103,21 +106,6 @@ def reference_is_pure_nash(profile, instance, grid):
 
 
 # -- seeded cases ------------------------------------------------------------------
-
-
-def random_tie(rng, n, k):
-    kind = rng.randrange(4)
-    if kind == 0:
-        return tie_lexicographic()
-    if kind == 1:
-        return tie_favor_bidder(rng.randrange(n))
-    if kind == 2:
-        return tie_favor_last()
-    # a partial order over a shuffled subset of pairs: later slots often
-    # rank ahead of earlier ones
-    pairs = [(i, s) for i in range(n) for s in range(k)]
-    rng.shuffle(pairs)
-    return tie_explicit(pairs[:rng.randint(1, len(pairs))])
 
 
 def random_case(index):
@@ -150,7 +138,7 @@ def random_case(index):
     return instance, profile, grid
 
 
-def test_closed_form_equals_kernel_reference_bit_for_bit():
+def test_closed_form_equals_auction_reference_bit_for_bit():
     kinds = set()
     for index in range(1600):
         instance, profile, grid = random_case(index)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -9,6 +10,8 @@ from poa_lab.equilibria import (
     EQ_TOL,
     BayesianGame,
     BidGrid,
+    RegretEntry,
+    RegretReport,
     SearchCapExceeded,
     Strategy,
     bayesian_poa,
@@ -57,7 +60,7 @@ from poa_lab.valuations import (
     valuation,
 )
 
-from helpers import random_profile
+from helpers import random_profile, random_tie
 
 
 def grid_snap_profile(prof, grid):
@@ -457,6 +460,33 @@ def test_dynamics_fixed_points_are_equilibria():
         assert prof in exhaustive
 
 
+
+@pytest.mark.parametrize("instance, grid, seed, evaluated, expected", [
+    (AuctionInstance((valuation(0, 1.0), valuation(0, 0.5)), 1,
+                     "discriminatory", tie_favor_bidder(0)),
+     BidGrid(0.25, 1.0), 3, 22,
+     [[(0.25,), (0.0,)], [(0.75,), (0.75,)], [(0.25,), (0.25,)]]),
+    (AuctionInstance((valuation(0, 0.5, 0.75), valuation(0, 0.75, 1.0),
+                      valuation(0, 0.25, 0.75)), 2, "uniform",
+                     tie_favor_last()),
+     BidGrid(0.25, 1.0, "uniform", no_overbidding=True), 11, 39,
+     [[(0.5, 0.0), (0.5, 0.0), (0.25, 0.0)],
+      [(0.5, 0.0), (0.5, 0.0), (0.25, 0.25)],
+      [(0.5, 0.0), (0.75, 0.0), (0.25, 0.25)]]),
+    # under a slot-level rule some paths run out of rounds
+    (AuctionInstance((valuation(0, 1.0, 1.75), valuation(0, 0.875, 1.5)), 2,
+                     "uniform", tie_explicit([(1, 1), (0, 1), (1, 0)])),
+     BidGrid(0.125, 1.0, no_overbidding=True), 7, 2002,
+     [[(0.625, 0.25), (0.875, 0.25)]]),
+])
+def test_dynamics_results_pinned(instance, grid, seed, evaluated, expected):
+    # each start draws one strategy index per bidder from the seed
+    res = find_pure_nash(instance, grid, mode="best_response_dynamics",
+                         seed=seed, starts=6)
+    assert res.evaluated == evaluated
+    assert [prof.vectors() for prof in res.equilibria] == expected
+
+
 # -- Bayesian games -----------------------------------------------------------
 
 
@@ -476,6 +506,110 @@ def test_appendix_c_perturbed_has_regret():
     ))
     report = is_bayes_nash(game, lowered)
     assert report.max_regret > 1e-4
+
+
+
+def _reference_is_bayes_nash(game, strat, include_standard):
+    """Every opposing scenario and every candidate scored by its own
+    run_auction, in is_bayes_nash's order."""
+    std = game.grid.interface == "standard"
+    grids = [replace(game.grid, interface="uniform")]
+    if include_standard and std:
+        grids.append(replace(game.grid, interface="standard"))
+    entries = []
+    for i in range(game.n):
+        others = [j for j in range(game.n) if j != i]
+        scenarios = []
+        for types in itertools.product(*(range(len(game.types[j]))
+                                         for j in others)):
+            p_type = 1.0
+            for j, t in zip(others, types):
+                p_type *= game.priors[j][t]
+            if p_type == 0.0:
+                continue
+            for combo in itertools.product(*(strat.rules[j][t]
+                                             for j, t in zip(others, types))):
+                p = p_type
+                bids = [None] * game.n
+                for j, (bid, pb) in zip(others, combo):
+                    p *= pb
+                    bids[j] = bid
+                if p != 0.0:
+                    scenarios.append((bids, p))
+
+        def expected(val, own):
+            total = 0.0
+            for bids, p in scenarios:
+                bids = bids[:i] + [own] + bids[i + 1:]
+                profile = BidProfile(tuple(
+                    b.expand(game.k) if std and isinstance(b, UniformBid)
+                    else b for b in bids), game.grid.interface, game.k)
+                out = run_auction(profile, game.tie_break, game.pricing)
+                total += p * (val.value(out.allocation[i]) - out.payments[i])
+            return total
+
+        for t, val in enumerate(game.types[i]):
+            cur = 0.0
+            for bid, pm in strat.rules[i][t]:
+                cur += pm * expected(val, bid)
+            best, best_bid = cur, None
+            for grid in grids:
+                for cand in grid_bids_for(grid, game.k, val):
+                    u = expected(val, cand)
+                    if u > best:
+                        best, best_bid = u, cand
+            entries.append(RegretEntry(i, t, cur, best, max(0.0, best - cur),
+                                       best_bid))
+    return RegretReport(tuple(entries))
+
+
+def _random_bayes_case(index):
+    rng = case_rng(9009, index)
+    n, k = rng.randint(1, 3), rng.randint(1, 3)
+    interface = rng.choice(("standard", "uniform"))
+    grid = BidGrid(0.25, rng.choice((0.5, 1.0)), interface,
+                   no_overbidding=rng.random() < 0.5)
+    tie = random_tie(rng, n, k)
+    types, priors, rules = [], [], []
+    for _ in range(n):
+        vals = tuple(random_valuation("general", k, 1.0 / k,
+                                      seed=rng.randrange(2 ** 31))
+                     for _ in range(rng.randint(1, 2)))
+        # unequal weights, at times a zero one
+        weights = [rng.choice((0.0, 1.0, 2.0, 3.0)) for _ in vals]
+        weights[0] += 1.0
+        per_type = []
+        for val in vals:
+            space = grid_bids_for(grid, k, val)
+            support = [rng.choice(space) for _ in range(rng.randint(1, 3))]
+            mass = [rng.choice((1.0, 2.0, 5.0)) for _ in support]
+            per_type.append(tuple((bid, m / sum(mass))
+                                  for bid, m in zip(support, mass)))
+        types.append(vals)
+        priors.append(tuple(w / sum(weights) for w in weights))
+        rules.append(tuple(per_type))
+    game = BayesianGame(k, tuple(types), tuple(priors), grid, tie,
+                        rng.choice(("discriminatory", "uniform")))
+    return game, Strategy(tuple(rules)), rng.random() < 0.5
+
+
+def test_bayes_nash_matches_auction_oracle():
+    kinds = set()
+    mixed = 0
+    for index in range(200):
+        game, strat, include_standard = _random_bayes_case(index)
+        kinds.add((game.tie_break.kind, game.pricing, game.grid.interface,
+                   game.grid.no_overbidding, include_standard))
+        # an opponent with two types, one of them mixing unequally
+        mixed += any(len(per_type) > 1 and any(
+            len({p for _, p in rule}) > 1 for rule in per_type)
+            for per_type in strat.rules[1:])
+        assert (is_bayes_nash(game, strat, include_standard)
+                == _reference_is_bayes_nash(game, strat, include_standard))
+    # every tie kind under both pricings, both interfaces, no-overbidding
+    # on and off, with and without the standard deviations
+    assert len(kinds) == 4 * 2 * 2 * 2 * 2
+    assert mixed >= 40
 
 
 def test_singleton_game_reduces_to_pure_nash():

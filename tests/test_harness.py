@@ -264,6 +264,15 @@ PINNED_REPORTS = (
 )
 
 
+def _report_digest(config):
+    """sha256 of a report body, meta and row runtimes dropped, keys sorted."""
+    body = run(config).to_json()
+    del body["meta"]
+    for row in body["rows"]:
+        del row["runtime_ms"]
+    return hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest()
+
+
 def test_certificate_reports_pinned():
     """The certificate configs of the deviation-certify benchmark, at 60
     cases each, reproduce their recorded reports bit for bit."""
@@ -274,11 +283,24 @@ def test_certificate_reports_pinned():
             alphas = [1.0]
         else:
             alphas = [optimal_alpha("uniform")]
-        body = run(make_config(experiment=kind, seed=1001 + offset, count=60,
-                               n_max=5, k_max=8, alphas=alphas,
-                               **options)).to_json()
-        del body["meta"]
-        for row in body["rows"]:
-            del row["runtime_ms"]
-        blob = json.dumps(body, sort_keys=True).encode()
-        assert hashlib.sha256(blob).hexdigest() == digest, (kind, options)
+        config = make_config(experiment=kind, seed=1001 + offset, count=60,
+                             n_max=5, k_max=8, alphas=alphas, **options)
+        assert _report_digest(config) == digest, (kind, options)
+
+
+# recorded while each deviation scan still merged one candidate at a time
+PINNED_SCAN_REPORTS = (
+    ({"experiment": "verify-bne", "instance": "appendix-c"},
+     "e769e26c8e23e37daedec4978aa227f25f994de49f07b37bfb1faac259a46116"),
+    ({"experiment": "theorem6-frontier", "params": {"k": 20}},
+     "029763ec3cea92f0448b185fafaa4f0c81897a5938b5bf6b514b96cae9f8f6de"),
+    ({"experiment": "theorem6-frontier", "params": {"k": 50}},
+     "b6a354ef6579f86cb25b73ac350dd0522b9485476e3e837095b8dba5662c3640"),
+)
+
+
+def test_deviation_scan_reports_pinned():
+    """The Bayes-Nash and theorem 6 frontier reports, whose deviation scans
+    score candidate arrays, reproduce their recorded reports bit for bit."""
+    for options, digest in PINNED_SCAN_REPORTS:
+        assert _report_digest(make_config(**options)) == digest, options

@@ -8,7 +8,6 @@ import pytest
 from poa_lab.mechanisms import (
     AuctionInstance,
     BidProfile,
-    DeviationKernel,
     SearchCandidates,
     StandardBid,
     UniformBid,
@@ -16,6 +15,7 @@ from poa_lab.mechanisms import (
     beta_minus_i,
     block_outcomes,
     check_no_overbidding,
+    deviation_outcomes,
     run_auction,
     social_welfare,
     standard_bid,
@@ -31,7 +31,7 @@ from poa_lab.mechanisms import (
 )
 from poa_lab.valuations import Valuation, flat_valuation, random_valuation, valuation
 
-from helpers import random_profile
+from helpers import random_profile, random_tie
 
 
 # -- bids ------------------------------------------------------------------
@@ -265,19 +265,6 @@ def test_beta_grows_with_extra_bidder():
             assert all(p <= f + 1e-12 for p, f in zip(partial, full))
 
 
-def _random_tie(rng, n, k):
-    kind = rng.randrange(4)
-    if kind == 0:
-        return tie_lexicographic()
-    if kind == 1:
-        return tie_favor_bidder(rng.randrange(n))
-    if kind == 2:
-        return tie_favor_last()
-    pairs = [(i, j) for i in range(n) for j in range(k)]
-    rng.shuffle(pairs)
-    return tie_explicit(pairs[:rng.randint(1, len(pairs))])
-
-
 def _random_bid(rng, k, uniform):
     # a coarse value set, so that ties between bidders and slots are common
     def value():
@@ -288,7 +275,11 @@ def _random_bid(rng, k, uniform):
                                     reverse=True)))
 
 
-def test_deviation_kernel_equals_full_auction():
+def _vector(bid, k):
+    return (bid.expand(k) if isinstance(bid, UniformBid) else bid).values
+
+
+def test_deviation_outcomes_equal_full_auction():
     rng = random.Random(2024)
     for _ in range(1500):
         n, k = rng.randint(1, 5), rng.randint(1, 5)
@@ -296,26 +287,21 @@ def test_deviation_kernel_equals_full_auction():
         prof = BidProfile(tuple(_random_bid(rng, k, uniform)
                                 for _ in range(n)),
                           "uniform" if uniform else "standard", k)
-        tie = _random_tie(rng, n, k)
+        tie = random_tie(rng, n, k)
         i = rng.randrange(n)
-        assert (DeviationKernel(prof, i, tie, "uniform").beta
-                == beta_minus_i(prof, i))
         for pricing in ("discriminatory", "uniform"):
-            kernel = DeviationKernel(prof, i, tie, pricing)
-            for _ in range(6):
-                cand = _random_bid(rng, k, uniform or rng.random() < 0.5)
-                vector = (cand.expand(k) if isinstance(cand, UniformBid)
-                          else cand).values
+            cands = [_random_bid(rng, k, uniform or rng.random() < 0.5)
+                     for _ in range(6)]
+            units, pay = deviation_outcomes(
+                [prof], i, np.array([_vector(c, k) for c in cands]), tie,
+                pricing)
+            for c, cand in enumerate(cands):
                 out = run_auction(prof.replace(i, cand), tie, pricing)
-                assert kernel.outcome(vector) == (out.allocation[i],
-                                                  out.payments[i])
+                assert ((int(units[0, c]), float(pay[0, c]))
+                        == (out.allocation[i], out.payments[i]))
 
 
-def _vector(bid, k):
-    return (bid.expand(k) if isinstance(bid, UniformBid) else bid).values
-
-
-def test_block_outcomes_match_kernel_outcome():
+def test_block_outcomes_match_full_auction():
     rng = random.Random(2025)
     # a second generator draws the others' alternative bids, so the
     # seed-2025 stream yields the same profiles with or without them
@@ -326,7 +312,7 @@ def test_block_outcomes_match_kernel_outcome():
         prof = BidProfile(tuple(_random_bid(rng, k, uniform)
                                 for _ in range(n)),
                           "uniform" if uniform else "standard", k)
-        tie = _random_tie(rng, n, k)
+        tie = random_tie(rng, n, k)
         i = rng.randrange(n)
         vectors = [_vector(_random_bid(rng, k, rng.random() < 0.5), k)
                    for _ in range(8)]
@@ -342,18 +328,21 @@ def test_block_outcomes_match_kernel_outcome():
             for c, vector in enumerate(space):
                 for a in range(k + 1):
                     assert cands.paid[j][c, a] == sum(vector[:a])
-        rows = list(itertools.product(*choices))
+        # one row per combination of the others' choices
+        combos = list(itertools.product(*(range(len(c)) for c in choices)))
+        picks = [np.array(p) for p in zip(*combos)]
         for pricing in ("discriminatory", "uniform"):
-            units, pay = block_outcomes(cands, i, pricing,
-                                        np.arange(len(rows)))
-            assert units.shape == pay.shape == (len(rows), len(vectors))
-            for r, bids in enumerate(rows):
-                row = BidProfile(bids[:i] + (prof.bids[i],) + bids[i:],
-                                 prof.interface, k)
-                kernel = DeviationKernel(row, i, tie, pricing)
+            units, pay = block_outcomes(cands, i, pricing, picks)
+            assert units.shape == pay.shape == (len(combos), len(vectors))
+            for r, combo in enumerate(combos):
+                bids = [StandardBid(_vector(bids[p], k))
+                        for bids, p in zip(choices, combo)]
                 for c, vector in enumerate(vectors):
+                    row = BidProfile(tuple(bids[:i] + [StandardBid(vector)]
+                                           + bids[i:]), "standard", k)
+                    out = run_auction(row, tie, pricing)
                     assert ((int(units[r, c]), float(pay[r, c]))
-                            == kernel.outcome(vector))
+                            == (out.allocation[i], out.payments[i]))
 
 
 # -- welfare and uniformization ---------------------------------------------

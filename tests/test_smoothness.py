@@ -35,6 +35,7 @@ from poa_lab.smoothness import (
     theorem6_da_frontier,
     theorem6_upa_check,
     verify_key_lemma,
+    verify_template_inequality,
     verify_smoothness,
     weak_smooth_poa_bound,
 )
@@ -485,6 +486,45 @@ def test_feldman_template_margins():
         profile = random_no_overbidding_profile(instance, rng)
         margins = template_margins_feldman(instance, profile, tick=1e-9)
         assert min(margins) >= -instance.k * 1e-9 - 1e-9
+
+
+
+def _reference_feldman_margins(instance, opposing, tick):
+    """template_margins_feldman with every deviation and threshold taken
+    from a full auction, in the same order."""
+    x_opt = optimal_allocation(instance.valuations, instance.k).allocation
+    margins = []
+    for i, val in enumerate(instance.valuations):
+        nothing = zero_bid(instance.k)
+        betas = [(run_auction(profile.replace(i, nothing), instance.tie_break,
+                              instance.pricing).winning_bids, p)
+                 for profile, p in opposing]
+        x = x_opt[i]
+        lhs = 0.0
+        if x >= 1:
+            for bid, p_bid in feldman_support(betas, x, instance.pricing, val,
+                                              tick):
+                for profile, p_opp in opposing:
+                    out = run_auction(profile.replace(i, bid),
+                                      instance.tie_break, instance.pricing)
+                    lhs += p_bid * p_opp * (val.value(out.allocation[i])
+                                            - out.payments[i])
+        exp_beta = sum(p * sum(beta[:x]) for beta, p in betas)
+        margins.append(verify_template_inequality(lhs, val.value(x), exp_beta,
+                                                  0.5, 1.0))
+    return tuple(margins)
+
+
+def test_feldman_margins_match_auction_oracle():
+    for idx in range(40):
+        rng = case_rng(78, idx)
+        pricing = "discriminatory" if idx % 2 == 0 else "uniform"
+        instance = random_instance(rng, "subadditive", pricing, 4, 5)
+        # a mixed opposition with unequal weights
+        opposing = [(random_no_overbidding_profile(instance, rng), p)
+                    for p in (0.5, 0.25, 0.125, 0.125)]
+        assert (template_margins_feldman(instance, opposing, tick=1e-9)
+                == _reference_feldman_margins(instance, opposing, 1e-9))
 
 
 def test_feldman_point_distribution_exact():
