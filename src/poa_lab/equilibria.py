@@ -522,8 +522,8 @@ class Strategy:
                 if abs(sum(p for _, p in mixed) - 1.0) > 1e-9:
                     raise ValueError("mixed strategy must sum to 1")
                 for bid, _ in mixed:
-                    vec = (bid.expand(game.k) if isinstance(bid, UniformBid)
-                           else bid)
+                    # the game's profile refuses a bid the game cannot hold
+                    vec = StandardBid(_game_profile(game, [bid]).vector(0))
                     for x in vec.values:
                         if x > 0 and not game.grid.contains(x):
                             raise ValueError("bid support off the grid")
@@ -603,8 +603,6 @@ def is_bayes_nash(game: BayesianGame, strat: Strategy,
         profiles = [profile for profile, _ in scenarios]
         for t, val in enumerate(game.types[i]):
             mixed = strat.rules[i][t]
-            # the game's profile refuses a bid it cannot hold, such as a
-            # standard bid in a uniform-interface game
             support = np.array([_game_profile(game, [bid]).vector(0)
                                 for bid, _ in mixed])
             vectors, n_uniform = _deviation_vectors(
@@ -659,15 +657,6 @@ def bayesian_poa(game: BayesianGame, strat: Strategy) -> float:
     if e_sw <= 0:
         raise ValueError("equilibrium welfare is not positive")
     return e_opt / e_sw
-
-
-def singleton_game(instance: AuctionInstance, grid: BidGrid) -> BayesianGame:
-    """Full-information wrapper: every bidder has one type."""
-    return BayesianGame(
-        instance.k,
-        tuple((v,) for v in instance.valuations),
-        tuple((1.0,) for _ in instance.valuations),
-        grid, instance.tie_break, instance.pricing)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 from . import instances as inst_mod
 from . import sweeps
 from .equilibria import BidGrid, bayesian_poa, find_pure_nash, is_bayes_nash, is_pure_nash
-from .mechanisms import AuctionInstance, BidProfile, allocate, run_auction, social_welfare
+from .mechanisms import (DISCRIMINATORY, UNIFORM, AuctionInstance, BidProfile,
+                         allocate, run_auction, social_welfare)
 from .smoothness import bound_table, theorem6_da_frontier, theorem6_upa_check
 from .welfare import optimal_allocation, poa_ratio
 
@@ -217,7 +218,7 @@ def _run_certify_smoothness(cfg: ExperimentConfig, report: ExperimentReport):
         report.records.append(cert.to_json())
         report.add_row(experiment=cfg.experiment,
                        instance=f"{kind}-{vclass}",
-                       pricing="discriminatory" if kind == "smooth" else "uniform",
+                       pricing=DISCRIMINATORY if kind == "smooth" else UNIFORM,
                        alpha=alpha, **{"lambda": cert.lam},
                        mu=cert.mu if cert.mu is not None else cert.mu2,
                        margin=cert.margin, poa=cert.implied_poa,
@@ -264,7 +265,7 @@ def _run_find_pne(cfg: ExperimentConfig, report: ExperimentReport):
     report.add_check("search_completed", True,
                      len(result.equilibria),
                      "exhaustive" if result.exhaustive else "dynamics (may miss equilibria)")
-    if cfg.options.get("check_efficiency", instance.pricing == "discriminatory"):
+    if cfg.options.get("check_efficiency", instance.pricing == DISCRIMINATORY):
         report.add_check("pne_welfare_within_grid_slack", all_efficient,
                          len(result.equilibria))
 
@@ -314,7 +315,7 @@ def _run_theorem6_frontier(cfg: ExperimentConfig, report: ExperimentReport):
     frontier = theorem6_da_frontier(named.instance,
                                     named.profile("lower-bound-witness"), mu)
     report.add_row(experiment=cfg.experiment, instance="theorem6-da",
-                   n=2, k=k, pricing="discriminatory", mu=mu,
+                   n=2, k=k, pricing=DISCRIMINATORY, mu=mu,
                    margin=frontier["bound"] - frontier["lhs"],
                    runtime_ms=_row_ms(t0))
     report.add_check("da_frontier", frontier["holds"], frontier["lhs"],
@@ -324,7 +325,7 @@ def _run_theorem6_frontier(cfg: ExperimentConfig, report: ExperimentReport):
     scan = theorem6_upa_check(named.instance,
                               named.profile("lower-bound-witness"), tick)
     report.add_row(experiment=cfg.experiment, instance="theorem6-upa",
-                   n=2, k=1, pricing="uniform", margin=scan["total"] - 0.5,
+                   n=2, k=1, pricing=UNIFORM, margin=scan["total"] - 0.5,
                    runtime_ms=_row_ms(t0))
     report.add_check("upa_frontier_exact_half", scan["exact_half"],
                      scan["total"], scan["frontier"])
@@ -365,8 +366,3 @@ def write_csv(rows, path) -> None:
         writer.writeheader()
         for row in rows:
             writer.writerow(row)
-
-
-def bound_table_csv(path) -> None:
-    report = run({"schema_version": 1, "experiment": "bound-table"})
-    write_csv(report.rows, path)

@@ -260,10 +260,6 @@ class Outcome:
     uniform_price: float
     payments: tuple[float, ...] | None = None
 
-    @property
-    def units_sold(self) -> int:
-        return sum(self.allocation)
-
     def to_json(self):
         out = {
             "allocation": list(self.allocation),

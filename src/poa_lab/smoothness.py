@@ -19,14 +19,15 @@ from typing import Sequence
 
 import numpy as np
 
+from .equilibria import BidGrid, _grid_spaces
 from .mechanisms import (
     DISCRIMINATORY,
     STANDARD,
     UNIFORM,
+    UNIFORM_IFACE,
     AuctionInstance,
     BidProfile,
     StandardBid,
-    UniformBid,
     allocate,
     beta_minus_i,
     deviation_outcomes,
@@ -124,7 +125,7 @@ def sequential_weak(lam: float, mu1: float, mu2: float) -> tuple[float, float, f
 def guarantee_lambda(alpha: float, valuation_class: str) -> float:
     """lambda of the randomized deviation: alpha(1 - e^(-1/alpha)), halved
     for subadditive valuations (the per-unit value loses at most factor 2)."""
-    lam = alpha * (1.0 - math.exp(-1.0 / alpha))
+    lam = alpha * _upper_limit(alpha)
     if valuation_class == "subadditive":
         return lam / 2.0
     if valuation_class == "submodular":
@@ -197,45 +198,19 @@ def bound_table() -> list[BoundRow]:
 
 def _per_unit_value(val: Valuation, x_opt: int) -> float:
     """v(tau)/tau over the first x_opt units; 0 when x_opt = 0."""
+    if not 0 <= x_opt <= val.k:
+        raise ValueError("x_opt out of range")
     if x_opt == 0:
         return 0.0
     t = tau(val, x_opt)
     return val.value(t) / t
 
 
-@dataclass(frozen=True)
-class KeyLemmaDeviation:
-    """Bid t*c on the first x_opt slots, t ~ alpha/(1-t) on [0, B]."""
-
-    valuation: Valuation
-    x_opt: int
-    alpha: float
-
-    def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
-        if not 0 <= self.x_opt <= self.valuation.k:
-            raise ValueError("x_opt out of range")
-
-    @property
-    def per_unit(self) -> float:
-        return _per_unit_value(self.valuation, self.x_opt)
-
-    @property
-    def upper(self) -> float:
-        return 1.0 - math.exp(-1.0 / self.alpha)
-
-    def pdf(self, t: float) -> float:
-        if not 0.0 <= t <= self.upper:
-            return 0.0
-        return self.alpha / (1.0 - t)
-
-    def bid_at(self, t: float) -> UniformBid:
-        return UniformBid(t * self.per_unit, self.x_opt)
-
-    def sample_ts(self, samples: int, seed: int) -> np.ndarray:
-        u = np.random.default_rng(seed).random(samples)
-        return 1.0 - np.exp(-u / self.alpha)
+def _upper_limit(alpha: float) -> float:
+    """B = 1 - e^(-1/alpha), the top of the deviation's support."""
+    if alpha <= 0:
+        raise ValueError("alpha must be positive")
+    return 1.0 - math.exp(-1.0 / alpha)
 
 
 def expected_deviation_utility_exact(val: Valuation, x_opt: int,
@@ -251,9 +226,8 @@ def expected_deviation_utility_exact(val: Valuation, x_opt: int,
     """
     if x_opt == 0:
         return 0.0
-    dev = KeyLemmaDeviation(val, x_opt, alpha)
     return _deviation_utility(val, x_opt, beta_minus, alpha, pricing,
-                              dev.per_unit, dev.upper)
+                              _per_unit_value(val, x_opt), _upper_limit(alpha))
 
 
 def _deviation_utility(val: Valuation, x_opt: int,
@@ -295,12 +269,14 @@ def expected_deviation_utility_mc(val: Valuation, x_opt: int,
     """Monte Carlo cross-check of the exact quadrature: (mean, stderr)."""
     if x_opt == 0:
         return 0.0, 0.0
-    dev = KeyLemmaDeviation(val, x_opt, alpha)
-    per_unit = dev.per_unit
+    if alpha <= 0:
+        raise ValueError("alpha must be positive")
+    per_unit = _per_unit_value(val, x_opt)
     if per_unit <= 0.0:
         return 0.0, 0.0
-    ts = dev.sample_ts(samples, seed)
-    bids = ts * per_unit
+    # inverse CDF of the density alpha/(1-t): t = 1 - e^(-u/alpha)
+    u = np.random.default_rng(seed).random(samples)
+    bids = (1.0 - np.exp(-u / alpha)) * per_unit
     thresholds = np.asarray(beta_minus[:x_opt], dtype=float)
     won = _units_won(thresholds, bids)
     gains = np.asarray(val.values, dtype=float)[won]
@@ -315,31 +291,23 @@ def expected_deviation_utility_mc(val: Valuation, x_opt: int,
     return float(util.mean()), float(util.std(ddof=1) / math.sqrt(samples))
 
 
-def _key_lemma_bound(alpha: float, x_opt: int, per_unit: float,
-                     beta_sum: float) -> float:
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    return (alpha * (1.0 - math.exp(-1.0 / alpha)) * x_opt * per_unit
-            - alpha * beta_sum)
-
-
-def key_lemma_rhs(val: Valuation, x_opt: int, beta_minus: Sequence[float],
-                  alpha: float) -> float:
-    """alpha*(1 - e^(-1/alpha))*x_opt*v(tau)/tau - alpha*sum(beta_1..beta_x)."""
-    return _key_lemma_bound(alpha, x_opt, _per_unit_value(val, x_opt),
-                            sum(beta_minus[:x_opt]))
-
-
-def key_lemma_margins(instance: AuctionInstance, opposing, alphas,
-                      valuation_class: str = "submodular"):
-    """[(per_unit, template)] per alpha: the per-bidder margins of
-    verify_key_lemma (with E[sum beta] against a mixed opposing) and of
-    template_margins_key_lemma, from one optimum and one exact expectation
-    per (bidder, alpha, opposing profile)."""
+def _opposing_list(opposing):
+    """opposing as [(BidProfile, prob)]; a single profile has probability 1."""
     if isinstance(opposing, BidProfile):
-        opposing = [(opposing, 1.0)]
-    x_opt = optimal_allocation(instance.valuations, instance.k).allocation
-    margins = [([], []) for _ in alphas]
+        return [(opposing, 1.0)]
+    if not opposing:
+        raise ValueError("no opposing profiles supplied")
+    return opposing
+
+
+def _deviation_cases(instance: AuctionInstance, x_opt: Sequence[int],
+                     opposing, alphas):
+    """Per bidder i: (x_i*, v(tau)/tau, E[sum_{j<=x_i*} beta_j], one exact
+    E[u_i(b'_i, b_-i)] per alpha) of the randomized deviation against the
+    mixed opposing [(BidProfile, prob)].  B is computed once per alpha, so
+    every alpha is checked before any quadrature."""
+    uppers = [_upper_limit(alpha) for alpha in alphas]
+    cases = []
     for i, val in enumerate(instance.valuations):
         x = x_opt[i]
         betas = [(beta_minus_i(profile, i, instance.k), prob)
@@ -348,18 +316,39 @@ def key_lemma_margins(instance: AuctionInstance, opposing, alphas,
         for beta, prob in betas:
             exp_beta += prob * sum(beta[:x])
         unit_value = _per_unit_value(val, x)
-        for alpha, (per_unit, template) in zip(alphas, margins):
-            bound = _key_lemma_bound(alpha, x, unit_value, exp_beta)
-            upper = 1.0 - math.exp(-1.0 / alpha)
+        utils = []
+        for alpha, upper in zip(alphas, uppers):
             lhs = 0.0
             for beta, prob in betas:
                 lhs += prob * _deviation_utility(
                     val, x, beta, alpha, instance.pricing, unit_value, upper)
-            per_unit.append(lhs - bound)
-            template.append(verify_template_inequality(
-                lhs, val.value(x), exp_beta,
-                guarantee_lambda(alpha, valuation_class), alpha))
-    return [(tuple(p), tuple(t)) for p, t in margins]
+            utils.append(lhs)
+        cases.append((x, unit_value, exp_beta, utils))
+    return cases
+
+
+def key_lemma_margins(instance: AuctionInstance, opposing, alphas,
+                      valuation_class: str = "submodular"):
+    """[(per_unit, template)] per alpha: the per-bidder margins of
+    verify_key_lemma (with E[sum beta] against a mixed opposing) and of
+    template_margins_key_lemma, from one optimum and one exact expectation
+    per (bidder, alpha, opposing profile)."""
+    opposing = _opposing_list(opposing)
+    x_opt = optimal_allocation(instance.valuations, instance.k).allocation
+    cases = _deviation_cases(instance, x_opt, opposing, alphas)
+    margins = []
+    for a, alpha in enumerate(alphas):
+        # alpha * B, the per-unit bound's scale; lam may be halved
+        scale = guarantee_lambda(alpha, "submodular")
+        lam = guarantee_lambda(alpha, valuation_class)
+        margins.append((
+            tuple(utils[a] - (scale * x * unit_value - alpha * exp_beta)
+                  for x, unit_value, exp_beta, utils in cases),
+            tuple(verify_template_inequality(utils[a], val.value(x),
+                                             exp_beta, lam, alpha)
+                  for val, (x, _, exp_beta, utils)
+                  in zip(instance.valuations, cases))))
+    return margins
 
 
 def verify_key_lemma(instance: AuctionInstance, profile: BidProfile,
@@ -445,10 +434,9 @@ def verify_smoothness(cases, alpha: float, kind: str,
         if kind == "weakly_smooth" and profile.interface == STANDARD:
             opposing = uniformize_profile(profile, instance.tie_break)
         lhs = 0.0
-        for i, val in enumerate(instance.valuations):
-            beta = beta_minus_i(opposing, i, instance.k)
-            lhs += expected_deviation_utility_exact(
-                val, opt.allocation[i], beta, alpha, instance.pricing)
+        for _, _, _, (util,) in _deviation_cases(
+                instance, opt.allocation, [(opposing, 1.0)], (alpha,)):
+            lhs += util
         if kind == "smooth":
             rhs = lam * opt.value - alpha * sum(out.payments)
         else:
@@ -533,34 +521,11 @@ def feldman_bid(beta_vec: Sequence[float], x: int, variant: str,
     return StandardBid(tuple(values) + (0.0,) * (k - x))
 
 
-def feldman_complement_ok(beta_vec: Sequence[float], x: int,
-                          val: Valuation) -> bool:
-    """The kept block of the uniform-price variant never overbids."""
-    kept = beta_vec[:x]
-    dropped = set(feldman_tbeta(kept, val))
-    remaining = [kept[j] for j in range(x) if (j + 1) not in dropped]
-    return sum(remaining) <= val.value(len(remaining)) + 1e-12
-
-
 def feldman_support(dist, x: int, variant: str, val: Valuation,
                     tick: float = 0.0):
     """Explicit support of the sampled deviation: [(StandardBid, prob)]."""
     return [(feldman_bid(beta, x, variant, val, tick), prob)
             for beta, prob in dist]
-
-
-def feldman_deviation(dist, x: int, variant: str, val: Valuation, rng,
-                      tick: float = 0.0) -> StandardBid:
-    """Draw one deviation bid: sample a top-k vector from dist and transform it."""
-    r = rng.random()
-    acc = 0.0
-    beta = dist[-1][0]
-    for vec, prob in dist:
-        acc += prob
-        if r <= acc:
-            beta = vec
-            break
-    return feldman_bid(beta, x, variant, val, tick)
 
 
 def template_margins_feldman(instance: AuctionInstance, opposing,
@@ -570,8 +535,7 @@ def template_margins_feldman(instance: AuctionInstance, opposing,
     opposing is a list of (BidProfile, prob); the deviation resamples the
     opposing top-k distribution, and expectations enumerate both draws.
     """
-    if isinstance(opposing, BidProfile):
-        opposing = [(opposing, 1.0)]
+    opposing = _opposing_list(opposing)
     x_opt = optimal_allocation(instance.valuations, instance.k).allocation
     margins = []
     profiles = [profile for profile, _ in opposing]
@@ -648,11 +612,9 @@ def theorem6_upa_check(instance: AuctionInstance, profile: BidProfile,
     (lambda, mu) must satisfy lambda <= (1 + mu)/2.
     """
     vals = instance.valuations
-    npoints = int(math.floor(1.0 / tick + 1e-9)) + 1
-    bids = np.arange(npoints) * tick
-    sups = [_sup_utility(instance, profile, i,
-                         bids[bids <= val.value(1) + 1e-12, None])
-            for i, val in enumerate(vals)]
+    grid = BidGrid(tick, 1.0, UNIFORM_IFACE, no_overbidding=True)
+    sups = [_sup_utility(instance, profile, i, space)
+            for i, space in enumerate(_grid_spaces(grid, 1, vals))]
     out = allocate(profile, instance.tie_break)
     total = sum(sups)
     return {

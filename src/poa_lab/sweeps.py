@@ -322,7 +322,7 @@ def lemma1_conversion_sweep(count: int, seed: int) -> int:
             raise AssertionError(
                 f"case {index}: canonical profile has regret {report.max_regret}")
         converted = pne_standard_to_uniform(profile, instance)
-        ugrid = replace(grid, interface="uniform")
+        ugrid = replace(grid, interface=UNIFORM_IFACE)
         report_u = is_pure_nash(converted, instance, ugrid)
         if report_u.max_regret > EQ_TOL:
             raise AssertionError(

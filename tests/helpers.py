@@ -2,6 +2,7 @@
 
 import random
 
+from poa_lab.equilibria import BayesianGame
 from poa_lab.mechanisms import (
     StandardBid,
     standard_profile,
@@ -18,6 +19,15 @@ def random_profile(rng: random.Random, n: int, k: int, scale: float = 1.0):
         vec = sorted((rng.uniform(0, scale) for _ in range(k)), reverse=True)
         bids.append(StandardBid(tuple(vec)))
     return standard_profile(k, *bids)
+
+
+def singleton_game(instance, grid) -> BayesianGame:
+    """Full-information wrapper: every bidder has one type."""
+    return BayesianGame(
+        instance.k,
+        tuple((v,) for v in instance.valuations),
+        tuple((1.0,) for _ in instance.valuations),
+        grid, instance.tie_break, instance.pricing)
 
 
 def random_tie(rng: random.Random, n: int, k: int):

@@ -25,7 +25,6 @@ from poa_lab.equilibria import (
     is_undominated_upa,
     pne_standard_to_uniform,
     pure_strategy,
-    singleton_game,
 )
 from poa_lab.instances import appendix_c_bayesian, theorem4_instance
 from poa_lab.mechanisms import (
@@ -60,7 +59,7 @@ from poa_lab.valuations import (
     valuation,
 )
 
-from helpers import random_profile, random_tie
+from helpers import random_profile, random_tie, singleton_game
 
 
 def grid_snap_profile(prof, grid):
@@ -662,6 +661,30 @@ def test_strategy_validation():
     unbalanced = Strategy(((((StandardBid((0.333,)), 0.5),),),) + strat.rules[1:])
     with pytest.raises(ValueError):
         unbalanced.validate(game)
+
+
+def test_strategy_validation_rejects_bids_the_game_cannot_hold(monkeypatch):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("scanned before the strategy was validated")
+
+    for name in ("deviation_outcomes", "allocate", "optimal_allocation"):
+        monkeypatch.setattr(equilibria, name, no_scan)
+    v = valuation(0, 0.5, 0.75)
+    fits = {"standard": StandardBid((0.25, 0.0)), "uniform": UniformBid(0.25, 1)}
+    for interface, bid in (("uniform", StandardBid((0.25, 0.0))),
+                           ("standard", StandardBid((0.25,))),
+                           ("standard", UniformBid(0.25, 3)),
+                           ("uniform", UniformBid(0.25, 3))):
+        game = BayesianGame(2, ((v,), (v,)), ((1.0,), (1.0,)),
+                            BidGrid(0.25, 1.0, interface),
+                            tie_lexicographic(), "uniform")
+        strat = pure_strategy(((fits[interface],), (bid,)))
+        with pytest.raises(ValueError):
+            strat.validate(game)
+        with pytest.raises(ValueError):
+            is_bayes_nash(game, strat)
+        with pytest.raises(ValueError):
+            bayesian_poa(game, strat)
 
 
 # -- undominated bidding and the interface conversion -------------------------

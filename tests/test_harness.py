@@ -9,7 +9,6 @@ from poa_lab.harness import (
     ConfigError,
     ExperimentConfig,
     ExperimentReport,
-    bound_table_csv,
     run,
 )
 from poa_lab.mechanisms import AuctionInstance, tie_favor_bidder
@@ -64,7 +63,7 @@ def test_bound_table_experiment(tmp_path):
 
 def test_bound_table_csv_helper(tmp_path):
     path = tmp_path / "table.csv"
-    bound_table_csv(str(path))
+    assert cli_main(["bound-table", "--csv", str(path)]) == 0
     lines = path.read_text().splitlines()
     assert len(lines) == 15
 

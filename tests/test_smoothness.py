@@ -7,26 +7,24 @@ import pytest
 from poa_lab import smoothness, sweeps
 from poa_lab.mechanisms import (
     AuctionInstance,
+    UniformBid,
     beta_minus_i,
     check_no_overbidding,
     run_auction,
     standard_bid,
     standard_profile,
+    tie_favor_bidder,
     tie_lexicographic,
     zero_bid,
 )
 from poa_lab.smoothness import (
-    KeyLemmaDeviation,
     bound_table,
     expected_deviation_utility_exact,
     expected_deviation_utility_mc,
     feldman_bid,
-    feldman_complement_ok,
-    feldman_deviation,
     feldman_support,
     guarantee_lambda,
     key_lemma_margins,
-    key_lemma_rhs,
     lambert_w_minus1,
     optimal_alpha,
     smooth_poa_bound,
@@ -45,7 +43,7 @@ from poa_lab.sweeps import (
     random_no_overbidding_profile,
     random_no_overbidding_uniform_profile,
 )
-from poa_lab.valuations import random_valuation, valuation
+from poa_lab.valuations import random_valuation, tau, valuation
 from poa_lab.welfare import optimal_allocation
 
 E = math.e
@@ -125,14 +123,26 @@ def test_poa_bound_arithmetic():
 
 
 # -- the randomized deviation ---------------------------------------------------
+#
+# The deviation bids t * v(tau)/tau on the first x_opt slots, with t drawn
+# from the density alpha/(1 - t) on [0, B], B = 1 - e^(-1/alpha).
+
+
+def _upper(alpha):
+    return 1.0 - math.exp(-1.0 / alpha)
+
+
+def _per_unit(val, x):
+    t = tau(val, x)
+    return val.value(t) / t
 
 
 def test_density_integrates_to_one():
     for alpha in ALPHAS:
-        dev = KeyLemmaDeviation(valuation(0, 1, 2), 2, alpha)
+        upper = _upper(alpha)
         n = 200000
-        total = sum(dev.pdf((i + 0.5) / n * dev.upper) for i in range(n))
-        total *= dev.upper / n
+        total = sum(alpha / (1.0 - (i + 0.5) / n * upper) for i in range(n))
+        total *= upper / n
         assert total == pytest.approx(1.0, abs=1e-4)
 
 
@@ -140,16 +150,15 @@ def test_deviation_never_overbids():
     for seed in range(40):
         val = random_valuation("general", 6, 1.0, seed=seed)
         for x_opt in (1, 3, 6):
-            dev = KeyLemmaDeviation(val, x_opt, 1.0)
             for frac in (0.0, 0.5, 1.0):
-                bid = dev.bid_at(frac * dev.upper)
+                bid = UniformBid(frac * _upper(1.0) * _per_unit(val, x_opt),
+                                 x_opt)
                 assert check_no_overbidding(val, bid.expand(6))
 
 
 def test_expectation_zero_when_priced_out():
     val = valuation(0, 1, 2)
-    dev = KeyLemmaDeviation(val, 2, 1.0)
-    high = dev.upper * dev.per_unit + 0.01
+    high = _upper(1.0) * _per_unit(val, 2) + 0.01
     assert expected_deviation_utility_exact(val, 2, (high, high), 1.0,
                                             "discriminatory") == 0.0
 
@@ -160,9 +169,8 @@ def test_expectation_against_free_slots_closed_form():
         val = random_valuation("submodular", 4, 1.0, seed=seed)
         alpha = ALPHAS[seed % 4]
         x = 3
-        dev = KeyLemmaDeviation(val, x, alpha)
-        expect_t = 1.0 - alpha * dev.upper
-        closed = val.value(x) - x * dev.per_unit * expect_t
+        expect_t = 1.0 - alpha * _upper(alpha)
+        closed = val.value(x) - x * _per_unit(val, x) * expect_t
         got = expected_deviation_utility_exact(val, x, (0.0,) * 4, alpha,
                                                "discriminatory")
         assert got == pytest.approx(closed, abs=1e-12)
@@ -179,17 +187,19 @@ def test_quadrature_matches_real_auction_integral():
             if x_opt[i] == 0:
                 continue
             beta = beta_minus_i(profile, i, instance.k)
-            dev = KeyLemmaDeviation(val, x_opt[i], 1.0)
+            alpha = 1.0
+            upper = _upper(alpha)
+            per_unit = _per_unit(val, x_opt[i])
             n = 6000
             acc = 0.0
             for s in range(n):
-                t = (s + 0.5) / n * dev.upper
-                trial = profile.replace(i, dev.bid_at(t))
+                t = (s + 0.5) / n * upper
+                trial = profile.replace(i, UniformBid(t * per_unit, x_opt[i]))
                 out = run_auction(trial, instance.tie_break, pricing)
                 u = val.value(out.allocation[i]) - out.payments[i]
-                acc += u * dev.pdf(t) * dev.upper / n
-            exact = expected_deviation_utility_exact(val, x_opt[i], beta, 1.0,
-                                                     pricing)
+                acc += u * alpha / (1.0 - t) * upper / n
+            exact = expected_deviation_utility_exact(val, x_opt[i], beta,
+                                                     alpha, pricing)
             assert exact == pytest.approx(acc, abs=5e-3)
 
 
@@ -254,10 +264,17 @@ def test_key_lemma_margins_non_negative():
 
 
 def test_key_lemma_rhs_zero_allocation():
+    # an idle bidder's deviation and bound are both 0, with beta_1 > 0
     val = valuation(0, 1)
-    assert key_lemma_rhs(val, 0, (0.5,), 1.0) == 0.0
     assert expected_deviation_utility_exact(val, 0, (0.5,), 1.0,
                                             "uniform") == 0.0
+    assert expected_deviation_utility_mc(val, 0, (0.5,), 1.0,
+                                         "uniform") == (0.0, 0.0)
+    instance = AuctionInstance((val, valuation(0, 0.1)), 1, "uniform",
+                               tie_lexicographic())
+    profile = standard_profile(1, standard_bid(0.5), standard_bid(0.05))
+    assert beta_minus_i(profile, 1, 1) == (0.5,)
+    assert verify_key_lemma(instance, profile, 1.0)[1] == 0.0
 
 
 def test_template_margins_with_mixed_opposition():
@@ -291,10 +308,8 @@ def _per_alpha_key_lemma(instance, opposing, alpha, valuation_class):
             beta = beta_minus_i(opposing[0][0], i, instance.k)
             rhs = 0.0
             if x_opt[i] >= 1:
-                dev = KeyLemmaDeviation(val, x_opt[i], alpha)
-                rhs = (alpha * dev.upper * x_opt[i] * dev.per_unit
+                rhs = (alpha * _upper(alpha) * x_opt[i] * _per_unit(val, x_opt[i])
                        - alpha * sum(beta[:x_opt[i]]))
-            assert key_lemma_rhs(val, x_opt[i], beta, alpha) == rhs
             per_unit.append(
                 expected_deviation_utility_exact(val, x_opt[i], beta, alpha,
                                                  instance.pricing) - rhs)
@@ -393,11 +408,38 @@ def test_key_lemma_margins_reject_non_positive_alpha():
     rng = case_rng(34, 0)
     instance = random_instance(rng, "submodular", "uniform", 3, 4)
     profile = random_no_overbidding_profile(instance, rng)
+    val = instance.valuations[0]
+    beta = beta_minus_i(profile, 0, instance.k)
     for alpha in (0.0, -1.0):
         with pytest.raises(ValueError):
             verify_key_lemma(instance, profile, alpha)
         with pytest.raises(ValueError):
-            key_lemma_rhs(instance.valuations[0], 0, (0.5,) * 4, alpha)
+            key_lemma_margins(instance, profile, (1.0, alpha))
+        with pytest.raises(ValueError):
+            verify_smoothness([(instance, profile)], alpha, "weakly_smooth",
+                              "submodular")
+        with pytest.raises(ValueError):
+            expected_deviation_utility_exact(val, 1, beta, alpha, "uniform")
+        with pytest.raises(ValueError):
+            expected_deviation_utility_mc(val, 1, beta, alpha, "uniform",
+                                          samples=10)
+    for x_opt in (-1, instance.k + 1):
+        with pytest.raises(ValueError):
+            expected_deviation_utility_exact(val, x_opt, beta, 1.0, "uniform")
+        with pytest.raises(ValueError):
+            expected_deviation_utility_mc(val, x_opt, beta, 1.0, "uniform",
+                                          samples=10)
+
+
+def test_empty_opposition_rejected():
+    rng = case_rng(34, 1)
+    instance = random_instance(rng, "submodular", "discriminatory", 3, 4)
+    with pytest.raises(ValueError):
+        key_lemma_margins(instance, [], ALPHAS)
+    with pytest.raises(ValueError):
+        template_margins_key_lemma(instance, [], 1.0)
+    with pytest.raises(ValueError):
+        template_margins_feldman(instance, [])
 
 
 def test_verify_smoothness_small_sweeps():
@@ -420,6 +462,33 @@ def test_verify_smoothness_small_sweeps():
     cert_up = verify_smoothness(cases_up, a, "weakly_smooth", "submodular")
     assert cert_up.verified
     assert cert_up.implied_poa == pytest.approx(3.1462, abs=1e-3)
+
+
+def test_verify_smoothness_one_optimum_per_case(monkeypatch):
+    calls = {"optimal_allocation": 0, "beta_minus_i": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(smoothness, "optimal_allocation",
+                        counted("optimal_allocation", optimal_allocation))
+    monkeypatch.setattr(smoothness, "beta_minus_i",
+                        counted("beta_minus_i", beta_minus_i))
+    for kind, pricing in (("smooth", "discriminatory"),
+                          ("weakly_smooth", "uniform")):
+        cases = []
+        for idx in range(20):
+            rng = case_rng(35, idx)
+            instance = random_instance(rng, "submodular", pricing, 5, 6)
+            cases.append((instance,
+                          random_no_overbidding_profile(instance, rng)))
+        calls.update(optimal_allocation=0, beta_minus_i=0)
+        assert verify_smoothness(cases, 1.0, kind, "submodular").verified
+        assert calls["optimal_allocation"] == len(cases)
+        assert calls["beta_minus_i"] == sum(inst.n for inst, _ in cases)
 
 
 def test_verify_smoothness_rejects_mismatches():
@@ -467,15 +536,9 @@ def test_feldman_complement_never_overbids():
             if x_opt[i] == 0:
                 continue
             beta = beta_minus_i(profile, i, instance.k)
-            assert feldman_complement_ok(beta, x_opt[i], val)
-
-
-def test_feldman_sampler_is_deterministic():
-    dist = [((0.0, 0.1, 0.4), 0.25), ((0.0, 0.2, 0.3), 0.75)]
-    val = valuation(0, 0.4, 0.5, 0.6)
-    a = feldman_deviation(dist, 2, "uniform", val, random.Random(5), tick=1e-9)
-    b = feldman_deviation(dist, 2, "uniform", val, random.Random(5), tick=1e-9)
-    assert a == b
+            # every prefix of the kept block, not only the whole block
+            assert check_no_overbidding(
+                val, feldman_bid(beta, x_opt[i], "uniform", val))
 
 
 def test_feldman_template_margins():
@@ -551,6 +614,17 @@ def test_theorem6_upa_scan():
     assert result["sup_utilities"] == (0.5, 0.0)
     assert result["beta_1"] == 0.5
     assert result["opt"] == 1.0
+
+
+def test_theorem6_upa_cut_keeps_a_bid_of_exactly_v1():
+    # against (0.4375, 1) the only profitable bid on the 0.125 grid is 0.5:
+    # it wins the unit at price 0.4375, and is exactly v(1)
+    for v1, sup in ((0.5, 0.0625), (0.5 - 1e-10, 0.0)):
+        instance = AuctionInstance((valuation(0, v1), valuation(0, 0.4375)),
+                                   1, "uniform", tie_favor_bidder(1))
+        profile = standard_profile(1, standard_bid(0.0), standard_bid(0.4375))
+        result = theorem6_upa_check(instance, profile, 0.125)
+        assert result["sup_utilities"][0] == sup
 
 
 def test_theorem6_da_frontier_holds():
