@@ -1,0 +1,208 @@
+"""Compare two checkouts on perfbench workloads and write a BENCH_*.json.
+
+    python3 scripts/bench_compare.py --before HEAD~1 --after HEAD \\
+        --workload grid-pne=1007 --out BENCH_grid-pne.json
+
+Run from the repository root.  --before and --after name git revisions,
+each exported with ``git archive`` into a temporary directory.  For each
+of PAIRS pairs the two checkouts' ``perfbench/run.py`` runs once each, for
+its own default run length, the first of the two alternating between
+pairs, and the last lines of its output are collected.  The JSON records
+both git shas and the git tree of each ``src/`` (which a later amend of
+the commit keeps), the core count, the Python and numpy versions, every
+run's end-to-end metrics, their medians and quartiles per workload, and
+per-layer costs timed in a fresh process of each checkout.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+PAIRS = 10
+
+# Per-call costs of the exhaustive search's layers, in microseconds: the
+# best of 5 passes over `calls` calls, in a fresh process of one checkout.
+LAYERS = r'''
+import inspect, json, math, random, time
+import numpy as np
+from poa_lab import equilibria, mechanisms, sweeps
+from poa_lab.mechanisms import (AuctionInstance, BidProfile, StandardBid,
+                                tie_lexicographic)
+from poa_lab.valuations import random_valuation
+
+def cost(fn, calls):
+    best = math.inf
+    for _ in range(5):
+        t0 = time.perf_counter()
+        for _ in range(calls):
+            fn()
+        best = min(best, (time.perf_counter() - t0) / calls)
+    return best * 1e6
+
+# the outcome engine returns utilities where it takes the value vector
+with_values = ("values"
+               in inspect.signature(mechanisms.block_outcomes).parameters)
+tie = tie_lexicographic()
+out = {}
+for k in (2, 3):
+    vals = tuple(random_valuation("general", k, 0.75 / k, seed=s)
+                 for s in (1, 2))
+    inst = AuctionInstance(vals, k, "discriminatory", tie)
+    grid = equilibria.BidGrid(0.125, 1.0)
+    out[f"find_pure_nash_k{k}_us"] = cost(
+        lambda: equilibria.find_pure_nash(inst, grid), 20)
+# a search that builds its tables, where the checkout caches them
+clear = getattr(getattr(equilibria, "_search_tables", None), "cache_clear",
+                lambda: None)
+out["find_pure_nash_k3_cold_us"] = cost(
+    lambda: (clear(), equilibria.find_pure_nash(inst, grid)), 20)
+spaces = equilibria._grid_spaces(grid, 3, [None, None])
+out["search_candidates_k3_us"] = cost(
+    lambda: mechanisms.SearchCandidates(spaces, tie), 50)
+cands = mechanisms.SearchCandidates(spaces, tie)
+picks = (np.arange(len(spaces[1])),)
+values = np.array(vals[0].values)
+args = (cands, 0, values, "discriminatory", picks) if with_values else (
+    cands, 0, "discriminatory", picks)
+out["block_k3_us"] = cost(lambda: mechanisms.block_outcomes(*args), 50)
+rng = random.Random(5)
+profile = BidProfile(tuple(StandardBid(tuple(sorted(
+    (rng.random() for _ in range(6)), reverse=True))) for _ in range(5)),
+    "standard", 6)
+vectors = np.array([sorted((rng.random() for _ in range(6)), reverse=True)
+                    for _ in range(12)])
+v6 = np.array(random_valuation("submodular", 6, 1.0, seed=3).values)
+args = ([profile], 0, vectors) + ((v6,) if with_values else ()) + (
+    tie, "uniform")
+out["deviation_outcomes_n5_k6_c12_us"] = cost(
+    lambda: mechanisms.deviation_outcomes(*args), 200)
+print(json.dumps(out))
+'''
+
+
+def git(*args) -> str:
+    return subprocess.run(["git", "-C", str(ROOT), *args], capture_output=True,
+                          text=True, check=True).stdout.strip()
+
+
+def checkout(rev: str, scratch: str) -> tuple[Path, dict]:
+    """The revision exported into a directory, and its git ids."""
+    sha = git("rev-parse", rev)
+    dest = Path(tempfile.mkdtemp(prefix=f"bench-{sha[:8]}-", dir=scratch))
+    archive = dest / "tree.tar"
+    with open(archive, "wb") as fh:
+        subprocess.run(["git", "-C", str(ROOT), "archive", sha], stdout=fh,
+                       check=True)
+    with tarfile.open(archive) as tar:
+        tar.extractall(dest, filter="data")
+    archive.unlink()
+    return dest, {"rev": rev, "git_sha": sha,
+                  "src_tree": git("rev-parse", f"{sha}:src")}
+
+
+def run_workload(tree: Path, workload: str, seed: int):
+    """perfbench/run.py's last two lines: its detail and its result."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--trace", "0"],
+        cwd=tree, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode or len(lines) < 2:
+        raise RuntimeError(f"{tree}: {workload} failed\n{proc.stderr}")
+    return json.loads(lines[-2])["detail"], json.loads(lines[-1])
+
+
+def layers(tree: Path) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    proc = subprocess.run([sys.executable, "-c", LAYERS], env=env,
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+def quartiles(xs):
+    return [float(q) for q in np.percentile(xs, [25, 50, 75])]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--before", required=True, help="git revision")
+    parser.add_argument("--after", required=True, help="git revision")
+    parser.add_argument("--workload", action="append", required=True,
+                        help="NAME=SEED; repeat for several workloads")
+    parser.add_argument("--scratch", default=tempfile.gettempdir(),
+                        help="where revisions are exported, then removed")
+    parser.add_argument("--out", required=True)
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory(dir=args.scratch) as scratch:
+        report = compare(args, scratch)
+    with open(args.out, "w") as fh:
+        json.dump(report, fh, indent=2)
+        fh.write("\n")
+    return 0
+
+
+def compare(args, scratch: str) -> dict:
+    trees = {side: checkout(rev, scratch)
+             for side, rev in (("before", args.before),
+                               ("after", args.after))}
+    report = {
+        "sides": {side: meta for side, (_, meta) in trees.items()},
+        "machine": {"cores": os.cpu_count(),
+                    "python": platform.python_version(),
+                    "numpy": np.__version__,
+                    "platform": platform.platform()},
+        "method": (f"{PAIRS} pairs of perfbench/run.py --trace 0 at its "
+                   "default run length per workload, the side run first "
+                   "alternating between pairs; medians over pairs"),
+        "workloads": {},
+    }
+    for spec in args.workload:
+        workload, seed = spec.split("=")
+        runs = {"before": [], "after": []}
+        for pair in range(PAIRS):
+            order = ("before", "after") if pair % 2 == 0 else ("after",
+                                                               "before")
+            for side in order:
+                detail, result = run_workload(trees[side][0], workload,
+                                              int(seed))
+                runs[side].append({
+                    "metrics": {name: m["value"]
+                                for name, m in result["metrics"].items()},
+                    "failed": result["failed"],
+                    "equilibria_digest": detail.get("equilibria_digest")})
+                print(workload, pair, side, runs[side][-1]["metrics"],
+                      file=sys.stderr)
+        entry = {"seed": int(seed), "runs": runs, "medians": {},
+                 "quartiles": {}}
+        for side, side_runs in runs.items():
+            names = side_runs[0]["metrics"]
+            entry["medians"][side] = {
+                name: statistics.median(r["metrics"][name] for r in side_runs)
+                for name in names}
+            entry["quartiles"][side] = {
+                name: quartiles([r["metrics"][name] for r in side_runs])
+                for name in names}
+        entry["after_over_before"] = {
+            name: entry["medians"]["after"][name]
+            / entry["medians"]["before"][name]
+            for name in entry["medians"]["before"]}
+        report["workloads"][workload] = entry
+    report["per_layer_us"] = {side: layers(tree)
+                              for side, (tree, _) in trees.items()}
+    return report
+
+
+if __name__ == "__main__":
+    sys.exit(main())

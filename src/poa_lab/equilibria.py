@@ -13,17 +13,16 @@ none); (c,) * j wins all j units iff its lowest-ranked entry ranks ahead
 of opp[k - j], and then pays sum((c,) * j) as bid or j * beta_j at the
 uniform price.  is_pure_nash and best-response dynamics rank each profile
 once for the outcome and every response.  This closed form is exact for
-bidder-level tie-break rules only; best_response_enumerated, a scan of
-every uniform (and optionally standard) grid bid, is a certifying
-fallback.  Grid scans enumerate the grid once, as an array of marginal-bid
-vectors in grid_bids_for order: that fallback, the Bayes-Nash regrets and
-the exhaustive pure-Nash search (exact under every tie rule) score whole
-arrays through block_outcomes and build bid objects only for the bids and
-profiles they report.
+bidder-level tie-break rules only.  Grid scans enumerate the grid once, as
+an array of marginal-bid vectors in grid_bids_for order: the Bayes-Nash
+regrets and the exhaustive pure-Nash search (exact under every tie rule)
+take the utilities of whole arrays from block_outcomes and build bid
+objects only for the bids and profiles they report.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -204,26 +203,6 @@ def _deviation_bid(vectors: np.ndarray, n_uniform: int, c: int):
                       vectors[c:c + 1])[0]
 
 
-def best_response_enumerated(instance: AuctionInstance, profile: BidProfile,
-                             i: int, grid: BidGrid,
-                             include_standard: bool = False) -> BestResponse:
-    """Certifying fallback: scan every uniform (optionally standard) grid
-    bid, keeping the first best one that beats bidding nothing."""
-    val = instance.valuations[i]
-    vectors, n_uniform = _deviation_vectors(grid, instance.k, val,
-                                            include_standard,
-                                            profile.interface)
-    units, payments = deviation_outcomes([profile], i, vectors,
-                                         instance.tie_break, instance.pricing)
-    utils = np.array(val.values)[units[0]] - payments[0]
-    # np.argmax returns the first maximum
-    c = int(np.argmax(utils))
-    if not utils[c] > 0.0:
-        return BestResponse(UniformBid(0.0, 0), 0.0, 0)
-    return BestResponse(_deviation_bid(vectors, n_uniform, c),
-                        float(utils[c]), int(units[0, c]))
-
-
 # ---------------------------------------------------------------------------
 # Pure Nash verification and search
 
@@ -309,6 +288,31 @@ def _check_cap(total: int, cap: int) -> None:
         raise SearchCapExceeded(f"{total} profiles exceed the cap of {cap}")
 
 
+@functools.lru_cache(maxsize=8)
+def _search_tables(grid: BidGrid, k: int, tie: TieBreakRule, cuts: tuple,
+                   cap: int):
+    """_grid_spaces(grid, k, cuts) and its SearchCandidates, read-only;
+    cuts[j] is bidder j's valuation under no-overbidding, else None.  The
+    cap is checked before either is built, and is in the key because a
+    raise is not cached.  The cache holds the 8 latest tables, whatever
+    their size, for the life of the process; find_pure_nash calls the
+    uncached __wrapped__ under no-overbidding, whose cuts a sweep never
+    repeats."""
+    if not grid.no_overbidding:
+        # every bidder has the whole grid space: count it before building it
+        per_bidder = (math.comb(grid.npoints + k - 1, k)
+                      if grid.interface == STANDARD
+                      else 1 + (grid.npoints - 1) * k)
+        _check_cap(per_bidder ** len(cuts), cap)
+    spaces = tuple(_grid_spaces(grid, k, cuts))
+    if grid.no_overbidding:
+        _check_cap(math.prod(len(s) for s in spaces), cap)
+    cands = SearchCandidates(spaces, tie)
+    for array in (*spaces, *cands.keys, *cands.paid, cands.value_of_key):
+        array.setflags(write=False)
+    return spaces, cands
+
+
 @dataclass(frozen=True)
 class PNESearchResult:
     """Equilibria found by find_pure_nash.
@@ -334,17 +338,18 @@ def find_pure_nash(instance: AuctionInstance, grid: BidGrid,
     """Search the grid profile space for pure Nash equilibria.
 
     "exhaustive" covers every profile (raises SearchCapExceeded beyond the
-    cap).  Each bidder's strategy space is one (strategies x k) array of
-    marginal-bid vectors, cut from one enumeration of the grid, and
-    SearchCandidates keys every entry of them by one integer.  The search
-    keeps a boolean mask with one cell, one byte, per grid profile, at
-    most cap bytes.  For each bidder, block_outcomes scores its whole
-    strategy array against every choice of the others' (in blocks of at
-    most _BLOCK_CELLS cells) by comparing those keys; each row's maximum
-    is its exact grid best response under every tie-break rule, and the
-    row's cells where it gains more than EQ_TOL are cleared.  The cells
-    left, in itertools.product order, become BidProfiles of grid bids and
-    get a full auction and a check of every bidder against those maxima.
+    cap) on a boolean mask with one byte per grid profile, at most cap
+    bytes.  Without no-overbidding, the strategy arrays and their
+    SearchCandidates keys are built once per grid, k, n, tie rule and cap,
+    and cached; with it, each bidder's space is cut at its valuation and
+    built afresh.  For
+    each bidder, block_outcomes gives the utility of its whole strategy
+    array against every choice of the others' (in blocks of at most
+    _BLOCK_CELLS cells); each row's maximum is its exact grid best
+    response under every tie-break rule, and the row's cells where it
+    gains more than EQ_TOL are cleared, in place.  The cells left, in
+    itertools.product order, become BidProfiles and get a full auction
+    and a check of every bidder against those maxima.
     "best_response_dynamics" runs seeded best-response paths and reports
     reached fixed points, which may miss equilibria.  It judges deviations
     by the closed-form best response, which is exact only under
@@ -353,25 +358,18 @@ def find_pure_nash(instance: AuctionInstance, grid: BidGrid,
     """
     k = instance.k
     if mode == "exhaustive":
-        if not grid.no_overbidding:
-            # every bidder has the whole grid space: count it before
-            # building it
-            per_bidder = (math.comb(grid.npoints + k - 1, k)
-                          if grid.interface == STANDARD
-                          else 1 + (grid.npoints - 1) * k)
-            _check_cap(per_bidder ** instance.n, cap)
-        spaces = _grid_spaces(grid, k, instance.valuations)
+        cuts = tuple(val if grid.no_overbidding else None
+                     for val in instance.valuations)
+        build = (_search_tables.__wrapped__ if grid.no_overbidding
+                 else _search_tables)
+        spaces, cands = build(grid, k, instance.tie_break, cuts, cap)
         shape = tuple(len(s) for s in spaces)
-        if grid.no_overbidding:
-            _check_cap(math.prod(shape), cap)
-        cands = SearchCandidates(spaces, instance.tie_break)
         # one byte per grid profile: True where no bidder can gain by
         # deviating on the grid
         mask = np.ones(shape, dtype=bool)
         # best[i][others' indices]: bidder i's best utility on the grid
         best = []
         for i in range(instance.n):
-            values = np.array(instance.valuations[i].values, dtype=float)
             # rows: the others' bids in itertools.product order; columns:
             # bidder i's own
             others_shape = shape[:i] + shape[i + 1:]
@@ -383,17 +381,17 @@ def find_pure_nash(instance: AuctionInstance, grid: BidGrid,
                 stop = min(start + step, nrows)
                 picks = (np.unravel_index(np.arange(start, stop), others_shape)
                          if others_shape else ())
-                units, payments = block_outcomes(cands, i, instance.pricing,
-                                                 picks)
-                utils = values[units] - payments
+                utils = block_outcomes(cands, i, instance.valuations[i].values,
+                                       instance.pricing, picks)[1]
                 rowmax[start:stop] = utils.max(axis=1)
-                keep[start:stop] = rowmax[start:stop, None] - utils <= EQ_TOL
+                np.subtract(rowmax[start:stop, None], utils, out=utils)
+                np.less_equal(utils, EQ_TOL, out=keep[start:stop])
             mask &= np.moveaxis(keep.reshape(others_shape + shape[i:i + 1]),
                                 -1, i)
             best.append(rowmax.reshape(others_shape))
         found = []
-        # np.nonzero lists cells in C order, which is itertools.product order
-        picked = np.nonzero(mask)
+        # flat indices in C order, which is itertools.product order
+        picked = np.unravel_index(np.flatnonzero(mask), shape)
         bids = [_grid_bids(grid.interface, space[rows])
                 for space, rows in zip(spaces, picked)]
         cells = list(zip(*picked))
@@ -607,14 +605,13 @@ def is_bayes_nash(game: BayesianGame, strat: Strategy,
                                 for bid, _ in mixed])
             vectors, n_uniform = _deviation_vectors(
                 game.grid, game.k, val, include_standard, game.grid.interface)
-            units, payments = deviation_outcomes(
-                profiles, i, np.concatenate([support, vectors]),
+            _, utils = deviation_outcomes(
+                profiles, i, np.concatenate([support, vectors]), val.values,
                 game.tie_break, game.pricing)
-            values = np.array(val.values)
             # the expectations add scenario by scenario, as scalar sums would
-            expected = np.zeros(units.shape[1])
-            for (_, p), u, pay in zip(scenarios, units, payments):
-                expected += p * (values[u] - pay)
+            expected = np.zeros(utils.shape[1])
+            for (_, p), row in zip(scenarios, utils):
+                expected += p * row
             cur = 0.0
             for (_, pm), u in zip(mixed, expected.tolist()):
                 cur += pm * u

@@ -315,13 +315,6 @@ def run_auction(profile: BidProfile, tie: TieBreakRule, pricing: str) -> Outcome
     return _ranked_outcome(profile, tie, pricing)[1]
 
 
-def utilities(vals: Sequence[Valuation], profile: BidProfile,
-              tie: TieBreakRule, pricing: str) -> tuple[float, ...]:
-    out = run_auction(profile, tie, pricing)
-    return tuple(v.value(x) - pay
-                 for v, x, pay in zip(vals, out.allocation, out.payments))
-
-
 def social_welfare(vals: Sequence[Valuation], allocation: Sequence[int]) -> float:
     if len(vals) != len(allocation):
         raise ValueError("valuations and allocation lengths differ")
@@ -407,12 +400,14 @@ class SearchCandidates:
             self.paid.append(paid)
 
 
-def block_outcomes(cands: SearchCandidates, i: int, pricing: str,
-                   picks: Sequence[np.ndarray]):
-    """(units, payments) arrays of bidder i: entry [r, c] scores its c-th
-    candidate against the others' candidates picks[0][r], picks[1][r], ...
-    (one index array per other bidder, in bidder order; with none, one row
-    faces no entry), equal bit for bit to run_auction on those bids.
+def block_outcomes(cands: SearchCandidates, i: int, values: np.ndarray,
+                   pricing: str, picks: Sequence[np.ndarray]):
+    """(units, utilities) arrays of bidder i, whose value for u units is
+    values[u]: entry [r, c] scores its c-th candidate against the others'
+    candidates picks[0][r], picks[1][r], ... (one index array per other
+    bidder, in bidder order; with none, one row faces no entry), equal bit
+    for bit to values[x] - payment with x and payment from run_auction on
+    those bids.  Units come in the narrowest unsigned dtype that holds k.
 
     The facing entries of a row are the other bidder's keys, or for n > 2
     the lowest k + 1 of all the others' keys, by np.sort.  Own entry j wins
@@ -433,33 +428,37 @@ def block_outcomes(cands: SearchCandidates, i: int, pricing: str,
     else:
         facing = np.full((1, k + 1), cands.pad_key)
     nrows = len(facing)
-    units = np.zeros((nrows, len(own)), dtype=int)
+    units = np.zeros((nrows, len(own)), dtype=np.min_scalar_type(k))
     for j in range(k):
         units += own[:, j] < facing[:, k - 1 - j, None]
-    cols = np.arange(len(own))
+    values = np.asarray(values, dtype=float)
     if pricing == DISCRIMINATORY:
-        return units, cands.paid[i][cols, units]
+        # one flat take from the per-candidate table v(u) - paid[c, u]
+        table = values - cands.paid[i]
+        return units, np.take(table, np.arange(0, table.size, k + 1) + units)
     # the highest losing entry: the next own one or the next opposing one;
     # column k is read only when no unit is won
-    losing = np.minimum(own[cols, units],
+    losing = np.minimum(own[np.arange(len(own)), units],
                         facing[np.arange(nrows)[:, None], k - units])
-    return units, units * cands.value_of_key[losing]
+    return units, values[units] - units * cands.value_of_key[losing]
 
 
 def deviation_outcomes(profiles: Sequence[BidProfile], i: int,
-                       vectors: np.ndarray, tie: TieBreakRule, pricing: str):
-    """(units, payments) arrays of bidder i: entry [r, c] is its outcome
-    bidding the marginal-bid vector vectors[c] against the other bids of
-    profiles[r], equal bit for bit to run_auction on profiles[r] with
-    bidder i's bid replaced.  Each profile is one block_outcomes row."""
+                       vectors: np.ndarray, values: np.ndarray,
+                       tie: TieBreakRule, pricing: str):
+    """(units, utilities) arrays of bidder i, whose value for u units is
+    values[u]: entry [r, c] is its outcome bidding the marginal-bid vector
+    vectors[c] against the other bids of profiles[r], equal bit for bit to
+    run_auction on profiles[r] with bidder i's bid replaced.  Each profile
+    is one block_outcomes row."""
     n = profiles[0].n
     spaces = [vectors if j == i else np.array([p.vector(j) for p in profiles])
               for j in range(n)]
-    units, payments = block_outcomes(SearchCandidates(spaces, tie), i, pricing,
-                                     [np.arange(len(profiles))] * (n - 1))
+    outcomes = block_outcomes(SearchCandidates(spaces, tie), i, values,
+                              pricing, [np.arange(len(profiles))] * (n - 1))
     # with no other bidder the one row stands for every profile
     shape = (len(profiles), len(vectors))
-    return np.broadcast_to(units, shape), np.broadcast_to(payments, shape)
+    return tuple(np.broadcast_to(a, shape) for a in outcomes)
 
 
 def uniformize_profile(profile: BidProfile, tie: TieBreakRule) -> BidProfile:

@@ -546,10 +546,9 @@ def template_margins_feldman(instance: AuctionInstance, opposing,
         lhs = 0.0
         if x >= 1:
             support = feldman_support(betas, x, instance.pricing, val, tick)
-            units, payments = deviation_outcomes(
+            utils = deviation_outcomes(
                 profiles, i, np.array([bid.values for bid, _ in support]),
-                instance.tie_break, instance.pricing)
-            utils = (np.array(val.values)[units] - payments).tolist()
+                val.values, instance.tie_break, instance.pricing)[1].tolist()
             for c, (_, p_bid) in enumerate(support):
                 for (_, p_opp), row in zip(opposing, utils):
                     lhs += p_bid * p_opp * row[c]
@@ -566,9 +565,9 @@ def _sup_utility(instance: AuctionInstance, profile: BidProfile, i: int,
                  vectors: np.ndarray) -> float:
     """Bidder i's best utility bidding a row of vectors against the
     profile's other bids, or 0."""
-    units, payments = deviation_outcomes([profile], i, vectors,
-                                         instance.tie_break, instance.pricing)
-    utils = np.array(instance.valuations[i].values)[units[0]] - payments[0]
+    _, utils = deviation_outcomes([profile], i, vectors,
+                                  instance.valuations[i].values,
+                                  instance.tie_break, instance.pricing)
     return max(0.0, float(utils.max()))
 
 

@@ -2,9 +2,19 @@
 
 import random
 
-from poa_lab.equilibria import BayesianGame
+import numpy as np
+
+from poa_lab.equilibria import (
+    BayesianGame,
+    BestResponse,
+    _deviation_bid,
+    _deviation_vectors,
+)
 from poa_lab.mechanisms import (
     StandardBid,
+    UniformBid,
+    deviation_outcomes,
+    run_auction,
     standard_profile,
     tie_explicit,
     tie_favor_bidder,
@@ -44,3 +54,28 @@ def random_tie(rng: random.Random, n: int, k: int):
     pairs = [(i, s) for i in range(n) for s in range(k)]
     rng.shuffle(pairs)
     return tie_explicit(pairs[:rng.randint(1, len(pairs))])
+
+
+def utilities(vals, profile, tie, pricing):
+    """Every bidder's utility, v(units) - payment, in one full auction."""
+    out = run_auction(profile, tie, pricing)
+    return tuple(v.value(x) - pay
+                 for v, x, pay in zip(vals, out.allocation, out.payments))
+
+
+def best_response_enumerated(instance, profile, i, grid,
+                             include_standard=False) -> BestResponse:
+    """Reference best response: scan every uniform (optionally standard)
+    grid bid, keeping the first best one that beats bidding nothing."""
+    val = instance.valuations[i]
+    vectors, n_uniform = _deviation_vectors(grid, instance.k, val,
+                                            include_standard,
+                                            profile.interface)
+    units, utils = deviation_outcomes([profile], i, vectors, val.values,
+                                      instance.tie_break, instance.pricing)
+    # np.argmax returns the first maximum
+    c = int(np.argmax(utils[0]))
+    if not utils[0, c] > 0.0:
+        return BestResponse(UniformBid(0.0, 0), 0.0, 0)
+    return BestResponse(_deviation_bid(vectors, n_uniform, c),
+                        float(utils[0, c]), int(units[0, c]))

@@ -3,6 +3,7 @@ import math
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from poa_lab import equilibria
@@ -16,7 +17,6 @@ from poa_lab.equilibria import (
     Strategy,
     bayesian_poa,
     best_response,
-    best_response_enumerated,
     find_pure_nash,
     grid_bids_for,
     is_bayes_nash,
@@ -30,6 +30,7 @@ from poa_lab.instances import appendix_c_bayesian, theorem4_instance
 from poa_lab.mechanisms import (
     AuctionInstance,
     BidProfile,
+    SearchCandidates,
     StandardBid,
     UniformBid,
     allocate,
@@ -59,7 +60,12 @@ from poa_lab.valuations import (
     valuation,
 )
 
-from helpers import random_profile, random_tie, singleton_game
+from helpers import (
+    best_response_enumerated,
+    random_profile,
+    random_tie,
+    singleton_game,
+)
 
 
 def grid_snap_profile(prof, grid):
@@ -298,6 +304,21 @@ def test_single_bidder_must_still_pay_a_tick():
     assert best == 0.8
 
 
+def test_closed_form_no_overbidding_boundary():
+    """The closed form's running prefix-sum check admits the constant bid
+    whose first prefix is exactly v(1) + 1e-12 and refuses it one float
+    higher, where no other candidate pays."""
+    inst = AuctionInstance((valuation(0, 0.3, 1), valuation(0, 1, 1)), 2,
+                           "discriminatory", tie_lexicographic())
+    grid = BidGrid(0.125, 1.0, no_overbidding=True)
+    edge = 0.3 + 1e-12
+    for beta, bid in ((edge, UniformBid(edge, 2)),
+                      (math.nextafter(edge, 1), UniformBid(0.0, 0))):
+        prof = standard_profile(2, zero_bid(2), StandardBid((beta, beta)))
+        assert best_response(inst, prof, 0, grid).bid == bid
+        assert is_pure_nash(prof, inst, grid).entries[0].best_bid == bid
+
+
 def test_find_pure_nash_cap():
     inst = AuctionInstance((valuation(0, 1, 1), valuation(0, 1, 1)), 2,
                            "discriminatory", tie_lexicographic())
@@ -311,6 +332,88 @@ def test_find_pure_nash_cap():
         find_pure_nash(inst, grid, cap=total)
         with pytest.raises(SearchCapExceeded):
             find_pure_nash(inst, grid, cap=total - 1)
+
+
+def _oracle_keys(spaces, tie):
+    """SearchCandidates' tables built entry by entry: keys number the
+    distinct (-value, tie rank) pairs, every zero ranked after all pairs."""
+    n, k = len(spaces), spaces[0].shape[1]
+    by_priority = sorted(itertools.product(range(n), range(k)),
+                         key=lambda pair: tie.priority(*pair))
+    rank = {pair: r for r, pair in enumerate(by_priority)}
+
+    def pair(j, s, x):
+        return (-x, rank[j, s]) if x > 0.0 else (0.0, n * k)
+
+    pairs = sorted({pair(j, s, x) for j, space in enumerate(spaces)
+                    for row in space.tolist() for s, x in enumerate(row)}
+                   | {(0.0, n * k)})
+    key = {p: c for c, p in enumerate(pairs)}
+    keys = [np.array([sorted(key[pair(j, s, x)] for s, x in enumerate(row))
+                      + [key[0.0, n * k]] for row in space.tolist()])
+            for j, space in enumerate(spaces)]
+    paid = [np.array([[sum(row[:a]) for a in range(k + 1)]
+                      for row in space.tolist()]) for space in spaces]
+    return keys, key[0.0, n * k], np.array([-v for v, _ in pairs]), paid
+
+
+def test_cached_search_tables_match_a_fresh_build():
+    vals = (valuation(0, 0.5, 0.75), valuation(0, 1, 1), valuation(0, 0.25, 1))
+    grid = BidGrid(0.25, 0.75, no_overbidding=True)
+    cuts = (vals[0], None, vals[2])
+    for tie in (tie_lexicographic(), tie_favor_bidder(1), tie_favor_last(),
+                tie_explicit([(2, 1), (0, 1), (1, 0)]), tie_lexicographic()):
+        spaces, cached = equilibria._search_tables(grid, 2, tie, cuts, 10 ** 8)
+        fresh = SearchCandidates(equilibria._grid_spaces(grid, 2, cuts), tie)
+        keys, pad_key, value_of_key, paid = _oracle_keys(spaces, tie)
+        assert [len(s) for s in spaces] == [5, 10, 3]
+        for tables in (cached, fresh):
+            assert tables.pad_key == pad_key
+            assert np.array_equal(tables.value_of_key, value_of_key)
+            for j in range(3):
+                assert np.array_equal(tables.keys[j], keys[j]), (tie, j)
+                assert np.array_equal(tables.paid[j], paid[j]), (tie, j)
+    # a cache hit hands out the same tables, read-only
+    again = equilibria._search_tables(grid, 2, tie, cuts, 10 ** 8)
+    assert again[1] is cached
+    assert not cached.keys[0].flags.writeable
+    # another cut is another entry
+    uncut = equilibria._search_tables(grid, 2, tie, (None,) * 3, 10 ** 8)[0]
+    assert [len(s) for s in uncut] == [10, 10, 10]
+
+
+def test_cached_search_matches_uncached_search():
+    """find_pure_nash under three tie rules, with and without
+    no-overbidding, on two games whose bidders swap valuations: the
+    equilibria, in alternating order and with the search tables reused,
+    are those of searches that build every table afresh."""
+    vals = (valuation(0, 0.25, 1), valuation(0, 0.5, 0.625))
+    ties = (tie_lexicographic(), tie_favor_last(),
+            tie_explicit([(1, 1), (0, 0)]))
+    cases = [(AuctionInstance(v, 2, "discriminatory", tie),
+              BidGrid(0.25, 1.0, no_overbidding=nob))
+             for nob in (False, True) for v in (vals, vals[::-1])
+             for tie in ties]
+    expected = []
+    for inst, grid in cases:
+        equilibria._search_tables.cache_clear()
+        expected.append(find_pure_nash(inst, grid).equilibria)
+    # each tie rule and each cut changes the equilibria
+    assert len(set(expected)) == len(cases)
+    equilibria._search_tables.cache_clear()
+    # cases alternate tie rule fastest, then game, then no-overbidding;
+    # each pass starts one case later
+    order = list(range(len(cases)))
+    for start in range(3):
+        for c in order[start:] + order[:start]:
+            assert find_pure_nash(*cases[c]).equilibria == expected[c], c
+    assert equilibria._search_tables.cache_info().hits > 0
+    # tables cut at a valuation are built afresh and not kept
+    equilibria._search_tables.cache_clear()
+    for inst, grid in cases[len(cases) // 2:]:
+        assert grid.no_overbidding
+        find_pure_nash(inst, grid)
+    assert equilibria._search_tables.cache_info().currsize == 0
 
 
 def _grid_oracle_pure_nash(instance, grid):

@@ -26,12 +26,11 @@ from poa_lab.mechanisms import (
     tie_lexicographic,
     uniform_profile,
     uniformize_profile,
-    utilities,
     zero_bid,
 )
 from poa_lab.valuations import Valuation, flat_valuation, random_valuation, valuation
 
-from helpers import random_profile, random_tie
+from helpers import random_profile, random_tie, utilities
 
 
 # -- bids ------------------------------------------------------------------
@@ -210,6 +209,18 @@ def test_check_no_overbidding():
     w = random_valuation("submodular", 4, 1.0, seed=3)
     from poa_lab.valuations import marginals
     assert check_no_overbidding(w, StandardBid(marginals(w)))
+    # a prefix sum of exactly v(s) + 1e-12 passes and one float above it
+    # fails, at the first prefix and at a later one
+    v = valuation(0, 0.3, 0.5)
+    edge = 0.3 + 1e-12
+    assert check_no_overbidding(v, StandardBid((edge, 0.0)))
+    assert not check_no_overbidding(
+        v, StandardBid((math.nextafter(edge, 1), 0.0)))
+    top = 0.5 + 1e-12
+    for total, passes in ((top, True), (math.nextafter(top, 1), False)):
+        second = total - 0.3
+        assert 0.3 + second == total
+        assert check_no_overbidding(v, StandardBid((0.3, second))) is passes
 
 
 def test_no_overbidding_implies_budget_balance():
@@ -279,8 +290,49 @@ def _vector(bid, k):
     return (bid.expand(k) if isinstance(bid, UniformBid) else bid).values
 
 
+def _valuations_to_check(rng, k):
+    """A random value curve, and the zero curve, under which a utility is
+    exactly minus the payment."""
+    marginals = [rng.random() for _ in range(k)]
+    return [np.array(list(itertools.accumulate([0.0] + marginals))),
+            np.zeros(k + 1)]
+
+
+def _assert_outcome(units, utils, values, out, i):
+    """units and utils are bidder i's outcome in the full auction out."""
+    x = out.allocation[i]
+    assert (int(units), float(utils)) == (x, values[x] - out.payments[i])
+    if not values.any():
+        assert float(utils) == -out.payments[i]
+
+
+def _wide_case():
+    """A k = 300 profile where bidder 0 wins more units with each candidate
+    than a uint8 counter holds."""
+    k = 300
+    low = StandardBid((0.25,) * (k // 2) + (0.0,) * (k - k // 2))
+    prof = standard_profile(k, StandardBid((0.5,) * k), low)
+    cands = [StandardBid((0.75,) * k), StandardBid((0.25,) * k),
+             StandardBid((0.5,) * 260 + (0.25,) * 40)]
+    return prof, cands
+
+
+def _check_deviations(prof, i, cands, tie, pricing, val_rng):
+    k = prof.k
+    for values in _valuations_to_check(val_rng, k):
+        units, utils = deviation_outcomes(
+            [prof], i, np.array([_vector(c, k) for c in cands]), values, tie,
+            pricing)
+        for c, cand in enumerate(cands):
+            out = run_auction(prof.replace(i, cand), tie, pricing)
+            _assert_outcome(units[0, c], utils[0, c], values, out, i)
+
+
 def test_deviation_outcomes_equal_full_auction():
     rng = random.Random(2024)
+    # the value curves come from their own generator, so the seed-2024
+    # stream yields the same profiles and candidates as before
+    val_rng = random.Random(2028)
     for _ in range(1500):
         n, k = rng.randint(1, 5), rng.randint(1, 5)
         uniform = rng.random() < 0.5
@@ -292,20 +344,48 @@ def test_deviation_outcomes_equal_full_auction():
         for pricing in ("discriminatory", "uniform"):
             cands = [_random_bid(rng, k, uniform or rng.random() < 0.5)
                      for _ in range(6)]
-            units, pay = deviation_outcomes(
-                [prof], i, np.array([_vector(c, k) for c in cands]), tie,
-                pricing)
-            for c, cand in enumerate(cands):
-                out = run_auction(prof.replace(i, cand), tie, pricing)
-                assert ((int(units[0, c]), float(pay[0, c]))
-                        == (out.allocation[i], out.payments[i]))
+            _check_deviations(prof, i, cands, tie, pricing, val_rng)
+    prof, cands = _wide_case()
+    for pricing in ("discriminatory", "uniform"):
+        _check_deviations(prof, 0, cands, tie_lexicographic(), pricing,
+                          val_rng)
+
+
+def _check_block(choices, vectors, i, tie, val_rng):
+    """block_outcomes of bidder i's vectors against every combination of
+    the others' choices equals a full auction on each."""
+    k = len(vectors[0])
+    spaces = [[_vector(b, k) for b in bids] for bids in choices]
+    spaces.insert(i, vectors)
+    cands = SearchCandidates([np.array(s) for s in spaces], tie)
+    for j, space in enumerate(spaces):
+        for c, vector in enumerate(space):
+            for a in range(k + 1):
+                assert cands.paid[j][c, a] == sum(vector[:a])
+    # one row per combination of the others' choices
+    combos = list(itertools.product(*(range(len(c)) for c in choices)))
+    picks = [np.array(p) for p in zip(*combos)]
+    for pricing in ("discriminatory", "uniform"):
+        for values in _valuations_to_check(val_rng, k):
+            units, utils = block_outcomes(cands, i, values, pricing, picks)
+            assert units.shape == utils.shape == (len(combos), len(vectors))
+            for r, combo in enumerate(combos):
+                bids = [StandardBid(_vector(bids[p], k))
+                        for bids, p in zip(choices, combo)]
+                for c, vector in enumerate(vectors):
+                    row = BidProfile(tuple(bids[:i] + [StandardBid(vector)]
+                                           + bids[i:]), "standard", k)
+                    out = run_auction(row, tie, pricing)
+                    _assert_outcome(units[r, c], utils[r, c], values, out, i)
 
 
 def test_block_outcomes_match_full_auction():
     rng = random.Random(2025)
-    # a second generator draws the others' alternative bids, so the
-    # seed-2025 stream yields the same profiles with or without them
+    # a second generator draws the others' alternative bids, and a third
+    # the value curves, so the seed-2025 stream yields the same profiles
+    # with or without them
     extra = random.Random(2026)
+    val_rng = random.Random(2027)
     for _ in range(1500):
         n, k = rng.randint(1, 5), rng.randint(1, 5)
         uniform = rng.random() < 0.5
@@ -317,32 +397,13 @@ def test_block_outcomes_match_full_auction():
         vectors = [_vector(_random_bid(rng, k, rng.random() < 0.5), k)
                    for _ in range(8)]
         # each other bidder's bid, and at times one more
-        opposing = [j for j in range(n) if j != i]
         choices = [[prof.bids[j]] + [_random_bid(extra, k, uniform)
                                      for _ in range(extra.randint(0, 1))]
-                   for j in opposing]
-        spaces = [[_vector(b, k) for b in bids] for bids in choices]
-        spaces.insert(i, vectors)
-        cands = SearchCandidates([np.array(s) for s in spaces], tie)
-        for j, space in enumerate(spaces):
-            for c, vector in enumerate(space):
-                for a in range(k + 1):
-                    assert cands.paid[j][c, a] == sum(vector[:a])
-        # one row per combination of the others' choices
-        combos = list(itertools.product(*(range(len(c)) for c in choices)))
-        picks = [np.array(p) for p in zip(*combos)]
-        for pricing in ("discriminatory", "uniform"):
-            units, pay = block_outcomes(cands, i, pricing, picks)
-            assert units.shape == pay.shape == (len(combos), len(vectors))
-            for r, combo in enumerate(combos):
-                bids = [StandardBid(_vector(bids[p], k))
-                        for bids, p in zip(choices, combo)]
-                for c, vector in enumerate(vectors):
-                    row = BidProfile(tuple(bids[:i] + [StandardBid(vector)]
-                                           + bids[i:]), "standard", k)
-                    out = run_auction(row, tie, pricing)
-                    assert ((int(units[r, c]), float(pay[r, c]))
-                            == (out.allocation[i], out.payments[i]))
+                   for j in range(n) if j != i]
+        _check_block(choices, vectors, i, tie, val_rng)
+    prof, cands = _wide_case()
+    _check_block([[prof.bids[1]]], [c.values for c in cands], 0,
+                 tie_lexicographic(), val_rng)
 
 
 # -- welfare and uniformization ---------------------------------------------
