@@ -5,13 +5,13 @@
 
 Run from the repository root.  --before and --after name git revisions,
 each exported with ``git archive`` into a temporary directory.  For each
-of PAIRS pairs the two checkouts' ``perfbench/run.py`` runs once each, for
-its own default run length, the first of the two alternating between
-pairs, and the last lines of its output are collected.  The JSON records
-both git shas and the git tree of each ``src/`` (which a later amend of
-the commit keeps), the core count, the Python and numpy versions, every
-run's end-to-end metrics, their medians and quartiles per workload, and
-per-layer costs timed in a fresh process of each checkout.
+of PAIRS pairs, each checkout in turn, the side that goes first
+alternating between pairs, runs ``perfbench/run.py`` once per workload,
+for its own default run length, and then the LAYERS script in a fresh
+process.  The JSON records both git shas and the git tree of each
+``src/`` (which a later amend of the commit keeps), the core count, the
+Python and numpy versions, every run's end-to-end metrics and per-layer
+costs, and their medians and quartiles per side.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ PAIRS = 10
 LAYERS = r'''
 import inspect, json, math, random, time
 import numpy as np
-from poa_lab import equilibria, mechanisms, sweeps
+from poa_lab import equilibria, mechanisms
 from poa_lab.mechanisms import (AuctionInstance, BidProfile, StandardBid,
                                 tie_lexicographic)
 from poa_lab.valuations import random_valuation
@@ -63,11 +63,17 @@ for k in (2, 3):
     grid = equilibria.BidGrid(0.125, 1.0)
     out[f"find_pure_nash_k{k}_us"] = cost(
         lambda: equilibria.find_pure_nash(inst, grid), 20)
-# a search that builds its tables, where the checkout caches them
-clear = getattr(getattr(equilibria, "_search_tables", None), "cache_clear",
-                lambda: None)
-out["find_pure_nash_k3_cold_us"] = cost(
-    lambda: (clear(), equilibria.find_pure_nash(inst, grid)), 20)
+# a search that builds everything it caches: every cache of the modules
+# it runs in is cleared first
+caches = [fn for module in (equilibria, mechanisms)
+          for fn in vars(module).values() if hasattr(fn, "cache_clear")]
+
+def cold():
+    for fn in caches:
+        fn.cache_clear()
+    equilibria.find_pure_nash(inst, grid)
+
+out["find_pure_nash_k3_cold_us"] = cost(cold, 20)
 spaces = equilibria._grid_spaces(grid, 3, [None, None])
 out["search_candidates_k3_us"] = cost(
     lambda: mechanisms.SearchCandidates(spaces, tie), 50)
@@ -77,6 +83,15 @@ values = np.array(vals[0].values)
 args = (cands, 0, values, "discriminatory", picks) if with_values else (
     cands, 0, "discriminatory", picks)
 out["block_k3_us"] = cost(lambda: mechanisms.block_outcomes(*args), 50)
+if hasattr(mechanisms, "block_allocation"):
+    # the two halves of a block: the game's, then the valuation's
+    alloc = mechanisms.block_allocation(cands, 0, "discriminatory", picks)
+    out["block_allocation_k3_us"] = cost(
+        lambda: mechanisms.block_allocation(cands, 0, "discriminatory", picks),
+        50)
+    out["block_utilities_k3_us"] = cost(
+        lambda: mechanisms.block_utilities(cands, 0, values,
+                                           "discriminatory", *alloc), 50)
 rng = random.Random(5)
 profile = BidProfile(tuple(StandardBid(tuple(sorted(
     (rng.random() for _ in range(6)), reverse=True))) for _ in range(5)),
@@ -135,6 +150,19 @@ def quartiles(xs):
     return [float(q) for q in np.percentile(xs, [25, 50, 75])]
 
 
+def summary(runs: dict) -> dict:
+    """Medians and quartiles of each side's runs, dicts of one number per
+    metric; a side's metrics are those of its first run."""
+    return {
+        "medians": {side: {name: statistics.median(r[name] for r in rs)
+                           for name in rs[0]}
+                    for side, rs in runs.items()},
+        "quartiles": {side: {name: quartiles([r[name] for r in rs])
+                             for name in rs[0]}
+                      for side, rs in runs.items()},
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--before", required=True, help="git revision")
@@ -163,44 +191,40 @@ def compare(args, scratch: str) -> dict:
                     "python": platform.python_version(),
                     "numpy": np.__version__,
                     "platform": platform.platform()},
-        "method": (f"{PAIRS} pairs of perfbench/run.py --trace 0 at its "
-                   "default run length per workload, the side run first "
-                   "alternating between pairs; medians over pairs"),
+        "method": (f"{PAIRS} pairs; in each, each side runs "
+                   "perfbench/run.py --trace 0 at its default run length "
+                   "per workload, then the per-layer script, the side run "
+                   "first alternating between pairs; medians over pairs"),
         "workloads": {},
     }
-    for spec in args.workload:
-        workload, seed = spec.split("=")
-        runs = {"before": [], "after": []}
-        for pair in range(PAIRS):
-            order = ("before", "after") if pair % 2 == 0 else ("after",
-                                                               "before")
-            for side in order:
-                detail, result = run_workload(trees[side][0], workload,
-                                              int(seed))
-                runs[side].append({
+    # a workload may run at several seeds: entries are keyed NAME=SEED
+    specs = [(spec, *spec.split("=")) for spec in args.workload]
+    runs = {spec: {"before": [], "after": []} for spec, _, _ in specs}
+    layer_runs = {"before": [], "after": []}
+    for pair in range(PAIRS):
+        order = ("before", "after") if pair % 2 == 0 else ("after", "before")
+        for side in order:
+            tree = trees[side][0]
+            for spec, workload, seed in specs:
+                detail, result = run_workload(tree, workload, int(seed))
+                runs[spec][side].append({
                     "metrics": {name: m["value"]
                                 for name, m in result["metrics"].items()},
                     "failed": result["failed"],
                     "equilibria_digest": detail.get("equilibria_digest")})
-                print(workload, pair, side, runs[side][-1]["metrics"],
+                print(spec, pair, side, runs[spec][side][-1]["metrics"],
                       file=sys.stderr)
-        entry = {"seed": int(seed), "runs": runs, "medians": {},
-                 "quartiles": {}}
-        for side, side_runs in runs.items():
-            names = side_runs[0]["metrics"]
-            entry["medians"][side] = {
-                name: statistics.median(r["metrics"][name] for r in side_runs)
-                for name in names}
-            entry["quartiles"][side] = {
-                name: quartiles([r["metrics"][name] for r in side_runs])
-                for name in names}
+            layer_runs[side].append(layers(tree))
+    for spec, workload, seed in specs:
+        entry = {"workload": workload, "seed": int(seed), "runs": runs[spec]}
+        entry.update(summary({side: [r["metrics"] for r in side_runs]
+                              for side, side_runs in runs[spec].items()}))
         entry["after_over_before"] = {
             name: entry["medians"]["after"][name]
             / entry["medians"]["before"][name]
             for name in entry["medians"]["before"]}
-        report["workloads"][workload] = entry
-    report["per_layer_us"] = {side: layers(tree)
-                              for side, (tree, _) in trees.items()}
+        report["workloads"][spec] = entry
+    report["per_layer_us"] = {"runs": layer_runs, **summary(layer_runs)}
     return report
 
 

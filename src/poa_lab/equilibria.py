@@ -16,8 +16,13 @@ once for the outcome and every response.  This closed form is exact for
 bidder-level tie-break rules only.  Grid scans enumerate the grid once, as
 an array of marginal-bid vectors in grid_bids_for order: the Bayes-Nash
 regrets and the exhaustive pure-Nash search (exact under every tie rule)
-take the utilities of whole arrays from block_outcomes and build bid
-objects only for the bids and profiles they report.
+take the utilities of whole arrays from the block outcome engine and build
+bid objects only for the bids and profiles they report.  The search caches
+what a grid game fixes without its valuations: the strategy arrays, their
+keys and, for up to _BLOCK_CELLS profiles, each bidder's units won and
+payments as indices into its per-candidate table (at most 9 bytes per
+profile and bidder); a valuation enters a search only through one gather
+per bidder.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from .mechanisms import (
+    DISCRIMINATORY,
     STANDARD,
     UNIFORM,
     UNIFORM_IFACE,
@@ -43,7 +49,8 @@ from .mechanisms import (
     UniformBid,
     _ranked_outcome,
     allocate,
-    block_outcomes,
+    block_allocation,
+    block_utilities,
     check_no_overbidding,
     deviation_outcomes,
     run_auction,
@@ -288,14 +295,36 @@ def _check_cap(total: int, cap: int) -> None:
         raise SearchCapExceeded(f"{total} profiles exceed the cap of {cap}")
 
 
+def _row_picks(others_shape: tuple, start: int, stop: int):
+    """block_allocation's picks for rows start..stop of the others'
+    strategies in itertools.product order."""
+    if not others_shape:
+        return ()
+    return np.unravel_index(np.arange(start, stop), others_shape)
+
+
+def _profile_order(block: np.ndarray, shape: tuple, i: int) -> np.ndarray:
+    """Bidder i's (others' strategies x own strategies) block as a view of
+    the profile shape, its own strategies along axis i."""
+    others_shape = shape[:i] + shape[i + 1:]
+    return np.moveaxis(block.reshape(others_shape + shape[i:i + 1]), -1, i)
+
+
 @functools.lru_cache(maxsize=8)
-def _search_tables(grid: BidGrid, k: int, tie: TieBreakRule, cuts: tuple,
-                   cap: int):
-    """_grid_spaces(grid, k, cuts) and its SearchCandidates, read-only;
-    cuts[j] is bidder j's valuation under no-overbidding, else None.  The
-    cap is checked before either is built, and is in the key because a
-    raise is not cached.  The cache holds the 8 latest tables, whatever
-    their size, for the life of the process; find_pure_nash calls the
+def _search_tables(grid: BidGrid, k: int, tie: TieBreakRule, pricing: str,
+                   cuts: tuple, cap: int):
+    """_grid_spaces(grid, k, cuts), its SearchCandidates and, when the
+    profile space has at most _BLOCK_CELLS cells, every bidder's
+    block_allocation against all of the others' strategies, in profile
+    order (else None), all read-only; cuts[j] is bidder j's valuation
+    under no-overbidding, else None.  Nothing here depends on a valuation
+    beyond the cuts: a search reads its values only through
+    block_utilities.  Under pay-as-bid a bidder keeps its int64 flat
+    index alone (8 bytes per profile), under uniform pricing its units
+    and payments (9 bytes), so the blocks of one entry take at most
+    n x 576 KiB.  The cap is checked before anything is built, and is in
+    the key because a raise is not cached.  The cache holds the 8 latest
+    entries for the life of the process; find_pure_nash calls the
     uncached __wrapped__ under no-overbidding, whose cuts a sweep never
     repeats."""
     if not grid.no_overbidding:
@@ -305,12 +334,29 @@ def _search_tables(grid: BidGrid, k: int, tie: TieBreakRule, cuts: tuple,
                       else 1 + (grid.npoints - 1) * k)
         _check_cap(per_bidder ** len(cuts), cap)
     spaces = tuple(_grid_spaces(grid, k, cuts))
+    shape = tuple(len(s) for s in spaces)
     if grid.no_overbidding:
-        _check_cap(math.prod(len(s) for s in spaces), cap)
+        _check_cap(math.prod(shape), cap)
     cands = SearchCandidates(spaces, tie)
-    for array in (*spaces, *cands.keys, *cands.paid, cands.value_of_key):
+    arrays = [*spaces, *cands.keys, *cands.paid, cands.value_of_key]
+    blocks = None
+    if math.prod(shape) <= _BLOCK_CELLS:
+        blocks = []
+        for i in range(len(shape)):
+            others_shape = shape[:i] + shape[i + 1:]
+            units, charge = (
+                np.ascontiguousarray(_profile_order(block, shape, i))
+                for block in block_allocation(
+                    cands, i, pricing,
+                    _row_picks(others_shape, 0, math.prod(others_shape))))
+            # pay-as-bid utilities read the flat index alone
+            if pricing == DISCRIMINATORY:
+                units = None
+            blocks.append((units, charge))
+            arrays += [a for a in (units, charge) if a is not None]
+    for array in arrays:
         array.setflags(write=False)
-    return spaces, cands
+    return spaces, cands, blocks
 
 
 @dataclass(frozen=True)
@@ -339,17 +385,20 @@ def find_pure_nash(instance: AuctionInstance, grid: BidGrid,
 
     "exhaustive" covers every profile (raises SearchCapExceeded beyond the
     cap) on a boolean mask with one byte per grid profile, at most cap
-    bytes.  Without no-overbidding, the strategy arrays and their
-    SearchCandidates keys are built once per grid, k, n, tie rule and cap,
-    and cached; with it, each bidder's space is cut at its valuation and
-    built afresh.  For
-    each bidder, block_outcomes gives the utility of its whole strategy
-    array against every choice of the others' (in blocks of at most
-    _BLOCK_CELLS cells); each row's maximum is its exact grid best
-    response under every tie-break rule, and the row's cells where it
-    gains more than EQ_TOL are cleared, in place.  The cells left, in
-    itertools.product order, become BidProfiles and get a full auction
-    and a check of every bidder against those maxima.
+    bytes.  Without no-overbidding, _search_tables builds the strategy
+    arrays, their SearchCandidates keys and, for at most _BLOCK_CELLS
+    profiles, every bidder's valuation-free block_allocation once per
+    grid, k, n, tie rule, pricing and cap, and caches them; with it, each
+    bidder's space is cut at its valuation and all of it is built afresh.
+    For each bidder, block_utilities gives the utility of its whole
+    strategy array against every choice of the others': one gather from
+    the kept block, the only step that reads the valuation, or, above
+    _BLOCK_CELLS profiles, block_allocation and the gather on slices of
+    at most _BLOCK_CELLS cells.  Each row's maximum is the bidder's exact
+    grid best response under every tie-break rule, and the row's cells
+    where it gains more than EQ_TOL are cleared, in place.  The cells
+    left, in itertools.product order, become BidProfiles and get a full
+    auction and a check of every bidder against those maxima.
     "best_response_dynamics" runs seeded best-response paths and reports
     reached fixed points, which may miss equilibria.  It judges deviations
     by the closed-form best response, which is exact only under
@@ -362,7 +411,8 @@ def find_pure_nash(instance: AuctionInstance, grid: BidGrid,
                      for val in instance.valuations)
         build = (_search_tables.__wrapped__ if grid.no_overbidding
                  else _search_tables)
-        spaces, cands = build(grid, k, instance.tie_break, cuts, cap)
+        spaces, cands, blocks = build(grid, k, instance.tie_break,
+                                      instance.pricing, cuts, cap)
         shape = tuple(len(s) for s in spaces)
         # one byte per grid profile: True where no bidder can gain by
         # deviating on the grid
@@ -370,24 +420,35 @@ def find_pure_nash(instance: AuctionInstance, grid: BidGrid,
         # best[i][others' indices]: bidder i's best utility on the grid
         best = []
         for i in range(instance.n):
+            values = instance.valuations[i].values
+            others_shape = shape[:i] + shape[i + 1:]
+            if blocks:
+                # bidder i's whole block in profile order, its own
+                # strategies along axis i
+                utils = block_utilities(cands, i, values, instance.pricing,
+                                        *blocks[i])
+                rowmax = utils.max(axis=i, keepdims=True)
+                np.subtract(rowmax, utils, out=utils)
+                mask &= utils <= EQ_TOL
+                best.append(rowmax.reshape(others_shape))
+                continue
             # rows: the others' bids in itertools.product order; columns:
             # bidder i's own
-            others_shape = shape[:i] + shape[i + 1:]
             nrows = math.prod(others_shape)
             keep = np.empty((nrows, shape[i]), dtype=bool)
             rowmax = np.empty(nrows)
             step = max(1, _BLOCK_CELLS // shape[i])
             for start in range(0, nrows, step):
                 stop = min(start + step, nrows)
-                picks = (np.unravel_index(np.arange(start, stop), others_shape)
-                         if others_shape else ())
-                utils = block_outcomes(cands, i, instance.valuations[i].values,
-                                       instance.pricing, picks)[1]
+                units, charge = block_allocation(
+                    cands, i, instance.pricing,
+                    _row_picks(others_shape, start, stop))
+                utils = block_utilities(cands, i, values, instance.pricing,
+                                        units, charge)
                 rowmax[start:stop] = utils.max(axis=1)
                 np.subtract(rowmax[start:stop, None], utils, out=utils)
                 np.less_equal(utils, EQ_TOL, out=keep[start:stop])
-            mask &= np.moveaxis(keep.reshape(others_shape + shape[i:i + 1]),
-                                -1, i)
+            mask &= _profile_order(keep, shape, i)
             best.append(rowmax.reshape(others_shape))
         found = []
         # flat indices in C order, which is itertools.product order
@@ -398,7 +459,7 @@ def find_pure_nash(instance: AuctionInstance, grid: BidGrid,
         for cell, combo in zip(cells, zip(*bids)):
             profile = BidProfile(combo, grid.interface, k)
             out = run_auction(profile, instance.tie_break, instance.pricing)
-            # fails only where block_outcomes and run_auction disagree
+            # fails only where the block utilities and run_auction disagree
             if all(best[i][cell[:i] + cell[i + 1:]]
                    - (instance.valuations[i].value(out.allocation[i])
                       - out.payments[i]) <= EQ_TOL

@@ -400,14 +400,16 @@ class SearchCandidates:
             self.paid.append(paid)
 
 
-def block_outcomes(cands: SearchCandidates, i: int, values: np.ndarray,
-                   pricing: str, picks: Sequence[np.ndarray]):
-    """(units, utilities) arrays of bidder i, whose value for u units is
-    values[u]: entry [r, c] scores its c-th candidate against the others'
+def block_allocation(cands: SearchCandidates, i: int, pricing: str,
+                     picks: Sequence[np.ndarray]):
+    """The valuation-free half of block_outcomes: (units, charge) arrays
+    of bidder i, entry [r, c] for its c-th candidate against the others'
     candidates picks[0][r], picks[1][r], ... (one index array per other
-    bidder, in bidder order; with none, one row faces no entry), equal bit
-    for bit to values[x] - payment with x and payment from run_auction on
-    those bids.  Units come in the narrowest unsigned dtype that holds k.
+    bidder, in bidder order; with none, one row faces no entry).  Units
+    come in the narrowest unsigned dtype that holds k.  The charge is,
+    under pay-as-bid, the flat int64 index c * (k + 1) + units into a
+    (candidates x k + 1) table such as paid[i]; under uniform pricing, the
+    payment units * price.
 
     The facing entries of a row are the other bidder's keys, or for n > 2
     the lowest k + 1 of all the others' keys, by np.sort.  Own entry j wins
@@ -431,16 +433,37 @@ def block_outcomes(cands: SearchCandidates, i: int, values: np.ndarray,
     units = np.zeros((nrows, len(own)), dtype=np.min_scalar_type(k))
     for j in range(k):
         units += own[:, j] < facing[:, k - 1 - j, None]
-    values = np.asarray(values, dtype=float)
     if pricing == DISCRIMINATORY:
-        # one flat take from the per-candidate table v(u) - paid[c, u]
-        table = values - cands.paid[i]
-        return units, np.take(table, np.arange(0, table.size, k + 1) + units)
+        return units, np.arange(0, own.size, k + 1) + units
     # the highest losing entry: the next own one or the next opposing one;
     # column k is read only when no unit is won
     losing = np.minimum(own[np.arange(len(own)), units],
                         facing[np.arange(nrows)[:, None], k - units])
-    return units, values[units] - units * cands.value_of_key[losing]
+    return units, units * cands.value_of_key[losing]
+
+
+def block_utilities(cands: SearchCandidates, i: int, values: np.ndarray,
+                    pricing: str, units, charge) -> np.ndarray:
+    """Bidder i's utilities from block_allocation's arrays, where its value
+    for u units is values[u]: under pay-as-bid one flat gather of the
+    charge index from the per-candidate table v(u) - paid[c, u] (units is
+    not read), under uniform pricing v(units) - charge.  This is the only
+    step of a block that reads the valuation."""
+    values = np.asarray(values, dtype=float)
+    if pricing == DISCRIMINATORY:
+        # fancy indexing of the flat table gathers faster than np.take
+        return (values - cands.paid[i]).ravel()[charge]
+    return values[units] - charge
+
+
+def block_outcomes(cands: SearchCandidates, i: int, values: np.ndarray,
+                   pricing: str, picks: Sequence[np.ndarray]):
+    """(units, utilities) arrays of bidder i, whose value for u units is
+    values[u]: block_allocation, then block_utilities.  Entry [r, c] equals
+    bit for bit values[x] - payment with x and payment from run_auction on
+    the c-th candidate against the others' candidates picks[.][r]."""
+    units, charge = block_allocation(cands, i, pricing, picks)
+    return units, block_utilities(cands, i, values, pricing, units, charge)
 
 
 def deviation_outcomes(profiles: Sequence[BidProfile], i: int,

@@ -1,0 +1,36 @@
+"""Smoke test of scripts/bench_compare.py: its per-layer script runs
+against this checkout's package and prints one JSON object of costs."""
+
+import importlib.util
+import math
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _bench_compare():
+    spec = importlib.util.spec_from_file_location(
+        "bench_compare", ROOT / "scripts" / "bench_compare.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_layers_script_runs_against_src():
+    bench_compare = _bench_compare()
+    # layers() runs the LAYERS script in a fresh process on ROOT / "src"
+    costs = bench_compare.layers(ROOT)
+    assert {"find_pure_nash_k2_us", "find_pure_nash_k3_us",
+            "find_pure_nash_k3_cold_us", "search_candidates_k3_us",
+            "block_k3_us", "block_allocation_k3_us", "block_utilities_k3_us",
+            "deviation_outcomes_n5_k6_c12_us"} == set(costs)
+    assert all(0.0 < us < math.inf for us in costs.values())
+
+
+def test_summary_gives_each_side_its_own_metrics():
+    summary = _bench_compare().summary(
+        {"before": [{"a": 1.0}, {"a": 3.0}, {"a": 2.0}],
+         "after": [{"a": 1.0, "b": 4.0}, {"a": 1.0, "b": 8.0}]})
+    assert summary["medians"] == {"before": {"a": 2.0},
+                                  "after": {"a": 1.0, "b": 6.0}}
+    assert summary["quartiles"]["before"]["a"] == [1.5, 2.0, 2.5]

@@ -2,6 +2,8 @@
 checked bit for bit against reference implementations that run a whole
 auction for the outcome and for every candidate."""
 
+import math
+
 import pytest
 
 from poa_lab.equilibria import (
@@ -210,6 +212,24 @@ def test_threshold_plus_tick_above_max_bid_is_skipped(max_bid, expected):
     assert br == expected
     assert deviation_outcome(inst, prof, 1, br) == (expected.units,
                                                     expected.bid.price)
+
+
+@pytest.mark.parametrize("pricing", [DISCRIMINATORY, UNIFORM])
+def test_threshold_at_the_max_bid_cap_is_allowed(pricing):
+    # bidder 1 bids exactly max_bid + 1e-12, the closed form's cap: bidder
+    # 0 matches it and wins the tie; one float higher is over the cap
+    vals = (valuation(0, 1.0), valuation(0, 1.0))
+    inst = AuctionInstance(vals, 1, pricing, tie_lexicographic())
+    grid = BidGrid(0.25, 0.5)
+    edge = 0.5 + 1e-12
+    prof = standard_profile(1, zero_bid(1), standard_bid(edge))
+    br = best_response(inst, prof, 0, grid)
+    assert br == BestResponse(UniformBid(edge, 1), 1.0 - edge, 1)
+    assert deviation_outcome(inst, prof, 0, br) == (1, edge)
+    prof = standard_profile(1, zero_bid(1),
+                            standard_bid(math.nextafter(edge, 1.0)))
+    assert best_response(inst, prof, 0, grid) == BestResponse(
+        UniformBid(0.0, 0), 0.0, 0)
 
 
 @pytest.mark.parametrize("pricing, bid, utility", [

@@ -34,6 +34,9 @@ from poa_lab.mechanisms import (
     StandardBid,
     UniformBid,
     allocate,
+    block_allocation,
+    block_outcomes,
+    block_utilities,
     check_no_overbidding,
     run_auction,
     social_welfare,
@@ -363,7 +366,8 @@ def test_cached_search_tables_match_a_fresh_build():
     cuts = (vals[0], None, vals[2])
     for tie in (tie_lexicographic(), tie_favor_bidder(1), tie_favor_last(),
                 tie_explicit([(2, 1), (0, 1), (1, 0)]), tie_lexicographic()):
-        spaces, cached = equilibria._search_tables(grid, 2, tie, cuts, 10 ** 8)
+        spaces, cached, _ = equilibria._search_tables(
+            grid, 2, tie, "discriminatory", cuts, 10 ** 8)
         fresh = SearchCandidates(equilibria._grid_spaces(grid, 2, cuts), tie)
         keys, pad_key, value_of_key, paid = _oracle_keys(spaces, tie)
         assert [len(s) for s in spaces] == [5, 10, 3]
@@ -374,11 +378,13 @@ def test_cached_search_tables_match_a_fresh_build():
                 assert np.array_equal(tables.keys[j], keys[j]), (tie, j)
                 assert np.array_equal(tables.paid[j], paid[j]), (tie, j)
     # a cache hit hands out the same tables, read-only
-    again = equilibria._search_tables(grid, 2, tie, cuts, 10 ** 8)
+    again = equilibria._search_tables(grid, 2, tie, "discriminatory", cuts,
+                                      10 ** 8)
     assert again[1] is cached
     assert not cached.keys[0].flags.writeable
     # another cut is another entry
-    uncut = equilibria._search_tables(grid, 2, tie, (None,) * 3, 10 ** 8)[0]
+    uncut = equilibria._search_tables(grid, 2, tie, "discriminatory",
+                                      (None,) * 3, 10 ** 8)[0]
     assert [len(s) for s in uncut] == [10, 10, 10]
 
 
@@ -414,6 +420,131 @@ def test_cached_search_matches_uncached_search():
         assert grid.no_overbidding
         find_pure_nash(inst, grid)
     assert equilibria._search_tables.cache_info().currsize == 0
+
+
+def _tie_kinds(n):
+    """One tie rule of each kind for n bidders with k = 2."""
+    return (tie_lexicographic(), tie_favor_bidder(n - 1), tie_favor_last(),
+            tie_explicit([(n - 1, 1), (0, 0), (n - 2, 1)]))
+
+
+@pytest.mark.parametrize("pricing", ["discriminatory", "uniform"])
+@pytest.mark.parametrize("n, grid", [(2, BidGrid(0.25, 0.75)),
+                                     (3, BidGrid(0.25, 0.75, "uniform"))])
+def test_cached_blocks_match_a_fresh_block_outcomes_run(pricing, n, grid):
+    """The blocks a search keeps equal block_allocation built afresh, in
+    profile order and read-only; gathered under any value curve they equal
+    block_outcomes' (units, utilities) bit for bit, and a full auction on
+    every profile."""
+    k = 2
+    rng = random.Random(40 + n)
+    curves = [np.zeros(k + 1)] + [
+        np.array(random_valuation("general", k, 0.4,
+                                  seed=rng.randrange(2 ** 31)).values)
+        for _ in range(3)]
+    for tie in _tie_kinds(n):
+        equilibria._search_tables.cache_clear()
+        spaces, cands, blocks = equilibria._search_tables(
+            grid, k, tie, pricing, (None,) * n, 10 ** 8)
+        shape = tuple(len(s) for s in spaces)
+        fresh = SearchCandidates(equilibria._grid_spaces(grid, k, [None] * n),
+                                 tie)
+        gathered = []
+        for i, (units, charge) in enumerate(blocks):
+            assert not charge.flags.writeable
+            others_shape = shape[:i] + shape[i + 1:]
+            picks = equilibria._row_picks(others_shape, 0,
+                                          math.prod(others_shape))
+            new_units, new_charge = (
+                equilibria._profile_order(a, shape, i)
+                for a in block_allocation(fresh, i, pricing, picks))
+            assert np.array_equal(charge, new_charge), (tie, i)
+            if pricing == "uniform":
+                assert not units.flags.writeable
+                assert np.array_equal(units, new_units), (tie, i)
+            else:
+                # pay-as-bid keeps the flat index c * (k + 1) + units alone
+                assert units is None
+                own = np.arange(shape[i]).reshape(
+                    [-1 if j == i else 1 for j in range(n)])
+                assert np.array_equal(charge - own * (k + 1), new_units)
+            per_curve = []
+            for values in curves:
+                utils = block_utilities(cands, i, values, pricing, units,
+                                        charge)
+                ref_units, ref_utils = (
+                    equilibria._profile_order(a, shape, i)
+                    for a in block_outcomes(fresh, i, values, pricing,
+                                            picks))
+                assert utils.shape == shape
+                assert utils.tobytes() == ref_utils.copy().tobytes()
+                per_curve.append((ref_units, utils))
+            gathered.append(per_curve)
+        for cell in itertools.product(*map(range, shape)):
+            out = run_auction(
+                BidProfile(tuple(_grid_bids_at(grid, spaces, cell)),
+                           grid.interface, k), tie, pricing)
+            for i in range(n):
+                for values, (units, utils) in zip(curves, gathered[i]):
+                    x = out.allocation[i]
+                    assert (int(units[cell]), float(utils[cell])) == (
+                        x, values[x] - out.payments[i]), (tie, cell, i)
+
+
+def _grid_bids_at(grid, spaces, cell):
+    """The grid bids of one profile of the search's strategy arrays."""
+    return [equilibria._grid_bids(grid.interface, space[c:c + 1])[0]
+            for space, c in zip(spaces, cell)]
+
+
+@pytest.mark.parametrize("pricing", ["discriminatory", "uniform"])
+def test_search_above_the_block_bound_scores_slices(monkeypatch, pricing):
+    """With more profiles than _BLOCK_CELLS (286 ** 2 on this grid) the
+    search keeps no blocks and scores slices; raising the bound to keep
+    them gives the same equilibria."""
+    rng = random.Random(5)
+    vals = tuple(random_valuation("general", 3, 0.3,
+                                  seed=rng.randrange(2 ** 31))
+                 for _ in range(2))
+    grid = BidGrid(0.1, 1.0)
+    results = []
+    for cells in (equilibria._BLOCK_CELLS, 1 << 17):
+        monkeypatch.setattr(equilibria, "_BLOCK_CELLS", cells)
+        for tie in (tie_lexicographic(), tie_explicit([(1, 2), (0, 0)])):
+            equilibria._search_tables.cache_clear()
+            inst = AuctionInstance(vals, 3, pricing, tie)
+            res = find_pure_nash(inst, grid)
+            blocks = equilibria._search_tables(grid, 3, tie, pricing,
+                                               (None, None), 10 ** 8)[2]
+            assert (blocks is None) == (cells < 286 ** 2)
+            results.append(res.equilibria)
+    equilibria._search_tables.cache_clear()
+    assert results[0] and results[1]
+    assert results[:2] == results[2:]
+
+
+def test_cached_blocks_are_keyed_by_pricing():
+    """Searches that differ only in pricing or tie rule, run with every
+    cache cleared and then in alternating order on warm caches, find the
+    same equilibria."""
+    vals = (valuation(0, 0.5, 0.75), valuation(0, 0.75, 1.0))
+    grid = BidGrid(0.25, 1.0)
+    cases = [AuctionInstance(v, 2, pricing, tie)
+             for v in (vals, vals[::-1]) for tie in _tie_kinds(2)
+             for pricing in ("discriminatory", "uniform")]
+    expected = []
+    for inst in cases:
+        equilibria._search_tables.cache_clear()
+        expected.append(find_pure_nash(inst, grid).equilibria)
+    # pricing changes the equilibria of every game and tie rule
+    assert all(a != b for a, b in zip(expected[::2], expected[1::2]))
+    equilibria._search_tables.cache_clear()
+    for start in range(2):
+        for c in list(range(len(cases)))[start::2] + list(
+                range(len(cases)))[1 - start::2]:
+            assert find_pure_nash(cases[c], grid).equilibria == expected[c], c
+    assert equilibria._search_tables.cache_info().hits > 0
+    equilibria._search_tables.cache_clear()
 
 
 def _grid_oracle_pure_nash(instance, grid):
