@@ -63,6 +63,11 @@ for k in (2, 3):
     grid = equilibria.BidGrid(0.125, 1.0)
     out[f"find_pure_nash_k{k}_us"] = cost(
         lambda: equilibria.find_pure_nash(inst, grid), 20)
+# 969 ** 2 profiles, above _BLOCK_CELLS: the search that scores box by box
+# without cached blocks, which no perfbench workload runs
+fine = equilibria.BidGrid(0.0625, 1.0)
+out["find_pure_nash_sliced_k3_us"] = cost(
+    lambda: equilibria.find_pure_nash(inst, fine), 5)
 # a search that builds everything it caches: every cache of the modules
 # it runs in is cleared first
 caches = [fn for module in (equilibria, mechanisms)

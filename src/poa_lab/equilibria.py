@@ -17,12 +17,12 @@ bidder-level tie-break rules only.  Grid scans enumerate the grid once, as
 an array of marginal-bid vectors in grid_bids_for order: the Bayes-Nash
 regrets and the exhaustive pure-Nash search (exact under every tie rule)
 take the utilities of whole arrays from the block outcome engine and build
-bid objects only for the bids and profiles they report.  The search caches
-what a grid game fixes without its valuations: the strategy arrays, their
-keys and, for up to _BLOCK_CELLS profiles, each bidder's units won and
-payments as indices into its per-candidate table (at most 9 bytes per
-profile and bidder); a valuation enters a search only through one gather
-per bidder.
+bid objects only for the bids and profiles they report.  The search scores
+each bidder box by box over the profile space, and caches what a grid game
+fixes without its valuations: the strategy arrays, their keys and, for up
+to _BLOCK_CELLS profiles, the one box of each bidder's allocations (9 bytes
+per profile and bidder); a valuation enters a search only through
+block_utilities.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from typing import Sequence
 import numpy as np
 
 from .mechanisms import (
-    DISCRIMINATORY,
     STANDARD,
     UNIFORM,
     UNIFORM_IFACE,
@@ -55,12 +54,14 @@ from .mechanisms import (
     deviation_outcomes,
     run_auction,
     social_welfare,
+    uniform_vectors,
 )
 from .valuations import Valuation, is_submodular, marginals
 from .welfare import optimal_allocation
 
 EQ_TOL = 1e-9
-# cells of one (rows x own strategies) block scored by the exhaustive search
+# cells of one box of the profile space that the exhaustive search scores at
+# once; a space of at most this many profiles is one box, kept in the cache
 _BLOCK_CELLS = 1 << 16
 
 
@@ -244,11 +245,9 @@ def _grid_vectors(grid: BidGrid, k: int) -> np.ndarray:
     marginal-bid vectors, uniform bids expanded, in grid_bids_for order."""
     points = np.array(grid.points())
     if grid.interface == UNIFORM_IFACE:
-        # (0, 0), then every positive price with quantities 1..k: row q - 1
-        # of np.tri(k) holds q ones
+        # (0, 0), then every positive price with quantities 1..k
         return np.concatenate([np.zeros((1, k)),
-                               (points[1:, None, None] * np.tri(k))
-                               .reshape(-1, k)])
+                               uniform_vectors(points[1:], k)])
     combos = itertools.combinations_with_replacement(range(len(points)), k)
     index = np.fromiter(itertools.chain.from_iterable(combos), dtype=int)
     return points[::-1][index.reshape(-1, k)]
@@ -295,36 +294,49 @@ def _check_cap(total: int, cap: int) -> None:
         raise SearchCapExceeded(f"{total} profiles exceed the cap of {cap}")
 
 
-def _row_picks(others_shape: tuple, start: int, stop: int):
-    """block_allocation's picks for rows start..stop of the others'
-    strategies in itertools.product order."""
-    if not others_shape:
-        return ()
-    return np.unravel_index(np.arange(start, stop), others_shape)
-
-
-def _profile_order(block: np.ndarray, shape: tuple, i: int) -> np.ndarray:
-    """Bidder i's (others' strategies x own strategies) block as a view of
-    the profile shape, its own strategies along axis i."""
-    others_shape = shape[:i] + shape[i + 1:]
-    return np.moveaxis(block.reshape(others_shape + shape[i:i + 1]), -1, i)
+def _box_allocations(cands: SearchCandidates, shape: tuple, i: int,
+                     pricing: str):
+    """Bidder i's block_allocation over boxes of the profile space, in
+    profile order: yields (box, units, charge), box one slice per axis of
+    shape and the arrays shaped like it, with all of bidder i's
+    strategies along axis i.  A box faces one run of the others'
+    strategies in itertools.product order: one of their axes ranged, the
+    axes before it fixed and those after it whole.  It has at most
+    _BLOCK_CELLS cells wherever one row of the others' allows."""
+    others = shape[:i] + shape[i + 1:]
+    # a box steps by 1 along the others' axes before the ranged one, by
+    # steps[a] along it, and takes the axes after it whole
+    steps, cells = list(others), shape[i]
+    for a in reversed(range(len(others))):
+        if cells * others[a] > _BLOCK_CELLS:
+            steps[:a + 1] = [1] * a + [max(1, _BLOCK_CELLS // cells)]
+            break
+        cells *= others[a]
+    for corner in itertools.product(*(range(0, m, s)
+                                      for m, s in zip(others, steps))):
+        box = tuple(slice(c, min(c + s, m))
+                    for c, m, s in zip(corner, others, steps))
+        box_shape = tuple(b.stop - b.start for b in box)
+        picks = [index.ravel() + c
+                 for index, c in zip(np.indices(box_shape), corner)]
+        yield (box[:i] + (slice(None),) + box[i:], *(
+            np.ascontiguousarray(np.moveaxis(
+                block.reshape(box_shape + shape[i:i + 1]), -1, i))
+            for block in block_allocation(cands, i, pricing, picks)))
 
 
 @functools.lru_cache(maxsize=8)
 def _search_tables(grid: BidGrid, k: int, tie: TieBreakRule, pricing: str,
                    cuts: tuple, cap: int):
     """_grid_spaces(grid, k, cuts), its SearchCandidates and, when the
-    profile space has at most _BLOCK_CELLS cells, every bidder's
-    block_allocation against all of the others' strategies, in profile
-    order (else None), all read-only; cuts[j] is bidder j's valuation
-    under no-overbidding, else None.  Nothing here depends on a valuation
-    beyond the cuts: a search reads its values only through
-    block_utilities.  Under pay-as-bid a bidder keeps its int64 flat
-    index alone (8 bytes per profile), under uniform pricing its units
-    and payments (9 bytes), so the blocks of one entry take at most
-    n x 576 KiB.  The cap is checked before anything is built, and is in
-    the key because a raise is not cached.  The cache holds the 8 latest
-    entries for the life of the process; find_pure_nash calls the
+    profile space has at most _BLOCK_CELLS cells, so is one box, the list
+    of every bidder's _box_allocations (else None), all read-only; cuts[j]
+    is bidder j's valuation under no-overbidding, else None.  Nothing here
+    depends on a valuation beyond the cuts.  A box keeps 9 bytes per
+    profile (units and an 8-byte charge), so the blocks of one entry take
+    at most n x 576 KiB.  The cap is checked before anything is built, and
+    is in the key because a raise is not cached.  The cache holds the 8
+    latest entries for the life of the process; find_pure_nash calls the
     uncached __wrapped__ under no-overbidding, whose cuts a sweep never
     repeats."""
     if not grid.no_overbidding:
@@ -341,19 +353,9 @@ def _search_tables(grid: BidGrid, k: int, tie: TieBreakRule, pricing: str,
     arrays = [*spaces, *cands.keys, *cands.paid, cands.value_of_key]
     blocks = None
     if math.prod(shape) <= _BLOCK_CELLS:
-        blocks = []
-        for i in range(len(shape)):
-            others_shape = shape[:i] + shape[i + 1:]
-            units, charge = (
-                np.ascontiguousarray(_profile_order(block, shape, i))
-                for block in block_allocation(
-                    cands, i, pricing,
-                    _row_picks(others_shape, 0, math.prod(others_shape))))
-            # pay-as-bid utilities read the flat index alone
-            if pricing == DISCRIMINATORY:
-                units = None
-            blocks.append((units, charge))
-            arrays += [a for a in (units, charge) if a is not None]
+        blocks = [list(_box_allocations(cands, shape, i, pricing))
+                  for i in range(len(shape))]
+        arrays += [a for boxes in blocks for box in boxes for a in box[1:]]
     for array in arrays:
         array.setflags(write=False)
     return spaces, cands, blocks
@@ -385,20 +387,18 @@ def find_pure_nash(instance: AuctionInstance, grid: BidGrid,
 
     "exhaustive" covers every profile (raises SearchCapExceeded beyond the
     cap) on a boolean mask with one byte per grid profile, at most cap
-    bytes.  Without no-overbidding, _search_tables builds the strategy
-    arrays, their SearchCandidates keys and, for at most _BLOCK_CELLS
-    profiles, every bidder's valuation-free block_allocation once per
-    grid, k, n, tie rule, pricing and cap, and caches them; with it, each
-    bidder's space is cut at its valuation and all of it is built afresh.
-    For each bidder, block_utilities gives the utility of its whole
-    strategy array against every choice of the others': one gather from
-    the kept block, the only step that reads the valuation, or, above
-    _BLOCK_CELLS profiles, block_allocation and the gather on slices of
-    at most _BLOCK_CELLS cells.  Each row's maximum is the bidder's exact
-    grid best response under every tie-break rule, and the row's cells
-    where it gains more than EQ_TOL are cleared, in place.  The cells
-    left, in itertools.product order, become BidProfiles and get a full
-    auction and a check of every bidder against those maxima.
+    bytes.  _search_tables gives the strategy arrays, their
+    SearchCandidates keys and, for at most _BLOCK_CELLS profiles, every
+    bidder's box; without no-overbidding they are cached per grid, k, n,
+    tie rule, pricing and cap, with it each bidder's space is cut at its
+    valuation and all of it is built afresh.  For each bidder, one loop
+    takes the kept box or each of _box_allocations, and block_utilities
+    gives its utilities, the only step that reads the valuation.  Each
+    maximum along axis i is the bidder's exact grid best response under
+    every tie-break rule, and the cells where it gains more than EQ_TOL
+    are cleared, in place.  The cells left, in itertools.product order,
+    become BidProfiles and get a full auction and a check of every bidder
+    against those maxima.
     "best_response_dynamics" runs seeded best-response paths and reports
     reached fixed points, which may miss equilibria.  It judges deviations
     by the closed-form best response, which is exact only under
@@ -417,39 +417,21 @@ def find_pure_nash(instance: AuctionInstance, grid: BidGrid,
         # one byte per grid profile: True where no bidder can gain by
         # deviating on the grid
         mask = np.ones(shape, dtype=bool)
-        # best[i][others' indices]: bidder i's best utility on the grid
+        # best[i][profile with bidder i's index 0]: bidder i's best utility
+        # on the grid against the others' strategies there
         best = []
         for i in range(instance.n):
             values = instance.valuations[i].values
-            others_shape = shape[:i] + shape[i + 1:]
-            if blocks:
-                # bidder i's whole block in profile order, its own
-                # strategies along axis i
-                utils = block_utilities(cands, i, values, instance.pricing,
-                                        *blocks[i])
-                rowmax = utils.max(axis=i, keepdims=True)
-                np.subtract(rowmax, utils, out=utils)
-                mask &= utils <= EQ_TOL
-                best.append(rowmax.reshape(others_shape))
-                continue
-            # rows: the others' bids in itertools.product order; columns:
-            # bidder i's own
-            nrows = math.prod(others_shape)
-            keep = np.empty((nrows, shape[i]), dtype=bool)
-            rowmax = np.empty(nrows)
-            step = max(1, _BLOCK_CELLS // shape[i])
-            for start in range(0, nrows, step):
-                stop = min(start + step, nrows)
-                units, charge = block_allocation(
-                    cands, i, instance.pricing,
-                    _row_picks(others_shape, start, stop))
+            best.append(np.empty(shape[:i] + (1,) + shape[i + 1:]))
+            for box, units, charge in (blocks[i] if blocks else
+                                       _box_allocations(cands, shape, i,
+                                                        instance.pricing)):
                 utils = block_utilities(cands, i, values, instance.pricing,
                                         units, charge)
-                rowmax[start:stop] = utils.max(axis=1)
-                np.subtract(rowmax[start:stop, None], utils, out=utils)
-                np.less_equal(utils, EQ_TOL, out=keep[start:stop])
-            mask &= _profile_order(keep, shape, i)
-            best.append(rowmax.reshape(others_shape))
+                rowmax = utils.max(axis=i, keepdims=True)
+                best[i][box] = rowmax
+                np.subtract(rowmax, utils, out=utils)
+                mask[box] &= utils <= EQ_TOL
         found = []
         # flat indices in C order, which is itertools.product order
         picked = np.unravel_index(np.flatnonzero(mask), shape)
@@ -460,7 +442,7 @@ def find_pure_nash(instance: AuctionInstance, grid: BidGrid,
             profile = BidProfile(combo, grid.interface, k)
             out = run_auction(profile, instance.tie_break, instance.pricing)
             # fails only where the block utilities and run_auction disagree
-            if all(best[i][cell[:i] + cell[i + 1:]]
+            if all(best[i][cell[:i] + (0,) + cell[i + 1:]]
                    - (instance.valuations[i].value(out.allocation[i])
                       - out.payments[i]) <= EQ_TOL
                    for i in range(instance.n)):

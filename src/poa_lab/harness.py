@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 
 from . import instances as inst_mod
 from . import sweeps
-from .equilibria import BidGrid, bayesian_poa, find_pure_nash, is_bayes_nash, is_pure_nash
+from .equilibria import (BidGrid, SearchCapExceeded, bayesian_poa,
+                         find_pure_nash, is_bayes_nash, is_pure_nash)
 from .mechanisms import (DISCRIMINATORY, UNIFORM, AuctionInstance, BidProfile,
                          allocate, run_auction, social_welfare)
 from .smoothness import bound_table, theorem6_da_frontier, theorem6_upa_check
@@ -234,14 +235,21 @@ def _run_find_pne(cfg: ExperimentConfig, report: ExperimentReport):
     with open(path) as fh:
         data = json.load(fh)
     instance = AuctionInstance.from_json(data)
-    grid = BidGrid.from_json(cfg.options.get("grid", {}))
+    try:
+        grid = BidGrid.from_json(cfg.options["grid"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"find-pne needs a valid grid: {exc!r}") from exc
     mode = cfg.options.get("mode", "exhaustive")
+    if mode not in ("exhaustive", "best_response_dynamics"):
+        raise ConfigError(f"unknown find-pne mode {mode!r}")
     t0 = time.perf_counter()
-    result = find_pure_nash(instance, grid, mode,
-                            cap=int(cfg.options.get("cap", 10 ** 8)),
-                            seed=cfg.seed or 0,
-                            starts=int(cfg.options.get("starts", 20)),
-                            max_rounds=int(cfg.options.get("max_rounds", 200)))
+    try:
+        result = find_pure_nash(
+            instance, grid, mode, cap=int(cfg.options.get("cap", 10 ** 8)),
+            seed=cfg.seed or 0, starts=int(cfg.options.get("starts", 20)),
+            max_rounds=int(cfg.options.get("max_rounds", 200)))
+    except SearchCapExceeded as exc:
+        raise ConfigError(f"find-pne: {exc}") from exc
     opt = optimal_allocation(instance.valuations, instance.k)
     slack = instance.n * instance.k * grid.tick
     all_efficient = True

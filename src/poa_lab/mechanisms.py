@@ -74,6 +74,13 @@ class UniformBid:
         return {"price": self.price, "quantity": self.quantity}
 
 
+def uniform_vectors(prices, k: int) -> np.ndarray:
+    """The expanded marginal-bid vectors of the uniform bids (p, q) for
+    every p in prices and q = 1..k, in that order: row q - 1 of np.tri(k)
+    holds q ones."""
+    return (np.asarray(prices)[:, None, None] * np.tri(k)).reshape(-1, k)
+
+
 def standard_bid(*values: float) -> StandardBid:
     return StandardBid(tuple(float(v) for v in values))
 

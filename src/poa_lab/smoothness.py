@@ -32,6 +32,7 @@ from .mechanisms import (
     beta_minus_i,
     deviation_outcomes,
     run_auction,
+    uniform_vectors,
     uniformize_profile,
 )
 from .valuations import Valuation, is_subadditive, is_submodular, tau
@@ -586,8 +587,7 @@ def theorem6_da_frontier(instance: AuctionInstance, profile: BidProfile,
     candidates = [deviation_tick]
     for v in values:
         candidates += [v, v + deviation_tick]
-    # every candidate at every quantity: row q - 1 of np.tri(k) holds q ones
-    vectors = (np.array(candidates)[:, None, None] * np.tri(k)).reshape(-1, k)
+    vectors = uniform_vectors(candidates, k)
     sups = [_sup_utility(instance, profile, i, vectors)
             for i in range(instance.n)]
     out = allocate(profile, instance.tie_break)

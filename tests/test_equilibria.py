@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -432,10 +433,10 @@ def _tie_kinds(n):
 @pytest.mark.parametrize("n, grid", [(2, BidGrid(0.25, 0.75)),
                                      (3, BidGrid(0.25, 0.75, "uniform"))])
 def test_cached_blocks_match_a_fresh_block_outcomes_run(pricing, n, grid):
-    """The blocks a search keeps equal block_allocation built afresh, in
-    profile order and read-only; gathered under any value curve they equal
-    block_outcomes' (units, utilities) bit for bit, and a full auction on
-    every profile."""
+    """The one box per bidder that a search keeps covers the profile space
+    and equals block_allocation built afresh, in profile order and
+    read-only; gathered under any value curve it equals block_outcomes'
+    (units, utilities) bit for bit, and a full auction on every profile."""
     k = 2
     rng = random.Random(40 + n)
     curves = [np.zeros(k + 1)] + [
@@ -450,32 +451,35 @@ def test_cached_blocks_match_a_fresh_block_outcomes_run(pricing, n, grid):
         fresh = SearchCandidates(equilibria._grid_spaces(grid, k, [None] * n),
                                  tie)
         gathered = []
-        for i, (units, charge) in enumerate(blocks):
-            assert not charge.flags.writeable
-            others_shape = shape[:i] + shape[i + 1:]
-            picks = equilibria._row_picks(others_shape, 0,
-                                          math.prod(others_shape))
-            new_units, new_charge = (
-                equilibria._profile_order(a, shape, i)
-                for a in block_allocation(fresh, i, pricing, picks))
+        for i, boxes in enumerate(blocks):
+            [(box, units, charge)] = boxes
+            assert box == tuple(slice(None) if j == i else slice(0, shape[j])
+                                for j in range(n))
+            assert not units.flags.writeable and not charge.flags.writeable
+            # rows: the others' strategies in itertools.product order
+            others = shape[:i] + shape[i + 1:]
+            picks = [np.array(column) for column in
+                     zip(*itertools.product(*map(range, others)))]
+
+            def profile_order(block):
+                return np.moveaxis(block.reshape(others + (shape[i],)), -1, i)
+
+            new_units, new_charge = map(
+                profile_order, block_allocation(fresh, i, pricing, picks))
+            assert np.array_equal(units, new_units), (tie, i)
             assert np.array_equal(charge, new_charge), (tie, i)
-            if pricing == "uniform":
-                assert not units.flags.writeable
-                assert np.array_equal(units, new_units), (tie, i)
-            else:
-                # pay-as-bid keeps the flat index c * (k + 1) + units alone
-                assert units is None
+            if pricing == "discriminatory":
+                # the pay-as-bid charge is the flat index c * (k + 1) + units
                 own = np.arange(shape[i]).reshape(
                     [-1 if j == i else 1 for j in range(n)])
-                assert np.array_equal(charge - own * (k + 1), new_units)
+                assert np.array_equal(charge - own * (k + 1), units)
             per_curve = []
             for values in curves:
                 utils = block_utilities(cands, i, values, pricing, units,
                                         charge)
-                ref_units, ref_utils = (
-                    equilibria._profile_order(a, shape, i)
-                    for a in block_outcomes(fresh, i, values, pricing,
-                                            picks))
+                ref_units, ref_utils = map(
+                    profile_order,
+                    block_outcomes(fresh, i, values, pricing, picks))
                 assert utils.shape == shape
                 assert utils.tobytes() == ref_utils.copy().tobytes()
                 per_curve.append((ref_units, utils))
@@ -661,24 +665,77 @@ def test_exhaustive_search_is_exact_under_slot_level_ties():
     assert brute.bid == UniformBid(0.25, 2)
 
 
-@pytest.mark.parametrize("interface", ["standard", "uniform"])
-def test_search_sliced_into_many_blocks_matches_oracle(monkeypatch,
-                                                       interface):
-    # unequal strategy counts per bidder and blocks of a few rows each; on
-    # the standard grid one bidder's last block is partial
-    tie = tie_explicit([(1, 1), (2, 0), (0, 1)])
-    vals = (valuation(0, 0.5, 0.75), valuation(0, 0.75, 1.0),
-            valuation(0, 0.25, 0.75))
-    inst = AuctionInstance(vals, 2, "uniform", tie)
-    grid = BidGrid(0.25, 0.75, interface, no_overbidding=True)
-    sizes = [len(grid_bids_for(grid, 2, v)) for v in vals]
-    assert len(set(sizes)) > 1
+_SLICED_VALS = (valuation(0, 0.5, 0.75), valuation(0, 0.75, 1.0),
+                valuation(0, 0.25, 0.75))
+
+
+@pytest.mark.parametrize("inst, grid", [
+    pytest.param(AuctionInstance(_SLICED_VALS, 2, "uniform",
+                                 tie_explicit([(1, 1), (2, 0), (0, 1)])),
+                 BidGrid(0.25, 0.75, interface, no_overbidding=True),
+                 id=interface)
+    for interface in ("standard", "uniform")] + [
+    # 4 ** 4 profiles: with 5 cells or fewer a box fixes two leading axes
+    pytest.param(AuctionInstance(tuple(valuation(0, v) for v in
+                                       (0.5, 0.75, 0.25, 1.0)), 1,
+                                 "discriminatory", tie_favor_last()),
+                 BidGrid(0.25, 0.75, "uniform"), id="n4-k1"),
+    pytest.param(AuctionInstance((valuation(0, 0.5, 0.75),), 2, "uniform",
+                                 tie_lexicographic()),
+                 BidGrid(0.25, 1.0), id="n1")])
+def test_search_sliced_into_many_blocks_matches_oracle(monkeypatch, inst,
+                                                       grid):
+    # unequal strategy counts per bidder and boxes of a few cells each, or
+    # of one row where a row holds more cells than the bound; on the
+    # standard grid one bidder's last box is partial
+    k, pricing = inst.k, inst.pricing
+    cuts = tuple(inst.valuations) if grid.no_overbidding else (None,) * inst.n
+    spaces, cands, _ = equilibria._search_tables.__wrapped__(
+        grid, k, inst.tie_break, pricing, cuts, 10 ** 8)
+    shape = tuple(len(s) for s in spaces)
+    equilibria._search_tables.cache_clear()
     whole = find_pure_nash(inst, grid)
-    monkeypatch.setattr(equilibria, "_BLOCK_CELLS", 2 * max(sizes) + 1)
-    sliced = find_pure_nash(inst, grid)
     expected, _ = _grid_oracle_pure_nash(inst, grid)
     assert expected
-    assert sliced.equilibria == whole.equilibria == expected
+    assert whole.equilibria == expected
+    for cells in (2 * max(shape) + 1, 5, 3, 1):
+        monkeypatch.setattr(equilibria, "_BLOCK_CELLS", cells)
+        # the boxes of each bidder tile the profile space
+        for i in range(inst.n):
+            cover = np.zeros(shape, dtype=int)
+            for box, units, charge in equilibria._box_allocations(
+                    cands, shape, i, pricing):
+                cover[box] += 1
+                assert units.shape == charge.shape == cover[box].shape
+                assert units.size <= max(cells, shape[i])
+            assert (cover == 1).all(), (cells, i)
+        equilibria._search_tables.cache_clear()
+        assert find_pure_nash(inst, grid).equilibria == expected, cells
+    equilibria._search_tables.cache_clear()
+
+
+def test_sliced_search_holds_one_byte_per_profile(monkeypatch):
+    """Above _BLOCK_CELLS the search's largest arrays are its mask, one
+    byte per profile, and boxes of a bounded size: a second profile-sized
+    array, such as a per-bidder copy of the mask, breaks the bound."""
+    monkeypatch.setattr(equilibria, "_BLOCK_CELLS", 1 << 12)
+    vals = tuple(random_valuation("general", 3, 0.25, seed=s) for s in (1, 2))
+    inst = AuctionInstance(vals, 3, "discriminatory", tie_lexicographic())
+    grid = BidGrid(0.0625, 1.0)
+    profiles = len(grid_bids_for(grid, 3)) ** 2
+    assert profiles == 938961
+    equilibria._search_tables.cache_clear()
+    # the strategy tables are built and cached outside the measurement
+    find_pure_nash(inst, grid)
+    tracemalloc.start()
+    try:
+        res = find_pure_nash(inst, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        equilibria._search_tables.cache_clear()
+    assert not res.equilibria
+    assert peak <= 1.5 * profiles
 
 
 def test_dynamics_fixed_points_are_equilibria():

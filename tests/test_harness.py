@@ -161,6 +161,29 @@ def test_cli_run_and_exit_codes(tmp_path):
     assert cli_main(["run", str(failing)]) == 1
 
 
+@pytest.mark.parametrize("change", [
+    {"grid": {"tick": 0, "max_bid": 1.0}},
+    {"grid": None},
+    {"mode": "nope"},
+    # the grid has 15 ** 2 = 225 profiles
+    {"cap": 10},
+], ids=["zero-tick", "no-grid", "unknown-mode", "cap-below-grid"])
+def test_cli_find_pne_config_errors_exit_2(tmp_path, capsys, change):
+    inst = AuctionInstance((valuation(0, 1.0, 1.5), valuation(0, 0.5, 0.75)),
+                           2, "discriminatory", tie_favor_bidder(0))
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(inst.to_json()))
+    config = make_config(experiment="find-pne", instance_file=str(path),
+                         grid={"tick": 0.25, "max_bid": 1.0})
+    config.update(change)
+    config = {key: value for key, value in config.items()
+              if value is not None}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    assert cli_main(["run", str(cfg_path)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_cli_verify_and_listing(capsys):
     assert cli_main(["verify", "theorem4", "--k", "6"]) == 0
     assert cli_main(["list-instances"]) == 0
