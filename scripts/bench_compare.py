@@ -32,14 +32,15 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10
 
-# Per-call costs of the exhaustive search's layers, in microseconds: the
-# best of 5 passes over `calls` calls, in a fresh process of one checkout.
+# Per-call costs of the exhaustive search's layers and of the ranking
+# layers, in microseconds: the best of 5 passes over `calls` calls, in a
+# fresh process of one checkout.
 LAYERS = r'''
 import inspect, json, math, random, time
 import numpy as np
 from poa_lab import equilibria, mechanisms
 from poa_lab.mechanisms import (AuctionInstance, BidProfile, StandardBid,
-                                tie_lexicographic)
+                                tie_explicit, tie_lexicographic)
 from poa_lab.valuations import random_valuation
 
 def cost(fn, calls):
@@ -108,6 +109,33 @@ args = ([profile], 0, vectors) + ((v6,) if with_values else ()) + (
     tie, "uniform")
 out["deviation_outcomes_n5_k6_c12_us"] = cost(
     lambda: mechanisms.deviation_outcomes(*args), 200)
+# the ranking layers: n=5, k=6, uniform pricing, tick 1e-3, 200 seeded
+# profiles whose bids sit on eight grid levels, so ties are common; one
+# call is one pass over the profiles, divided by their number
+rng = random.Random(7)
+levels = [0.125 * (j + 1) for j in range(8)]
+profiles = [BidProfile(tuple(StandardBid(tuple(sorted(
+    (rng.choice(levels) for _ in range(6)), reverse=True)))
+    for _ in range(5)), "standard", 6) for _ in range(200)]
+vals5 = tuple(random_valuation("submodular", 6, 1.0, seed=s)
+              for s in range(5))
+fine_grid = equilibria.BidGrid(1e-3, 2.0)
+pairs = [(i, s) for i in range(5) for s in range(6)]
+rng.shuffle(pairs)
+out["beta_minus_i_n5_k6_us"] = cost(
+    lambda: [mechanisms.beta_minus_i(p, 0) for p in profiles], 1) / 200
+for name, rule in (("lex", tie_lexicographic()),
+                   ("explicit", tie_explicit(pairs[:15]))):
+    inst5 = AuctionInstance(vals5, 6, "uniform", rule)
+    out[f"run_auction_{name}_n5_k6_us"] = cost(
+        lambda: [mechanisms.run_auction(p, rule, "uniform")
+                 for p in profiles], 1) / 200
+    out[f"best_response_{name}_n5_k6_us"] = cost(
+        lambda: [equilibria.best_response(inst5, p, 0, fine_grid)
+                 for p in profiles], 1) / 200
+    out[f"is_pure_nash_{name}_n5_k6_us"] = cost(
+        lambda: [equilibria.is_pure_nash(p, inst5, fine_grid)
+                 for p in profiles], 1) / 200
 print(json.dumps(out))
 '''
 

@@ -7,22 +7,23 @@ non-constant bid winning j units dominates it slot-wise, and has pointwise
 larger prefix sums, so the restriction is also exact under no-overbidding).
 The candidates, the threshold beta_j (ties may go the deviator's way) and
 one tick above, are scored by arithmetic on one ranking of the profile's
-positive entries by (-value, tie priority, bidder).  With opp the first k
-entries not bidder i's, beta_j is the value of opp[k - j] (0 if there is
-none); (c,) * j wins all j units iff its lowest-ranked entry ranks ahead
-of opp[k - j], and then pays sum((c,) * j) as bid or j * beta_j at the
-uniform price.  is_pure_nash and best-response dynamics rank each profile
-once for the outcome and every response.  This closed form is exact for
-bidder-level tie-break rules only.  Grid scans enumerate the grid once, as
-an array of marginal-bid vectors in grid_bids_for order: the Bayes-Nash
-regrets and the exhaustive pure-Nash search (exact under every tie rule)
-take the utilities of whole arrays from the block outcome engine and build
-bid objects only for the bids and profiles they report.  The search scores
-each bidder box by box over the profile space, and caches what a grid game
-fixes without its valuations: the strategy arrays, their keys and, for up
-to _BLOCK_CELLS profiles, the one box of each bidder's allocations (9 bytes
-per profile and bidder); a valuation enters a search only through
-block_utilities.
+positive entries by (-value, tie rank, bidder), with ranks from the table
+mechanisms.tie_ranks caches per (rule, n, k).  With opp the first k entries
+not bidder i's, beta_j is the value of opp[k - j] (0 if there is none);
+(c,) * j wins all j units iff its lowest-ranked entry, (-c, bidder i's
+worst rank on slots 0..j-1), is ahead of opp[k - j], and then pays
+sum((c,) * j) as bid or j * beta_j at the uniform price.  is_pure_nash and
+best-response dynamics rank each profile once for the outcome and every
+response.  This closed form is exact for bidder-level tie-break rules only.
+Grid scans enumerate the grid once, as an array of marginal-bid vectors in
+grid_bids_for order: the Bayes-Nash regrets and the exhaustive pure-Nash
+search (exact under every tie rule) score whole arrays with the block
+outcome engine and build bid objects only for what they report.  The search
+scores each bidder box by box over the profile space, and caches what a
+grid game fixes without its valuations: the strategy arrays, their keys
+and, for up to _BLOCK_CELLS profiles, the one box of each bidder's
+allocations (9 bytes per profile and bidder); a valuation enters a search
+only through block_utilities.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from .mechanisms import (
     StandardBid,
     TieBreakRule,
     UniformBid,
+    _overbids,
     _ranked_outcome,
     allocate,
     block_allocation,
@@ -54,6 +56,7 @@ from .mechanisms import (
     deviation_outcomes,
     run_auction,
     social_welfare,
+    tie_ranks,
     uniform_vectors,
 )
 from .valuations import Valuation, is_submodular, marginals
@@ -149,43 +152,46 @@ def best_response(instance: AuctionInstance, profile: BidProfile, i: int,
                   grid: BidGrid) -> BestResponse:
     """Best deviation of bidder i against the other bids in the profile.
 
-    The closed form of the module docstring, on the profile's ranking.
+    The closed form of the module docstring, on the profile's ranking by
+    (-value, tie rank, bidder) and the worst ranks of mechanisms.tie_ranks.
     Honors the grid's no-overbidding flag and max_bid.  Exact for
     bidder-level tie-break rules only: under a slot-level ("explicit") rule
     a bid winning fewer than its quantity can do better.
     """
-    return _closed_form_response(
-        instance, grid, _ranked_outcome(profile, instance.tie_break)[0], i)
+    utility, bid = _closed_form_response(
+        instance, grid, _ranked_outcome(profile, instance.tie_break)[0], i,
+        tie_ranks(instance.tie_break, profile.n, instance.k)[1][i])
+    return BestResponse(bid, utility, bid.quantity)
 
 
 def _closed_form_response(instance: AuctionInstance, grid: BidGrid,
-                          ranked: list, i: int) -> BestResponse:
-    """best_response on a profile's ranking from _ranked_outcome; equal bit
-    for bit to scoring each candidate by run_auction."""
+                          ranked: list, i: int, worst: tuple):
+    """(utility, bid) of best_response from _ranked_outcome's ranking and
+    bidder i's row of tie_ranks' worst ranks, bit for bit run_auction's."""
     k = instance.k
-    val = instance.valuations[i]
+    values = instance.valuations[i].values
     uniform = instance.pricing == UNIFORM
-    opp = list(itertools.islice((e for e in ranked if e[2] != i), k))
-    best = BestResponse(UniformBid(0.0, 0), 0.0, 0)
+    opp = []
+    for entry in ranked:
+        if entry[2] != i:
+            opp.append(entry)
+            if len(opp) == k:
+                break
     cap = grid.max_bid + 1e-12
-    # worst: bidder i's largest tie priority on slots 0..j-1
-    slots = (instance.tie_break.priority(i, s) for s in range(k))
-    for j, worst in enumerate(itertools.accumulate(slots, max), 1):
-        rival = opp[k - j] if k - j < len(opp) else None
-        threshold = -rival[0] if rival else 0.0
-        # a repeat, where threshold + tick rounds down, cannot beat itself
+    best, bid = 0.0, (0.0, 0)
+    for j in range(1, k + 1):
+        # the rival beats (c,) * j only at c = threshold, by a rank ahead of
+        # bidder i's worst; past j the no-overbidding prefix sums stay put
+        rival = opp[k - j] if k - j < len(opp) else (-0.0, math.inf)
+        threshold, ahead = -rival[0], rival[1] < worst[j - 1]
         for c in (threshold, threshold + grid.tick):
-            if c <= 0.0 or c > cap or (rival and rival < (-c, worst)):
+            if c <= 0.0 or c > cap or (ahead and c == threshold) or (
+                    grid.no_overbidding and _overbids((c,) * j, values)):
                 continue
-            # the no-overbidding prefix sums; past j they stay put
-            if grid.no_overbidding and any(
-                    acc > val.value(s) + 1e-12 for s, acc in
-                    enumerate(itertools.accumulate((c,) * j), 1)):
-                continue
-            u = val.value(j) - (j * threshold if uniform else sum((c,) * j))
-            if u > best.utility:
-                best = BestResponse(UniformBid(c, j), u, j)
-    return best
+            u = values[j] - (j * threshold if uniform else sum((c,) * j))
+            if u > best:
+                best, bid = u, (c, j)
+    return best, UniformBid(*bid)
 
 
 def _deviation_vectors(grid: BidGrid, k: int, val: Valuation,
@@ -219,19 +225,21 @@ def is_pure_nash(profile: BidProfile, instance: AuctionInstance,
                  grid: BidGrid) -> RegretReport:
     """Regret of every bidder against the closed-form deviation family.
 
-    The current outcome and every best response come from one ranking of
-    the profile.  Exact only under bidder-level tie-break rules; under a
-    slot-level ("explicit") rule the regret can be understated.
+    The outcome and every best response come from one ranking of the
+    profile by (-value, tie rank, bidder) and one read of the worst ranks
+    of mechanisms.tie_ranks.  Exact only under bidder-level tie-break rules;
+    under a slot-level ("explicit") rule the regret can be understated.
     """
     ranked, out = _ranked_outcome(profile, instance.tie_break,
                                   instance.pricing)
+    worst = tie_ranks(instance.tie_break, profile.n, instance.k)[1]
     entries = []
     for i in range(instance.n):
         cur = instance.valuations[i].value(out.allocation[i]) - out.payments[i]
-        br = _closed_form_response(instance, grid, ranked, i)
-        regret = max(0.0, max(br.utility, cur) - cur)
-        entries.append(RegretEntry(i, 0, cur, max(br.utility, cur), regret,
-                                   br.bid))
+        utility, bid = _closed_form_response(instance, grid, ranked, i,
+                                             worst[i])
+        best = max(utility, cur)
+        entries.append(RegretEntry(i, 0, cur, best, max(0.0, best - cur), bid))
     return RegretReport(tuple(entries))
 
 
@@ -455,6 +463,7 @@ def find_pure_nash(instance: AuctionInstance, grid: BidGrid,
         found = []
         evaluated = 0
         spaces = _grid_spaces(grid, k, instance.valuations)
+        worst = tie_ranks(instance.tie_break, instance.n, k)[1]
         for _ in range(starts):
             combo = [_grid_bids(grid.interface, s[[rng.randrange(len(s))]])[0]
                      for s in spaces]
@@ -466,10 +475,11 @@ def find_pure_nash(instance: AuctionInstance, grid: BidGrid,
                 for i in range(instance.n):
                     cur = (instance.valuations[i].value(out.allocation[i])
                            - out.payments[i])
-                    br = _closed_form_response(instance, grid, ranked, i)
+                    utility, bid = _closed_form_response(
+                        instance, grid, ranked, i, worst[i])
                     evaluated += 1
-                    if br.utility - cur > EQ_TOL:
-                        profile = profile.replace(i, br.bid)
+                    if utility - cur > EQ_TOL:
+                        profile = profile.replace(i, bid)
                         ranked, out = _ranked_outcome(
                             profile, instance.tie_break, instance.pricing)
                         changed = True

@@ -232,22 +232,23 @@ def _run_find_pne(cfg: ExperimentConfig, report: ExperimentReport):
     path = cfg.options.get("instance_file")
     if not path:
         raise ConfigError("find-pne needs instance_file")
-    with open(path) as fh:
-        data = json.load(fh)
-    instance = AuctionInstance.from_json(data)
     try:
+        with open(path) as fh:
+            instance = AuctionInstance.from_json(json.load(fh))
         grid = BidGrid.from_json(cfg.options["grid"])
+        cap = int(cfg.options.get("cap", 10 ** 8))
+        starts = int(cfg.options.get("starts", 20))
+        max_rounds = int(cfg.options.get("max_rounds", 200))
     except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"find-pne needs a valid grid: {exc!r}") from exc
+        raise ConfigError(f"find-pne: bad instance or options: {exc}") from exc
     mode = cfg.options.get("mode", "exhaustive")
     if mode not in ("exhaustive", "best_response_dynamics"):
         raise ConfigError(f"unknown find-pne mode {mode!r}")
     t0 = time.perf_counter()
     try:
-        result = find_pure_nash(
-            instance, grid, mode, cap=int(cfg.options.get("cap", 10 ** 8)),
-            seed=cfg.seed or 0, starts=int(cfg.options.get("starts", 20)),
-            max_rounds=int(cfg.options.get("max_rounds", 200)))
+        result = find_pure_nash(instance, grid, mode, cap=cap,
+                                seed=cfg.seed or 0, starts=starts,
+                                max_rounds=max_rounds)
     except SearchCapExceeded as exc:
         raise ConfigError(f"find-pne: {exc}") from exc
     opt = optimal_allocation(instance.valuations, instance.k)

@@ -391,11 +391,11 @@ def verify_proposition1(instance: AuctionInstance | None = None,
                               structure["winner_blocks_cover_ld"]))
     checks.append(CheckResult("lemma5_loser_blocks",
                               structure["loser_blocks_at_most_ld"]))
+    presets = [replace(instance, tie_break=tb)
+               for tb in tie_break_presets(instance.n)]
     for eps, bumped in zip(eps_values, bumped_profiles):
-        ok = all(
-            is_epsilon_equilibrium(bumped, replace(instance, tie_break=tb),
-                                   grid, eps)
-            for tb in tie_break_presets(instance.n))
+        ok = all(is_epsilon_equilibrium(bumped, preset, grid, eps)
+                 for preset in presets)
         checks.append(CheckResult(f"prop1_eps_{eps}", ok))
     return checks
 

@@ -11,8 +11,10 @@ uniform (pay the highest losing bid per unit won).
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -22,9 +24,6 @@ from .valuations import Valuation
 DISCRIMINATORY = "discriminatory"
 UNIFORM = "uniform"
 PRICINGS = (DISCRIMINATORY, UNIFORM)
-
-_BIG = 1 << 60
-
 
 # ---------------------------------------------------------------------------
 # Bids and profiles
@@ -122,7 +121,7 @@ class BidProfile:
         """Bidder i's bid expanded to a full marginal-bid vector."""
         b = self.bids[i]
         if isinstance(b, UniformBid):
-            return b.expand(self.k).values
+            return (b.price,) * b.quantity + (0.0,) * (self.k - b.quantity)
         return b.values
 
     def vectors(self) -> list[tuple[float, ...]]:
@@ -182,7 +181,6 @@ class TieBreakRule:
     kind: str
     bidder: int | None = None
     order: tuple[tuple[int, int], ...] | None = None
-    _rank: dict = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in ("lexicographic", "favor_bidder", "favor_last",
@@ -195,8 +193,6 @@ class TieBreakRule:
                 raise ValueError("explicit tie-break needs an order")
             if len(set(self.order)) != len(self.order):
                 raise ValueError("explicit order has duplicate entries")
-            object.__setattr__(self, "_rank",
-                               {pair: r for r, pair in enumerate(self.order)})
 
     def priority(self, bidder: int, slot: int) -> tuple:
         if self.kind == "lexicographic":
@@ -205,7 +201,8 @@ class TieBreakRule:
             return (0 if bidder == self.bidder else 1, bidder, slot)
         if self.kind == "favor_last":
             return (-bidder, slot)
-        return (self._rank.get((bidder, slot), _BIG), bidder, slot)
+        pair = (bidder, slot)  # an unlisted pair ranks after every listed one
+        return ((*self.order, pair).index(pair), bidder, slot)
 
     def to_json(self):
         out = {"kind": self.kind}
@@ -223,6 +220,17 @@ class TieBreakRule:
             bidder=data.get("bidder"),
             order=tuple((int(i), int(j)) for i, j in order) if order else None,
         )
+
+
+@functools.lru_cache(maxsize=256)
+def tie_ranks(tie: TieBreakRule, n: int, k: int):
+    """(rank, worst): rank[i][s] is the place of (i, s) among all n * k
+    pairs by tie.priority, worst[i][j] the largest of rank[i][:j + 1]."""
+    pairs = sorted(itertools.product(range(n), range(k)),
+                   key=lambda pair: tie.priority(*pair))
+    rank = tuple(tuple(pairs.index((i, s)) for s in range(k))
+                 for i in range(n))
+    return rank, tuple(tuple(itertools.accumulate(row, max)) for row in rank)
 
 
 def tie_lexicographic() -> TieBreakRule:
@@ -283,13 +291,13 @@ def _ranked_outcome(profile: BidProfile, tie: TieBreakRule,
     """A profile's ranking and outcome, with payments if pricing is given.
 
     The ranking holds the positive marginal bids, highest first, as
-    (-value, tie priority, bidder); tie priorities are distinct, so its
-    first k entries win."""
+    (-value, tie rank, bidder), the rank from tie_ranks' table; tie ranks
+    are distinct, so its first k entries win."""
     vectors = profile.vectors()
     k = profile.k
-    ranked = sorted((-v, tie.priority(i, s), i)
-                    for i, vec in enumerate(vectors)
-                    for s, v in enumerate(vec) if v > 0.0)
+    ranked = sorted((-v, r, i) for i, (vec, ranks) in
+                    enumerate(zip(vectors, tie_ranks(tie, len(vectors), k)[0]))
+                    for v, r in zip(vec, ranks) if v > 0.0)
     selected = ranked[:k]
     x = [0] * len(vectors)
     for _, _, i in selected:
@@ -328,16 +336,21 @@ def social_welfare(vals: Sequence[Valuation], allocation: Sequence[int]) -> floa
     return sum(v.value(x) for v, x in zip(vals, allocation))
 
 
+def _overbids(vector, values) -> bool:
+    """Whether a prefix sum, in slot order, exceeds values[s] + 1e-12."""
+    acc = 0.0
+    for s, x in enumerate(vector, 1):
+        acc += x
+        if acc > values[s] + 1e-12:
+            return True
+    return False
+
+
 def check_no_overbidding(val: Valuation, bid: StandardBid) -> bool:
     """True iff every prefix sum of the bid is at most the value at that count."""
     if bid.k != val.k:
         raise ValueError("bid and valuation dimensions differ")
-    acc = 0.0
-    for s in range(1, bid.k + 1):
-        acc += bid.values[s - 1]
-        if acc > val.value(s) + 1e-12:
-            return False
-    return True
+    return not _overbids(bid.values, val.values)
 
 
 def beta_minus_i(profile: BidProfile, i: int,
@@ -362,7 +375,7 @@ class SearchCandidates:
 
     spaces[j] is bidder j's (candidates x k) array of vectors.  Each entry
     of a vector is a (value, tie rank) pair, where the rank is the integer
-    position of its (bidder, slot) under the tie rule; a zero entry never
+    position of its (bidder, slot) in tie_ranks' table; a zero entry never
     wins, so every zero gets the rank after all pairs.  keys[j][c] holds
     candidate c's entries as dense integer keys in the global (-value,
     rank) order, ascending, then the zero key as padding to k + 1: a lower
@@ -374,15 +387,11 @@ class SearchCandidates:
 
     def __init__(self, spaces: Sequence[np.ndarray], tie: TieBreakRule):
         n, k = len(spaces), spaces[0].shape[1]
-        # rank[j, s]: the position of (j, s) among all pairs by tie priority
-        by_priority = sorted(range(n * k),
-                             key=lambda e: tie.priority(*divmod(e, k)))
-        rank = np.argsort(by_priority).reshape(n, k)
+        rank = tie_ranks(tie, n, k)[0]
         # every entry of the search, then one zero for the padding
         values = np.concatenate([space.ravel() for space in spaces] + [[0.0]])
-        ranks = np.concatenate(
-            [np.broadcast_to(rank[j], space.shape).ravel()
-             for j, space in enumerate(spaces)] + [[n * k]])
+        ranks = np.concatenate([np.tile(rank[j], len(space))
+                                for j, space in enumerate(spaces)] + [[n * k]])
         positive = values > 0.0
         ranks = np.where(positive, ranks, n * k)
         # the keys number the distinct (-value, rank) pairs in that order

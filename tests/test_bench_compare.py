@@ -24,7 +24,11 @@ def test_layers_script_runs_against_src():
             "find_pure_nash_k3_cold_us", "find_pure_nash_sliced_k3_us",
             "search_candidates_k3_us",
             "block_k3_us", "block_allocation_k3_us", "block_utilities_k3_us",
-            "deviation_outcomes_n5_k6_c12_us"} == set(costs)
+            "deviation_outcomes_n5_k6_c12_us", "beta_minus_i_n5_k6_us",
+            "run_auction_lex_n5_k6_us", "run_auction_explicit_n5_k6_us",
+            "best_response_lex_n5_k6_us", "best_response_explicit_n5_k6_us",
+            "is_pure_nash_lex_n5_k6_us",
+            "is_pure_nash_explicit_n5_k6_us"} == set(costs)
     assert all(0.0 < us < math.inf for us in costs.values())
 
 

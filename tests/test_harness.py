@@ -161,18 +161,27 @@ def test_cli_run_and_exit_codes(tmp_path):
     assert cli_main(["run", str(failing)]) == 1
 
 
-@pytest.mark.parametrize("change", [
-    {"grid": {"tick": 0, "max_bid": 1.0}},
-    {"grid": None},
-    {"mode": "nope"},
+@pytest.mark.parametrize("change, write", [
+    ({"grid": {"tick": 0, "max_bid": 1.0}}, json.dumps),
+    ({"grid": None}, json.dumps),
+    ({"mode": "nope"}, json.dumps),
     # the grid has 15 ** 2 = 225 profiles
-    {"cap": 10},
-], ids=["zero-tick", "no-grid", "unknown-mode", "cap-below-grid"])
-def test_cli_find_pne_config_errors_exit_2(tmp_path, capsys, change):
+    ({"cap": 10}, json.dumps),
+    ({"cap": "ten"}, json.dumps),
+    ({"starts": "five", "mode": "best_response_dynamics", "seed": 1},
+     json.dumps),
+    ({"max_rounds": [200]}, json.dumps),
+    ({}, lambda data: json.dumps(data)[:-1]),
+    ({}, lambda data: json.dumps({key: value for key, value in data.items()
+                                  if key != "k"})),
+], ids=["zero-tick", "no-grid", "unknown-mode", "cap-below-grid",
+        "cap-not-an-integer", "starts-not-an-integer",
+        "max-rounds-not-an-integer", "instance-not-json", "instance-without-k"])
+def test_cli_find_pne_config_errors_exit_2(tmp_path, capsys, change, write):
     inst = AuctionInstance((valuation(0, 1.0, 1.5), valuation(0, 0.5, 0.75)),
                            2, "discriminatory", tie_favor_bidder(0))
     path = tmp_path / "instance.json"
-    path.write_text(json.dumps(inst.to_json()))
+    path.write_text(write(inst.to_json()))
     config = make_config(experiment="find-pne", instance_file=str(path),
                          grid={"tick": 0.25, "max_bid": 1.0})
     config.update(change)

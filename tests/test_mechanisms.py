@@ -24,6 +24,7 @@ from poa_lab.mechanisms import (
     tie_favor_bidder,
     tie_favor_last,
     tie_lexicographic,
+    tie_ranks,
     uniform_profile,
     uniformize_profile,
     zero_bid,
@@ -475,6 +476,41 @@ def test_explicit_tie_break_order():
     assert TieBreakRule.from_json(tie.to_json()) == tie
     with pytest.raises(ValueError):
         tie_explicit([(0, 0), (0, 0)])
+
+
+def _rank_rules(n, k):
+    """Rules of every tie kind for n bidders and k slots.  The first five
+    are the same rule at every (n, k), so a table cached without n or k in
+    its key comes back for the wrong size; the explicit orders, full and
+    partial, rank later slots ahead of earlier ones."""
+    pairs = [(i, s) for i in range(n) for s in range(k)]
+    shuffled = random.Random(n * 10 + k).sample(pairs, len(pairs))
+    return [tie_lexicographic(), tie_favor_last(), tie_favor_bidder(0),
+            tie_favor_bidder(1), tie_explicit([(0, 0)]),
+            tie_favor_bidder(n - 1), tie_explicit(shuffled),
+            tie_explicit(shuffled[:len(pairs) // 2 + 1]),
+            tie_explicit(pairs[::-1])]
+
+
+def test_tie_rank_table_matches_the_priorities():
+    # one process, no cache clearing: every (rule, n, k) after the first
+    # may be served from the cache
+    for n, k in itertools.product(range(1, 6), range(1, 6)):
+        pairs = list(itertools.product(range(n), range(k)))
+        for tie in _rank_rules(n, k):
+            rank, worst = tie_ranks(tie, n, k)
+            by_priority = sorted(pairs, key=lambda pair: tie.priority(*pair))
+            assert sorted(pairs, key=lambda p: rank[p[0]][p[1]]) \
+                == by_priority, (tie, n, k)
+            assert sorted(r for row in rank for r in row) == list(
+                range(n * k))
+            for i in range(n):
+                # worst[i][j] is the rank of bidder i's largest priority on
+                # slots 0..j
+                assert [tie.priority(*by_priority[w]) for w in worst[i]] \
+                    == list(itertools.accumulate(
+                        (tie.priority(i, s) for s in range(k)), max)), (
+                    tie, n, k, i)
 
 
 def test_tie_break_json_roundtrip():
