@@ -99,9 +99,9 @@ class BidGrid:
     def points(self) -> tuple[float, ...]:
         return tuple(i * self.tick for i in range(self.npoints))
 
-    def contains(self, x: float, tol: float = 1e-12) -> bool:
+    def contains(self, x: float) -> bool:
         i = round(x / self.tick)
-        return 0 <= i < self.npoints and abs(x - i * self.tick) <= tol
+        return 0 <= i < self.npoints and abs(x - i * self.tick) <= 1e-12
 
     def to_json(self):
         return {"tick": self.tick, "max_bid": self.max_bid,
@@ -133,8 +133,8 @@ class RegretReport:
     def max_regret(self) -> float:
         return max(e.regret for e in self.entries)
 
-    def is_equilibrium(self, tol: float = EQ_TOL) -> bool:
-        return self.max_regret <= tol
+    def is_equilibrium(self) -> bool:
+        return self.max_regret <= EQ_TOL
 
 
 @dataclass(frozen=True)
@@ -551,7 +551,7 @@ class BayesianGame:
         )
 
 
-def _bid_from_json(data, k):
+def _bid_from_json(data):
     if isinstance(data, dict):
         return UniformBid(float(data["price"]), int(data["quantity"]))
     return StandardBid(tuple(float(x) for x in data))
@@ -587,9 +587,9 @@ class Strategy:
                 for per_type in self.rules]
 
     @staticmethod
-    def from_json(data, k: int) -> "Strategy":
+    def from_json(data) -> "Strategy":
         return Strategy(tuple(
-            tuple(tuple((_bid_from_json(b, k), float(p)) for b, p in mixed)
+            tuple(tuple((_bid_from_json(b), float(p)) for b, p in mixed)
                   for mixed in per_type)
             for per_type in data))
 
@@ -781,14 +781,14 @@ def pne_standard_to_uniform(profile: BidProfile,
     return converted
 
 
-def lemma5_structure(profile: BidProfile, instance: AuctionInstance,
-                     tol: float = 1e-9) -> dict:
+def lemma5_structure(profile: BidProfile, instance: AuctionInstance) -> dict:
     """Structural properties of discriminatory pure equilibria.
 
     With d the highest losing bid: (a) every winning bid equals d; (b) the
     last ell marginal values of each winner cover ell*d; (c) any block of
     marginal values past the allocation is at most ell*d.
     """
+    tol = 1e-9
     out = allocate(profile, instance.tie_break)
     vectors = profile.vectors()
     d = 0.0

@@ -10,6 +10,7 @@ reports are otherwise deterministic for a fixed config.
 from __future__ import annotations
 
 import csv
+import inspect
 import json
 import math
 import os
@@ -27,10 +28,6 @@ from .welfare import optimal_allocation, poa_ratio
 
 CSV_COLUMNS = ("experiment", "instance", "n", "k", "pricing", "interface",
                "alpha", "lambda", "mu", "margin", "poa", "runtime_ms")
-
-EXPERIMENT_KINDS = ("verify-instance", "sweep-key-lemma", "certify-smoothness",
-                    "find-pne", "verify-bne", "bound-table",
-                    "theorem6-frontier")
 
 _BASE_KEYS = {"schema_version", "experiment", "seed", "output_json",
               "output_csv"}
@@ -53,19 +50,37 @@ class ConfigError(ValueError):
     """Invalid experiment configuration (exit code 2)."""
 
 
+def _number(options: dict, key: str, default, kind: str,
+            above: float = -math.inf, integer: bool = False):
+    """options[key], or default when absent, as a finite number > above,
+    and an integral one if integer is set.  A bool, a string or a
+    non-integral value is a ConfigError: nothing is truncated."""
+    value = options.get(key, default)
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value) or value <= above
+            or integer and value != int(value)):
+        raise ConfigError(f"{kind} {key} must be a finite "
+                          f"{'integer' if integer else 'number'} above "
+                          f"{above}, got {value!r}")
+    return int(value) if integer else float(value)
+
+
+def _call(fn, params: dict):
+    """fn(**params), once every key of params is a parameter of fn."""
+    unknown = set(params) - set(inspect.signature(fn).parameters)
+    if unknown:
+        raise ConfigError(f"{fn.__name__} takes no {sorted(unknown)}")
+    return fn(**params)
+
+
 def _check_sweep(kind: str, data: dict):
     """A randomized sweep needs a seed, instance sizes it can draw, and at
     least one case and one positive finite alpha: a sweep that checks
     nothing would pass."""
     if data.get("seed") is None:
         raise ConfigError(f"{kind} requires a seed")
-    for key, least in (("count", 1), ("n_max", 2), ("k_max", 2)):
-        try:
-            value = int(data.get(key, least))
-        except (TypeError, ValueError):
-            value = least - 1
-        if value < least:
-            raise ConfigError(f"{kind} {key} must be an integer >= {least}")
+    for key, above in (("count", 0), ("n_max", 1), ("k_max", 1)):
+        _number(data, key, above + 1, kind, above, integer=True)
     alphas = data.get("alphas", (1.0,))
     if not isinstance(alphas, (list, tuple)) or not alphas or not all(
             isinstance(a, (int, float)) and 0.0 < a < math.inf
@@ -89,7 +104,7 @@ class ExperimentConfig:
         if data.get("schema_version") != 1:
             raise ConfigError("schema_version must be 1")
         kind = data.get("experiment")
-        if kind not in EXPERIMENT_KINDS:
+        if not isinstance(kind, str) or kind not in _KIND_KEYS:
             raise ConfigError(f"unknown experiment kind {kind!r}")
         allowed = _BASE_KEYS | _KIND_KEYS[kind]
         unknown = set(data) - allowed
@@ -178,11 +193,10 @@ def _run_verify_instance(cfg: ExperimentConfig, report: ExperimentReport):
         _run_instance_file(cfg, report, instance_id)
         return
     params = dict(cfg.options.get("params", {}))
+    if instance_id not in inst_mod.VERIFIERS:
+        raise ConfigError(f"unknown instance id {instance_id!r}")
     t0 = time.perf_counter()
-    try:
-        checks = inst_mod.verify_named(instance_id, **params)
-    except KeyError as exc:
-        raise ConfigError(str(exc)) from exc
+    checks = _call(inst_mod.VERIFIERS[instance_id], params)
     for c in checks:
         report.add_check(c.name, c.passed, c.value, c.detail)
     report.add_row(experiment=cfg.experiment, instance=instance_id,
@@ -190,11 +204,12 @@ def _run_verify_instance(cfg: ExperimentConfig, report: ExperimentReport):
 
 
 def _run_sweep_key_lemma(cfg: ExperimentConfig, report: ExperimentReport):
-    count = int(cfg.options.get("count", 1000))
+    opts, exp = cfg.options, cfg.experiment
+    count = _number(opts, "count", 1000, exp, 0, integer=True)
+    n_max = _number(opts, "n_max", 5, exp, 1, integer=True)
+    k_max = _number(opts, "k_max", 8, exp, 1, integer=True)
     alphas = tuple(cfg.options.get("alphas", (0.5, 0.87, 1.0, 2.0)))
     vclass = cfg.options.get("valuation_class", "submodular")
-    n_max = int(cfg.options.get("n_max", 5))
-    k_max = int(cfg.options.get("k_max", 8))
     t0 = time.perf_counter()
     result = sweeps.key_lemma_sweep(count, alphas, vclass, cfg.seed,
                                     n_max, k_max)
@@ -206,12 +221,13 @@ def _run_sweep_key_lemma(cfg: ExperimentConfig, report: ExperimentReport):
 
 
 def _run_certify_smoothness(cfg: ExperimentConfig, report: ExperimentReport):
-    count = int(cfg.options.get("count", 200))
+    opts, exp = cfg.options, cfg.experiment
+    count = _number(opts, "count", 200, exp, 0, integer=True)
+    n_max = _number(opts, "n_max", 5, exp, 1, integer=True)
+    k_max = _number(opts, "k_max", 8, exp, 1, integer=True)
     kind = cfg.options.get("kind", "smooth")
     vclass = cfg.options.get("valuation_class", "submodular")
     alphas = tuple(cfg.options.get("alphas", (1.0,)))
-    n_max = int(cfg.options.get("n_max", 5))
-    k_max = int(cfg.options.get("k_max", 8))
     for alpha in alphas:
         t0 = time.perf_counter()
         cert = sweeps.smoothness_sweep(count, alpha, kind, vclass, cfg.seed,
@@ -236,11 +252,12 @@ def _run_find_pne(cfg: ExperimentConfig, report: ExperimentReport):
         with open(path) as fh:
             instance = AuctionInstance.from_json(json.load(fh))
         grid = BidGrid.from_json(cfg.options["grid"])
-        cap = int(cfg.options.get("cap", 10 ** 8))
-        starts = int(cfg.options.get("starts", 20))
-        max_rounds = int(cfg.options.get("max_rounds", 200))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"find-pne: bad instance or options: {exc}") from exc
+    cap = _number(cfg.options, "cap", 10 ** 8, "find-pne", 0, integer=True)
+    starts = _number(cfg.options, "starts", 20, "find-pne", 0, integer=True)
+    max_rounds = _number(cfg.options, "max_rounds", 200, "find-pne", 0,
+                         integer=True)
     mode = cfg.options.get("mode", "exhaustive")
     if mode not in ("exhaustive", "best_response_dynamics"):
         raise ConfigError(f"unknown find-pne mode {mode!r}")
@@ -280,16 +297,16 @@ def _run_find_pne(cfg: ExperimentConfig, report: ExperimentReport):
 
 
 def _run_verify_bne(cfg: ExperimentConfig, report: ExperimentReport):
-    tol = float(cfg.options.get("tolerance", 1e-9))
+    tol = _number(cfg.options, "tolerance", 1e-9, "verify-bne")
     params = dict(cfg.options.get("params", {}))
     if cfg.options.get("instance") == "appendix-c":
-        game, strat = inst_mod.appendix_c_bayesian(**params)
+        game, strat = _call(inst_mod.appendix_c_bayesian, params)
     elif cfg.options.get("game_file"):
         from .equilibria import BayesianGame, Strategy
         with open(cfg.options["game_file"]) as fh:
             data = json.load(fh)
         game = BayesianGame.from_json(data["game"])
-        strat = Strategy.from_json(data["strategy"], game.k)
+        strat = Strategy.from_json(data["strategy"])
     else:
         raise ConfigError("verify-bne needs instance='appendix-c' or game_file")
     t0 = time.perf_counter()
@@ -316,9 +333,9 @@ def _run_bound_table(cfg: ExperimentConfig, report: ExperimentReport):
 
 def _run_theorem6_frontier(cfg: ExperimentConfig, report: ExperimentReport):
     params = dict(cfg.options.get("params", {}))
-    k = int(params.get("k", 50))
-    mu = float(params.get("mu", 1.0))
-    tick = float(params.get("tick", 1e-3))
+    k = _number(params, "k", 50, cfg.experiment, 1, integer=True)
+    mu = _number(params, "mu", 1.0, cfg.experiment, 0.0)
+    tick = _number(params, "tick", 1e-3, cfg.experiment, 0.0)
     t0 = time.perf_counter()
     named = inst_mod.theorem6_da_instance(k, mu)
     frontier = theorem6_da_frontier(named.instance,

@@ -417,15 +417,15 @@ def list_instances() -> list[str]:
     return sorted(INSTANCE_DESCRIPTIONS)
 
 
+VERIFIERS = {
+    "theorem4": verify_theorem4,
+    "theorem6-da": verify_theorem6_da,
+    "theorem6-upa": verify_theorem6_upa,
+    "appendix-c": verify_appendix_c,
+    "proposition1": verify_proposition1,
+}
+
+
 def verify_named(instance_id: str, **params) -> list[CheckResult]:
-    if instance_id == "theorem4":
-        return verify_theorem4(**params)
-    if instance_id == "theorem6-da":
-        return verify_theorem6_da(**params)
-    if instance_id == "theorem6-upa":
-        return verify_theorem6_upa(**params)
-    if instance_id == "appendix-c":
-        return verify_appendix_c(**params)
-    if instance_id == "proposition1":
-        return verify_proposition1(**params)
-    raise KeyError(f"unknown instance id {instance_id!r}")
+    """The named instance's checks; KeyError for an unknown id."""
+    return VERIFIERS[instance_id](**params)

@@ -7,8 +7,9 @@ a closed form (piecewise integration between the opposing winning-bid
 thresholds), which is the exact evaluator used everywhere; Monte Carlo is a
 cross-check only.  On top of it sit the deviation-guarantee inequality with
 constants (lambda, mu), smoothness and weak-smoothness certificates, the
-Lambert-W bound constants, and the two instances showing the template
-cannot beat e/(e-1) (pay-as-bid) and 2 (uniform pricing).
+bound table (uniform pricing's 3.1462 = -W_-1(-e^-2) comes from one Newton
+solve), and the two instances showing the template cannot beat e/(e-1)
+(pay-as-bid) and 2 (uniform pricing).
 """
 
 from __future__ import annotations
@@ -42,69 +43,25 @@ MARGIN_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
-# Lambert W, lower branch
-
-
-def lambert_w_minus1(x: float) -> float:
-    """Lower branch of the Lambert W function: w <= -1 with w*e^w = x.
-
-    Defined for -1/e <= x < 0.  Bracketed Halley iteration seeded with the
-    branch-point series near -1/e and the asymptotic log expansion
-    elsewhere; falls back to bisection until |w*e^w - x| <= 1e-12.
-    """
-    branch_min = -math.exp(-1.0)
-    if x >= 0.0 or x < branch_min - 1e-15:
-        raise ValueError("lambert_w_minus1 requires -1/e <= x < 0")
-    if x <= branch_min:
-        return -1.0
-    q = 1.0 + math.e * x
-    if q < 0.25:
-        p = -math.sqrt(2.0 * q)
-        w = -1.0 + p - p * p / 3.0 + 11.0 * p ** 3 / 72.0
-        w = min(w, -1.0)
-    else:
-        lx = math.log(-x)
-        w = lx - math.log(-lx)
-    for _ in range(50):
-        ew = math.exp(w)
-        f = w * ew - x
-        if abs(f) <= 1e-13:
-            break
-        fp = ew * (w + 1.0)
-        fpp = ew * (w + 2.0)
-        denom = fp - f * fpp / (2.0 * fp) if fp != 0.0 else 0.0
-        if denom == 0.0:
-            break
-        step = f / denom
-        w_new = w - step
-        if w_new >= -1.0:
-            w_new = (w - 1.0) / 2.0 if w > -1.0 else -1.0 - abs(step) / 2
-        w = w_new
-    if abs(w * math.exp(w) - x) > 1e-12:
-        lo, hi = -2.0, -1.0
-        while lo * math.exp(lo) < x:
-            lo *= 2.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if mid * math.exp(mid) > x:
-                lo = mid
-            else:
-                hi = mid
-        w = 0.5 * (lo + hi)
-    return w
+# Bound arithmetic and the bound table
 
 
 def optimal_alpha(pricing: str) -> float:
-    """Deviation scale minimizing the implied bound for each pricing rule."""
+    """Deviation scale minimizing the implied bound for each pricing rule.
+
+    Uniform pricing's is alpha = -1/(W_-1(-e^-2) + 2): eight Newton steps on
+    w*e^w = -e^-2 from w = -3 reach the root to the last bit.
+    """
     if pricing == DISCRIMINATORY:
         return 1.0
     if pricing == UNIFORM:
-        return -1.0 / (lambert_w_minus1(-math.exp(-2.0)) + 2.0)
+        x = -math.exp(-2.0)
+        w = -3.0
+        for _ in range(8):
+            ew = math.exp(w)
+            w -= (w * ew - x) / (ew * (w + 1.0))
+        return -1.0 / (w + 2.0)
     raise ValueError(f"unknown pricing rule {pricing!r}")
-
-
-# ---------------------------------------------------------------------------
-# Bound arithmetic and the bound table
 
 
 def smooth_poa_bound(lam: float, mu: float) -> float:
@@ -113,14 +70,6 @@ def smooth_poa_bound(lam: float, mu: float) -> float:
 
 def weak_smooth_poa_bound(lam: float, mu1: float, mu2: float) -> float:
     return (mu2 + max(1.0, mu1)) / lam
-
-
-def sequential_smooth(lam: float, mu: float) -> tuple[float, float]:
-    return lam, mu + 1.0
-
-
-def sequential_weak(lam: float, mu1: float, mu2: float) -> tuple[float, float, float]:
-    return lam, mu1 + 1.0, mu2
 
 
 def guarantee_lambda(alpha: float, valuation_class: str) -> float:
@@ -154,7 +103,7 @@ def bound_table() -> list[BoundRow]:
     a_up = optimal_alpha(UNIFORM)
     lam_da = guarantee_lambda(a_da, "submodular")
     lam_up = guarantee_lambda(a_up, "submodular")
-    rows = [
+    return [
         BoundRow("poa", "discriminatory", "submodular", "standard|uniform",
                  smooth_poa_bound(lam_da, a_da)),
         BoundRow("poa", "discriminatory", "subadditive", "standard",
@@ -167,30 +116,24 @@ def bound_table() -> list[BoundRow]:
                  weak_smooth_poa_bound(0.5, 0.0, 1.0)),
         BoundRow("poa", "uniform_price", "subadditive", "uniform",
                  weak_smooth_poa_bound(lam_up / 2.0, 0.0, a_up)),
-    ]
-    seq_da = sequential_smooth(lam_da, a_da)
-    seq_da_sub = sequential_smooth(lam_da / 2.0, a_da)
-    seq_up = sequential_weak(lam_up, 0.0, a_up)
-    seq_up_sub = sequential_weak(lam_up / 2.0, 0.0, a_up)
-    rows += [
+        # sequential composition adds 1 to mu (to mu1 under weak smoothness)
         BoundRow("composition", "discriminatory", "submodular", "simultaneous",
                  smooth_poa_bound(lam_da, a_da)),
         BoundRow("composition", "discriminatory", "submodular", "sequential",
-                 smooth_poa_bound(*seq_da)),
+                 smooth_poa_bound(lam_da, a_da + 1.0)),
         BoundRow("composition", "discriminatory", "subadditive", "simultaneous",
                  smooth_poa_bound(lam_da / 2.0, a_da)),
         BoundRow("composition", "discriminatory", "subadditive", "sequential",
-                 smooth_poa_bound(*seq_da_sub)),
+                 smooth_poa_bound(lam_da / 2.0, a_da + 1.0)),
         BoundRow("composition", "uniform_price", "submodular", "simultaneous",
                  weak_smooth_poa_bound(lam_up, 0.0, a_up)),
         BoundRow("composition", "uniform_price", "submodular", "sequential",
-                 weak_smooth_poa_bound(*seq_up)),
+                 weak_smooth_poa_bound(lam_up, 1.0, a_up)),
         BoundRow("composition", "uniform_price", "subadditive", "simultaneous",
                  weak_smooth_poa_bound(lam_up / 2.0, 0.0, a_up)),
         BoundRow("composition", "uniform_price", "subadditive", "sequential",
-                 weak_smooth_poa_bound(*seq_up_sub)),
+                 weak_smooth_poa_bound(lam_up / 2.0, 1.0, a_up)),
     ]
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -392,15 +335,6 @@ class SmoothnessCertificate:
         return out
 
 
-def _willingness_to_pay(profile: BidProfile, allocation) -> float:
-    total = 0.0
-    for i in range(profile.n):
-        x = allocation[i]
-        if x >= 1:
-            total += x * profile.vector(i)[x - 1]
-    return total
-
-
 def verify_smoothness(cases, alpha: float, kind: str,
                       valuation_class: str) -> SmoothnessCertificate:
     """Check the summed deviation guarantee on every (instance, profile) case.
@@ -441,8 +375,10 @@ def verify_smoothness(cases, alpha: float, kind: str,
         if kind == "smooth":
             rhs = lam * opt.value - alpha * sum(out.payments)
         else:
-            rhs = lam * opt.value - alpha * _willingness_to_pay(
-                profile, out.allocation)
+            # willingness to pay: sum_i x_i(b) * b_i(x_i(b))
+            rhs = lam * opt.value - alpha * sum(
+                x * profile.vector(i)[x - 1]
+                for i, x in enumerate(out.allocation) if x >= 1)
         min_margin = min(min_margin, lhs - rhs)
         count += 1
     if count == 0:
@@ -573,20 +509,20 @@ def _sup_utility(instance: AuctionInstance, profile: BidProfile, i: int,
 
 
 def theorem6_da_frontier(instance: AuctionInstance, profile: BidProfile,
-                         mu: float, deviation_tick: float = 1e-6) -> dict:
+                         mu: float) -> dict:
     """Pay-as-bid impossibility margin on a witness profile.
 
     Scans the constant-vector deviation family (every positive bid value in
-    the profile, one tick above each, and the near-zero bid, at every
-    quantity) and checks
+    the profile, 1e-6 above each, and the bid 1e-6, at every quantity) and
+    checks
     sup sum_i u_i + mu * sum_j beta_j(b) <= mu(1 - e^(-1/mu) + (1/k)(1 - 1/e)) * OPT.
     """
     k = instance.k
     values = sorted({v for i in range(profile.n) for v in profile.vector(i)
                      if v > 0.0})
-    candidates = [deviation_tick]
+    candidates = [1e-6]
     for v in values:
-        candidates += [v, v + deviation_tick]
+        candidates += [v, v + 1e-6]
     vectors = uniform_vectors(candidates, k)
     sups = [_sup_utility(instance, profile, i, vectors)
             for i in range(instance.n)]

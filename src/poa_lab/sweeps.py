@@ -166,13 +166,12 @@ def smoothness_sweep(count: int, alpha: float, kind: str,
 # Oracle-agreement sweeps
 
 
-def dp_vs_enumeration_sweep(count: int, seed: int, n_max: int = 4,
-                            k_max: int = 6) -> int:
+def dp_vs_enumeration_sweep(count: int, seed: int) -> int:
     """DP optimum must match exhaustive enumeration; returns cases checked."""
     for index in range(count):
         rng = case_rng(seed, index)
         cls = ("submodular", "subadditive", "general")[index % 3]
-        instance = random_instance(rng, cls, DISCRIMINATORY, n_max, k_max)
+        instance = random_instance(rng, cls, DISCRIMINATORY, 4, 6)
         dp = optimal_allocation(instance.valuations, instance.k)
         brute = enumerate_optimal(instance.valuations, instance.k)
         if abs(dp.value - brute.value) > 1e-9:
@@ -240,20 +239,20 @@ class EfficiencySweepResult:
 
 
 def pne_efficiency_sweep(count: int, seed: int, tick: float = 0.125,
-                         max_bid: float = 1.0, k_values=(2, 3),
-                         scale: float = 0.75) -> EfficiencySweepResult:
+                         max_bid: float = 1.0) -> EfficiencySweepResult:
     """Exhaustive pay-as-bid equilibrium search on tiny grids.
 
     Asserts the grid relaxation of first-price efficiency: every pure
-    equilibrium found has welfare at least OPT - n*k*tick.  Valuations are
-    scaled below max_bid so the deviation space is never truncated.
+    equilibrium found has welfare at least OPT - n*k*tick.  Cases alternate
+    k = 2, 3, and no value exceeds 0.75, below the default max_bid, so the
+    deviation space is never truncated.
     """
 
     def one(index: int):
         rng = case_rng(seed, index)
-        k = k_values[index % len(k_values)]
+        k = 2 + index % 2
         vals = tuple(
-            random_valuation("general", k, scale / k, seed=rng.randrange(2 ** 31))
+            random_valuation("general", k, 0.75 / k, seed=rng.randrange(2 ** 31))
             for _ in range(2))
         instance = AuctionInstance(vals, k, DISCRIMINATORY, tie_lexicographic())
         grid = BidGrid(tick, max_bid, STANDARD)
@@ -278,17 +277,16 @@ def pne_efficiency_sweep(count: int, seed: int, tick: float = 0.125,
 # Canonical uniform-price equilibria and the interface conversion
 
 
-def lemma1_equilibrium(rng: random.Random, winners_max: int = 3,
-                       k_max: int = 4) -> tuple[AuctionInstance, BidProfile]:
+def lemma1_equilibrium(rng: random.Random) -> tuple[AuctionInstance, BidProfile]:
     """Uniform-price equilibrium of the canonical undominated form.
 
-    A few strong bidders absorb the k units at their marginal bids while k
+    With k in 2..4, one to three strong bidders absorb the k units at their marginal bids while k
     identical weak bidders all bid the same value d below every winning
     marginal; any demand reduction still faces price d, so the profile is a
     pure equilibrium.
     """
-    k = rng.randint(2, k_max)
-    winners = rng.randint(1, min(winners_max, k))
+    k = rng.randint(2, 4)
+    winners = rng.randint(1, min(3, k))
     vals = []
     for _ in range(winners):
         first = rng.uniform(0.9, 1.0)

@@ -160,6 +160,22 @@ def test_cli_run_and_exit_codes(tmp_path):
         experiment="verify-bne", instance="appendix-c", tolerance=-1.0)))
     assert cli_main(["run", str(failing)]) == 1
 
+    # bad input is rejected where it is read: exit 2, never a traceback
+    for config in (
+            make_config(experiment="theorem6-frontier", params={"k": 1}),
+            make_config(experiment="theorem6-frontier", params={"k": 2.7}),
+            make_config(experiment="theorem6-frontier", params={"mu": 0}),
+            make_config(experiment="verify-bne", instance="appendix-c",
+                        tolerance="x"),
+            make_config(experiment="verify-instance",
+                        instance="theorem6-upa", params={"k": 5}),
+            make_config(experiment="verify-instance", instance="theorem99"),
+            make_config(experiment="verify-bne", instance="appendix-c",
+                        params={"k": 5})):
+        bad.write_text(json.dumps(config))
+        assert cli_main(["run", str(bad)]) == 2, config
+    assert cli_main(["verify", "theorem6-upa", "--k", "5"]) == 2
+
 
 @pytest.mark.parametrize("change, write", [
     ({"grid": {"tick": 0, "max_bid": 1.0}}, json.dumps),
@@ -174,9 +190,14 @@ def test_cli_run_and_exit_codes(tmp_path):
     ({}, lambda data: json.dumps(data)[:-1]),
     ({}, lambda data: json.dumps({key: value for key, value in data.items()
                                   if key != "k"})),
+    ({"cap": 225.5}, json.dumps),
+    ({"starts": 2.5, "mode": "best_response_dynamics", "seed": 1},
+     json.dumps),
+    ({"max_rounds": True}, json.dumps),
 ], ids=["zero-tick", "no-grid", "unknown-mode", "cap-below-grid",
         "cap-not-an-integer", "starts-not-an-integer",
-        "max-rounds-not-an-integer", "instance-not-json", "instance-without-k"])
+        "max-rounds-not-an-integer", "instance-not-json", "instance-without-k",
+        "cap-not-integral", "starts-not-integral", "max-rounds-a-bool"])
 def test_cli_find_pne_config_errors_exit_2(tmp_path, capsys, change, write):
     inst = AuctionInstance((valuation(0, 1.0, 1.5), valuation(0, 0.5, 0.75)),
                            2, "discriminatory", tie_favor_bidder(0))
@@ -239,7 +260,7 @@ def test_verify_bne_from_game_file(tmp_path):
 
     loaded_game = BayesianGame.from_json(json.loads(path.read_text())["game"])
     loaded_strat = Strategy.from_json(
-        json.loads(path.read_text())["strategy"], loaded_game.k)
+        json.loads(path.read_text())["strategy"])
     assert loaded_game == game
     assert loaded_strat == strat
 
@@ -253,11 +274,19 @@ def test_verify_bne_from_game_file(tmp_path):
 @pytest.mark.parametrize("bad", [{"alphas": []}, {"alphas": [0.0]},
                                  {"alphas": [1.0, -0.5]}, {"count": 0},
                                  {"count": -3}, {"count": "many"},
-                                 {"n_max": 1}, {"k_max": 1}])
+                                 {"n_max": 1}, {"k_max": 1}, {"count": 3.9},
+                                 {"count": True}, {"n_max": 2.5}])
 def test_rejects_vacuous_sweeps(kind, bad):
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict(make_config(experiment=kind, seed=1,
                                                **bad))
+
+
+def test_integral_numbers_are_read_as_integers():
+    report = run(make_config(experiment="sweep-key-lemma", seed=1, count=2.0,
+                             n_max=2, k_max=2.0, alphas=[1.0]))
+    assert report.passed
+    assert report.checks[0]["detail"].startswith("2 cases")
 
 
 def test_cli_vacuous_sweep_exit_code(tmp_path):

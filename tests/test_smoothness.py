@@ -1,9 +1,13 @@
 import math
-import random
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import poa_lab
 from poa_lab import smoothness, sweeps
 from poa_lab.mechanisms import (
     AuctionInstance,
@@ -25,7 +29,6 @@ from poa_lab.smoothness import (
     feldman_support,
     guarantee_lambda,
     key_lemma_margins,
-    lambert_w_minus1,
     optimal_alpha,
     smooth_poa_bound,
     template_margins_feldman,
@@ -50,35 +53,47 @@ E = math.e
 ALPHAS = (0.5, 0.87, 1.0, 2.0)
 
 
-# -- Lambert W ----------------------------------------------------------------
+# -- the optimal deviation scale ------------------------------------------------
 
 
-def test_lambert_branch_point():
-    assert lambert_w_minus1(-1 / E) == -1.0
+def _mpmath_alpha_and_bound():
+    """(-1/(W + 2), -W) for W = W_-1(-e^-2), computed at 50 digits by an
+    implementation independent of ours and rounded to floats."""
+    import mpmath
 
-
-def test_lambert_reference_value():
-    assert abs(lambert_w_minus1(-1 / E ** 2)) == pytest.approx(3.1462, abs=1e-4)
-
-
-def test_lambert_defining_identity():
-    rng = random.Random(0)
-    for _ in range(100):
-        x = rng.uniform(-1 / E + 1e-12, -1e-12)
-        w = lambert_w_minus1(x)
-        assert w <= -1.0
-        assert abs(w * math.exp(w) - x) <= 1e-12
-
-
-def test_lambert_domain():
-    for x in (-1.0, 0.0, 0.5):
-        with pytest.raises(ValueError):
-            lambert_w_minus1(x)
+    with mpmath.workdps(50):
+        w = mpmath.lambertw(-mpmath.e ** -2, -1)
+        return float(-1 / (w + 2)), float(-w)
 
 
 def test_optimal_alpha_values():
     assert optimal_alpha("discriminatory") == 1.0
-    assert optimal_alpha("uniform") == pytest.approx(0.8724532, abs=1e-6)
+    # pinned bit for bit: every uniform-price report depends on it
+    assert optimal_alpha("uniform") == 0.8724532496000725
+    with pytest.raises(ValueError):
+        optimal_alpha("second-price")
+
+
+def test_uniform_alpha_and_bound_match_mpmath():
+    alpha, bound = _mpmath_alpha_and_bound()
+    assert abs(optimal_alpha("uniform") - alpha) <= 2 * math.ulp(alpha)
+    a = optimal_alpha("uniform")
+    implied = weak_smooth_poa_bound(guarantee_lambda(a, "submodular"), 0.0, a)
+    assert abs(implied - bound) <= 2 * math.ulp(bound)
+
+
+def test_package_import_does_not_load_scipy():
+    # importing scipy roughly doubles a process's resident memory; the
+    # constants above need none of it, and no sweep or report may pay for
+    # it at import time
+    src = str(Path(poa_lab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    code = ("import sys, poa_lab.sweeps, poa_lab.harness, poa_lab.smoothness; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": path})
+    assert out.stdout.strip() == "[]"
 
 
 def test_optimal_alpha_minimizes_uniform_bound():
@@ -119,7 +134,7 @@ def test_poa_bound_arithmetic():
     assert weak_smooth_poa_bound(0.5, 0.0, 1.0) == 4.0
     a = optimal_alpha("uniform")
     assert weak_smooth_poa_bound(guarantee_lambda(a, "submodular"), 0.0, a) \
-        == pytest.approx(abs(lambert_w_minus1(-1 / E ** 2)), abs=1e-9)
+        == pytest.approx(_mpmath_alpha_and_bound()[1], abs=1e-9)
 
 
 # -- the randomized deviation ---------------------------------------------------
