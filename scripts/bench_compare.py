@@ -80,6 +80,13 @@ def cold():
     equilibria.find_pure_nash(inst, grid)
 
 out["find_pure_nash_k3_cold_us"] = cost(cold, 20)
+# under no-overbidding each bidder's space is cut at its valuation and the
+# search builds all its tables afresh on every call: 73 x 104 profiles
+nob_inst = AuctionInstance(tuple(random_valuation("submodular", 3, 1.0, seed=s)
+                                 for s in (1, 2)), 3, "discriminatory", tie)
+nob_grid = equilibria.BidGrid(0.125, 1.0, no_overbidding=True)
+out["find_pure_nash_nob_k3_us"] = cost(
+    lambda: equilibria.find_pure_nash(nob_inst, nob_grid), 20)
 spaces = equilibria._grid_spaces(grid, 3, [None, None])
 out["search_candidates_k3_us"] = cost(
     lambda: mechanisms.SearchCandidates(spaces, tie), 50)

@@ -19,11 +19,11 @@ Grid scans enumerate the grid once, as an array of marginal-bid vectors in
 grid_bids_for order: the Bayes-Nash regrets and the exhaustive pure-Nash
 search (exact under every tie rule) score whole arrays with the block
 outcome engine and build bid objects only for what they report.  The search
-scores each bidder box by box over the profile space, and caches what a
-grid game fixes without its valuations: the strategy arrays, their keys
-and, for up to _BLOCK_CELLS profiles, the one box of each bidder's
-allocations (9 bytes per profile and bidder); a valuation enters a search
-only through block_utilities.
+caches what a grid game fixes without its valuations: the strategy arrays,
+their keys and, for up to _BLOCK_CELLS profiles, each bidder's box of
+allocations and its floors, the lowest payment for u units against each
+row of the others' strategies, so that it scores later bidders on the
+profiles still standing only.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ from .mechanisms import (
     StandardBid,
     TieBreakRule,
     UniformBid,
+    _json_int,
     _overbids,
     _ranked_outcome,
     allocate,
@@ -336,17 +337,16 @@ def _box_allocations(cands: SearchCandidates, shape: tuple, i: int,
 @functools.lru_cache(maxsize=8)
 def _search_tables(grid: BidGrid, k: int, tie: TieBreakRule, pricing: str,
                    cuts: tuple, cap: int):
-    """_grid_spaces(grid, k, cuts), its SearchCandidates and, when the
-    profile space has at most _BLOCK_CELLS cells, so is one box, the list
-    of every bidder's _box_allocations (else None), all read-only; cuts[j]
-    is bidder j's valuation under no-overbidding, else None.  Nothing here
-    depends on a valuation beyond the cuts.  A box keeps 9 bytes per
-    profile (units and an 8-byte charge), so the blocks of one entry take
-    at most n x 576 KiB.  The cap is checked before anything is built, and
+    """_grid_spaces(grid, k, cuts), its SearchCandidates and, for at most
+    _BLOCK_CELLS profiles (one box), every bidder's _box_allocations and,
+    without no-overbidding, floors (else None), all read-only; cuts[j] is
+    bidder j's valuation under no-overbidding, else None.  A box keeps 9
+    bytes per profile (units and an 8-byte charge), at most n x 576 KiB
+    per entry; floors keep 8 (k + 1) bytes per bidder and row of the
+    others' strategies.  The cap is checked before anything is built, and
     is in the key because a raise is not cached.  The cache holds the 8
-    latest entries for the life of the process; find_pure_nash calls the
-    uncached __wrapped__ under no-overbidding, whose cuts a sweep never
-    repeats."""
+    latest entries; find_pure_nash calls the uncached __wrapped__ under
+    no-overbidding, whose cuts a sweep never repeats."""
     if not grid.no_overbidding:
         # every bidder has the whole grid space: count it before building it
         per_bidder = (math.comb(grid.npoints + k - 1, k)
@@ -359,14 +359,26 @@ def _search_tables(grid: BidGrid, k: int, tie: TieBreakRule, pricing: str,
         _check_cap(math.prod(shape), cap)
     cands = SearchCandidates(spaces, tie)
     arrays = [*spaces, *cands.keys, *cands.paid, cands.value_of_key]
-    blocks = None
+    blocks = floors = None
     if math.prod(shape) <= _BLOCK_CELLS:
         blocks = [list(_box_allocations(cands, shape, i, pricing))
                   for i in range(len(shape))]
         arrays += [a for boxes in blocks for box in boxes for a in box[1:]]
+    if blocks and not grid.no_overbidding:
+        # floors[i][u][row]: bidder i's lowest payment that wins exactly u
+        # units against a row (inf if none); as costly as block_allocation
+        floors = [np.empty((k + 1,) + shape[:i] + (1,) + shape[i + 1:])
+                  for i in range(len(shape))]
+        for i, u in itertools.product(range(len(shape)), range(k + 1)):
+            [(_, units, charge)] = blocks[i]
+            paid = (charge if pricing == UNIFORM else cands.paid[i][:, u]
+                    .reshape((-1,) + (1,) * (len(shape) - 1 - i)))
+            np.min(np.broadcast_to(paid, shape), axis=i, keepdims=True,
+                   initial=np.inf, where=units == u, out=floors[i][u])
+        arrays += floors
     for array in arrays:
         array.setflags(write=False)
-    return spaces, cands, blocks
+    return spaces, cands, blocks, floors
 
 
 @dataclass(frozen=True)
@@ -376,10 +388,10 @@ class PNESearchResult:
     exhaustive is True when every grid profile was covered, so equilibria is
     the complete set of the grid game's pure equilibria, exact under every
     tie-break rule, in itertools.product order.  evaluated is, for an
-    exhaustive search, the number of profiles that the best-response mask
-    marked for every bidder and that got a full auction, which equals the
-    number of equilibria; for best-response dynamics, the number of best
-    responses computed.
+    exhaustive search, the number of profiles that no bidder could leave
+    for a gain and that got a full auction, which equals the number of
+    equilibria; for best-response dynamics, the number of best responses
+    computed.
     """
 
     equilibria: tuple[BidProfile, ...]
@@ -397,16 +409,15 @@ def find_pure_nash(instance: AuctionInstance, grid: BidGrid,
     cap) on a boolean mask with one byte per grid profile, at most cap
     bytes.  _search_tables gives the strategy arrays, their
     SearchCandidates keys and, for at most _BLOCK_CELLS profiles, every
-    bidder's box; without no-overbidding they are cached per grid, k, n,
-    tie rule, pricing and cap, with it each bidder's space is cut at its
-    valuation and all of it is built afresh.  For each bidder, one loop
-    takes the kept box or each of _box_allocations, and block_utilities
-    gives its utilities, the only step that reads the valuation.  Each
-    maximum along axis i is the bidder's exact grid best response under
-    every tie-break rule, and the cells where it gains more than EQ_TOL
-    are cleared, in place.  The cells left, in itertools.product order,
-    become BidProfiles and get a full auction and a check of every bidder
-    against those maxima.
+    bidder's box; without no-overbidding they are cached with the boxes'
+    floors, with it they are built afresh.  For each bidder, one loop takes
+    the kept box or each of _box_allocations; a row's best utility, exact
+    under every tie-break rule, is max over u of v(u) - floor, bit for bit
+    the row maximum of block_utilities, and the cells where the bidder
+    gains more than EQ_TOL are cleared; with floors a later bidder is
+    scored on the cells still standing only.  The cells left, in
+    itertools.product order, get a full auction and a check of every
+    bidder against those best utilities.
     "best_response_dynamics" runs seeded best-response paths and reports
     reached fixed points, which may miss equilibria.  It judges deviations
     by the closed-form best response, which is exact only under
@@ -419,8 +430,8 @@ def find_pure_nash(instance: AuctionInstance, grid: BidGrid,
                      for val in instance.valuations)
         build = (_search_tables.__wrapped__ if grid.no_overbidding
                  else _search_tables)
-        spaces, cands, blocks = build(grid, k, instance.tie_break,
-                                      instance.pricing, cuts, cap)
+        spaces, cands, blocks, floors = build(
+            grid, k, instance.tie_break, instance.pricing, cuts, cap)
         shape = tuple(len(s) for s in spaces)
         # one byte per grid profile: True where no bidder can gain by
         # deviating on the grid
@@ -429,17 +440,32 @@ def find_pure_nash(instance: AuctionInstance, grid: BidGrid,
         # on the grid against the others' strategies there
         best = []
         for i in range(instance.n):
-            values = instance.valuations[i].values
+            values = np.array(instance.valuations[i].values)
             best.append(np.empty(shape[:i] + (1,) + shape[i + 1:]))
             for box, units, charge in (blocks[i] if blocks else
                                        _box_allocations(cands, shape, i,
                                                         instance.pricing)):
-                utils = block_utilities(cands, i, values, instance.pricing,
-                                        units, charge)
-                rowmax = utils.max(axis=i, keepdims=True)
+                utils = None if floors and i else block_utilities(
+                    cands, i, values, instance.pricing, units, charge)
+                rowmax = ((values.reshape((-1,) + (1,) * instance.n)
+                           - floors[i]).max(axis=0) if floors
+                          else utils.max(axis=i, keepdims=True))
                 best[i][box] = rowmax
-                np.subtract(rowmax, utils, out=utils)
-                mask[box] &= utils <= EQ_TOL
+                if utils is not None:
+                    np.subtract(rowmax, utils, out=utils)
+                    mask[box] &= utils <= EQ_TOL
+                    continue
+                # with floors a later bidder is scored on the cells still
+                # standing only, by flat index (its box is the whole space)
+                cells = np.flatnonzero(mask)
+                after = math.prod(shape[i + 1:])
+                rows = (cells // shape[i] if after == 1 else
+                        cells // (shape[i] * after) * after + cells % after)
+                utils = block_utilities(cands, i, values, instance.pricing,
+                                        units.ravel()[cells],
+                                        charge.ravel()[cells])
+                np.subtract(rowmax.ravel()[rows], utils, out=utils)
+                mask.ravel()[cells] = utils <= EQ_TOL
         found = []
         # flat indices in C order, which is itertools.product order
         picked = np.unravel_index(np.flatnonzero(mask), shape)
@@ -553,7 +579,8 @@ class BayesianGame:
 
 def _bid_from_json(data):
     if isinstance(data, dict):
-        return UniformBid(float(data["price"]), int(data["quantity"]))
+        return UniformBid(float(data["price"]),
+                          _json_int(data["quantity"], "quantity"))
     return StandardBid(tuple(float(x) for x in data))
 
 

@@ -65,12 +65,30 @@ def _number(options: dict, key: str, default, kind: str,
     return int(value) if integer else float(value)
 
 
-def _call(fn, params: dict):
-    """fn(**params), once every key of params is a parameter of fn."""
-    unknown = set(params) - set(inspect.signature(fn).parameters)
+def _params(cfg: "ExperimentConfig") -> dict:
+    """The config's params object, {} when absent."""
+    params = cfg.options.get("params", {})
+    if not isinstance(params, dict):
+        raise ConfigError(f"{cfg.experiment} params must be a JSON object, "
+                          f"got {params!r}")
+    return params
+
+
+def _call(fn, params: dict, kind: str):
+    """fn(**params), once every key of params is a parameter of fn, each
+    value read by _number (an integer where fn's default is one).  A
+    ValueError from fn, such as an instance constructor refusing a
+    parameter value, is a ConfigError."""
+    signature = inspect.signature(fn).parameters
+    unknown = set(params) - set(signature)
     if unknown:
         raise ConfigError(f"{fn.__name__} takes no {sorted(unknown)}")
-    return fn(**params)
+    values = {key: _number(params, key, None, kind, integer=isinstance(
+        signature[key].default, int)) for key in params}
+    try:
+        return fn(**values)
+    except ValueError as exc:
+        raise ConfigError(f"{fn.__name__}: {exc}") from exc
 
 
 def _check_sweep(kind: str, data: dict):
@@ -192,11 +210,11 @@ def _run_verify_instance(cfg: ExperimentConfig, report: ExperimentReport):
                         or os.path.exists(instance_id)):
         _run_instance_file(cfg, report, instance_id)
         return
-    params = dict(cfg.options.get("params", {}))
+    params = _params(cfg)
     if instance_id not in inst_mod.VERIFIERS:
         raise ConfigError(f"unknown instance id {instance_id!r}")
     t0 = time.perf_counter()
-    checks = _call(inst_mod.VERIFIERS[instance_id], params)
+    checks = _call(inst_mod.VERIFIERS[instance_id], params, cfg.experiment)
     for c in checks:
         report.add_check(c.name, c.passed, c.value, c.detail)
     report.add_row(experiment=cfg.experiment, instance=instance_id,
@@ -298,9 +316,10 @@ def _run_find_pne(cfg: ExperimentConfig, report: ExperimentReport):
 
 def _run_verify_bne(cfg: ExperimentConfig, report: ExperimentReport):
     tol = _number(cfg.options, "tolerance", 1e-9, "verify-bne")
-    params = dict(cfg.options.get("params", {}))
+    params = _params(cfg)
     if cfg.options.get("instance") == "appendix-c":
-        game, strat = _call(inst_mod.appendix_c_bayesian, params)
+        game, strat = _call(inst_mod.appendix_c_bayesian, params,
+                            cfg.experiment)
     elif cfg.options.get("game_file"):
         from .equilibria import BayesianGame, Strategy
         with open(cfg.options["game_file"]) as fh:
@@ -332,7 +351,7 @@ def _run_bound_table(cfg: ExperimentConfig, report: ExperimentReport):
 
 
 def _run_theorem6_frontier(cfg: ExperimentConfig, report: ExperimentReport):
-    params = dict(cfg.options.get("params", {}))
+    params = _params(cfg)
     k = _number(params, "k", 50, cfg.experiment, 1, integer=True)
     mu = _number(params, "mu", 1.0, cfg.experiment, 0.0)
     tick = _number(params, "tick", 1e-3, cfg.experiment, 0.0)

@@ -92,6 +92,16 @@ STANDARD = "standard"
 UNIFORM_IFACE = "uniform"
 
 
+def _json_int(value, name: str) -> int:
+    """An integer read from JSON: an int, or a float of integral value.  A
+    bool or any other value is a ValueError: nothing is truncated."""
+    if isinstance(value, bool) or not (
+            isinstance(value, int)
+            or isinstance(value, float) and value.is_integer()):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class BidProfile:
     """One bid per bidder; interface is "standard" or "uniform"."""
@@ -146,9 +156,10 @@ class BidProfile:
     @staticmethod
     def from_json(data) -> "BidProfile":
         iface = data["interface"]
-        k = int(data["k"])
+        k = _json_int(data["k"], "k")
         if iface == UNIFORM_IFACE:
-            bids = tuple(UniformBid(float(b["price"]), int(b["quantity"]))
+            bids = tuple(UniformBid(float(b["price"]),
+                                    _json_int(b["quantity"], "quantity"))
                          for b in data["bids"])
         else:
             bids = tuple(StandardBid(tuple(float(x) for x in b))

@@ -7,6 +7,7 @@ curve; the marginal value of the j-th unit is m(j) = v(j) - v(j-1).
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -35,6 +36,12 @@ class Valuation:
     def k(self) -> int:
         return len(self.values) - 1
 
+    @functools.cached_property
+    def marginals(self) -> tuple[float, ...]:
+        """m(j) = v(j) - v(j-1) for j = 1..k, computed once per valuation."""
+        v = self.values
+        return tuple(v[j] - v[j - 1] for j in range(1, len(v)))
+
     def value(self, units: int) -> float:
         return self.values[units]
 
@@ -61,8 +68,7 @@ def additive_valuation(per_unit: float, k: int) -> Valuation:
 
 def marginals(val: Valuation) -> tuple[float, ...]:
     """m(j) = v(j) - v(j-1) for j = 1..k; all entries non-negative."""
-    v = val.values
-    return tuple(v[j] - v[j - 1] for j in range(1, len(v)))
+    return val.marginals
 
 
 def from_marginals(margs) -> Valuation:

@@ -367,7 +367,7 @@ def test_cached_search_tables_match_a_fresh_build():
     cuts = (vals[0], None, vals[2])
     for tie in (tie_lexicographic(), tie_favor_bidder(1), tie_favor_last(),
                 tie_explicit([(2, 1), (0, 1), (1, 0)]), tie_lexicographic()):
-        spaces, cached, _ = equilibria._search_tables(
+        spaces, cached, _, _ = equilibria._search_tables(
             grid, 2, tie, "discriminatory", cuts, 10 ** 8)
         fresh = SearchCandidates(equilibria._grid_spaces(grid, 2, cuts), tie)
         keys, pad_key, value_of_key, paid = _oracle_keys(spaces, tie)
@@ -445,7 +445,7 @@ def test_cached_blocks_match_a_fresh_block_outcomes_run(pricing, n, grid):
         for _ in range(3)]
     for tie in _tie_kinds(n):
         equilibria._search_tables.cache_clear()
-        spaces, cands, blocks = equilibria._search_tables(
+        spaces, cands, blocks, _ = equilibria._search_tables(
             grid, k, tie, pricing, (None,) * n, 10 ** 8)
         shape = tuple(len(s) for s in spaces)
         fresh = SearchCandidates(equilibria._grid_spaces(grid, k, [None] * n),
@@ -622,7 +622,26 @@ def _screen_cases():
                                tie_lexicographic()), BidGrid(0.25, 0.5))
 
 
+def _assert_floor_row_maxima(inst, grid):
+    """Without no-overbidding, the row maxima max_u v(u) - floor of each
+    bidder's cached floors equal block_utilities' maxima along its axis
+    bit for bit; under it the search keeps no floors."""
+    cuts = tuple(inst.valuations) if grid.no_overbidding else (None,) * inst.n
+    _, cands, blocks, floors = equilibria._search_tables(
+        grid, inst.k, inst.tie_break, inst.pricing, cuts, 10 ** 8)
+    assert (floors is None) == grid.no_overbidding
+    for i, [(_, units, charge)] in enumerate(blocks if floors else ()):
+        values = np.array(inst.valuations[i].values)
+        rowmax = (values.reshape((-1,) + (1,) * inst.n) - floors[i]).max(axis=0)
+        utils = block_utilities(cands, i, values, inst.pricing, units, charge)
+        assert rowmax.tobytes() == utils.max(axis=i, keepdims=True).tobytes()
+
+
 def test_screened_search_matches_full_profile_loop(monkeypatch):
+    """Every tie kind, both pricings, both interfaces, no-overbidding off
+    and on: the search screened bidder by bidder finds the brute-force
+    scan's equilibria, with one auction per equilibrium, on its cached
+    boxes and again sliced into boxes of at most 5 cells."""
     calls = []
 
     def counted_run_auction(*args):
@@ -631,16 +650,22 @@ def test_screened_search_matches_full_profile_loop(monkeypatch):
 
     monkeypatch.setattr(equilibria, "run_auction", counted_run_auction)
     screened = full = found = 0
-    for inst, grid in _screen_cases():
-        expected, total = _grid_oracle_pure_nash(inst, grid)
-        calls.clear()
-        res = find_pure_nash(inst, grid)
-        assert res.exhaustive
-        assert res.equilibria == expected, (inst, grid)
-        assert res.evaluated == len(calls) == len(expected), (inst, grid)
-        screened += res.evaluated
-        full += total
-        found += len(expected)
+    for cells in (equilibria._BLOCK_CELLS, 5):
+        monkeypatch.setattr(equilibria, "_BLOCK_CELLS", cells)
+        equilibria._search_tables.cache_clear()
+        for inst, grid in _screen_cases():
+            expected, total = _grid_oracle_pure_nash(inst, grid)
+            calls.clear()
+            res = find_pure_nash(inst, grid)
+            assert res.exhaustive
+            assert res.equilibria == expected, (cells, inst, grid)
+            assert res.evaluated == len(calls) == len(expected), (inst, grid)
+            if cells > total:
+                _assert_floor_row_maxima(inst, grid)
+            screened += res.evaluated
+            full += total
+            found += len(expected)
+    equilibria._search_tables.cache_clear()
     assert found > 0
     assert screened < full
 
@@ -690,7 +715,7 @@ def test_search_sliced_into_many_blocks_matches_oracle(monkeypatch, inst,
     # standard grid one bidder's last box is partial
     k, pricing = inst.k, inst.pricing
     cuts = tuple(inst.valuations) if grid.no_overbidding else (None,) * inst.n
-    spaces, cands, _ = equilibria._search_tables.__wrapped__(
+    spaces, cands, _, _ = equilibria._search_tables.__wrapped__(
         grid, k, inst.tie_break, pricing, cuts, 10 ** 8)
     shape = tuple(len(s) for s in spaces)
     equilibria._search_tables.cache_clear()
@@ -952,6 +977,18 @@ def test_strategy_validation():
     unbalanced = Strategy(((((StandardBid((0.333,)), 0.5),),),) + strat.rules[1:])
     with pytest.raises(ValueError):
         unbalanced.validate(game)
+
+
+@pytest.mark.parametrize("bad", [1.7, True, "1", None, math.nan])
+def test_strategy_json_rejects_non_integral_quantities(bad):
+    strat = pure_strategy(((UniformBid(0.25, 1),), (StandardBid((0.5,)),)))
+    data = strat.to_json()
+    # an integral float is read as the integer
+    data[0][0][0][0]["quantity"] = 1.0
+    assert Strategy.from_json(data) == strat
+    data[0][0][0][0]["quantity"] = bad
+    with pytest.raises(ValueError, match="quantity"):
+        Strategy.from_json(data)
 
 
 def test_strategy_validation_rejects_bids_the_game_cannot_hold(monkeypatch):

@@ -171,10 +171,31 @@ def test_cli_run_and_exit_codes(tmp_path):
                         instance="theorem6-upa", params={"k": 5}),
             make_config(experiment="verify-instance", instance="theorem99"),
             make_config(experiment="verify-bne", instance="appendix-c",
-                        params={"k": 5})):
+                        params={"k": 5}),
+            # parameter values: the constructors' limits, non-integral and
+            # non-numeric values, and params that are not an object
+            make_config(experiment="verify-instance", instance="theorem4",
+                        params={"k": 2}),
+            make_config(experiment="verify-instance", instance="theorem6-da",
+                        params={"k": 1}),
+            make_config(experiment="verify-instance", instance="theorem4",
+                        params={"k": 2.7}),
+            make_config(experiment="verify-instance", instance="theorem4",
+                        params={"eps": "x"}),
+            make_config(experiment="verify-instance", instance="proposition1",
+                        params={"eps_values": [0.1]}),
+            make_config(experiment="verify-bne", instance="appendix-c",
+                        params={"tick": 0}),
+            make_config(experiment="verify-instance", instance="theorem4",
+                        params=[1, 2]),
+            make_config(experiment="verify-bne", instance="appendix-c",
+                        params=[1, 2]),
+            make_config(experiment="theorem6-frontier", params=[1, 2])):
         bad.write_text(json.dumps(config))
         assert cli_main(["run", str(bad)]) == 2, config
     assert cli_main(["verify", "theorem6-upa", "--k", "5"]) == 2
+    assert cli_main(["verify", "theorem4", "--k", "2"]) == 2
+    assert cli_main(["verify", "theorem6-da", "--k", "1"]) == 2
 
 
 @pytest.mark.parametrize("change, write", [
@@ -287,6 +308,9 @@ def test_integral_numbers_are_read_as_integers():
                              n_max=2, k_max=2.0, alphas=[1.0]))
     assert report.passed
     assert report.checks[0]["detail"].startswith("2 cases")
+    report = run(make_config(experiment="verify-instance",
+                             instance="theorem4", params={"k": 6.0}))
+    assert report.passed
 
 
 def test_cli_vacuous_sweep_exit_code(tmp_path):

@@ -465,6 +465,24 @@ def test_profile_json_roundtrip():
     assert BidProfile.from_json(std.to_json()) == std
 
 
+@pytest.mark.parametrize("field, bad", [
+    ("k", 2.9), ("k", True), ("k", "2"), ("k", math.inf),
+    ("quantity", 1.7), ("quantity", True), ("quantity", None)])
+def test_profile_json_rejects_non_integral_counts(field, bad):
+    data = uniform_profile(3, UniformBid(0.5, 2), UniformBid(0.25, 1)).to_json()
+    # an integral float is read as the integer
+    data["k"] = 3.0
+    data["bids"][0]["quantity"] = 2.0
+    assert BidProfile.from_json(data) == uniform_profile(
+        3, UniformBid(0.5, 2), UniformBid(0.25, 1))
+    if field == "k":
+        data["k"] = bad
+    else:
+        data["bids"][0]["quantity"] = bad
+    with pytest.raises(ValueError, match=field):
+        BidProfile.from_json(data)
+
+
 def test_explicit_tie_break_order():
     from poa_lab.mechanisms import TieBreakRule, tie_explicit
 

@@ -31,6 +31,19 @@ def test_marginals_direct_subtraction():
     assert m == pytest.approx((0.7, 0.5, 0.3))
 
 
+def test_marginals_are_computed_once_per_valuation():
+    v = valuation(0, 0.7, 1.2, 1.5)
+    m = marginals(v)
+    assert marginals(v) is m and v.marginals is m
+    assert m == (0.7, 1.2 - 0.7, 1.5 - 1.2)
+    # the cached tuple is not a field: equality, hashing and freezing hold
+    fresh = valuation(0, 0.7, 1.2, 1.5)
+    assert v == fresh and hash(v) == hash(fresh)
+    assert {v: 1}[fresh] == 1
+    with pytest.raises(AttributeError):
+        v.values = (0.0, 1.0)
+
+
 def test_prefix_sum_reconstruction():
     for seed in range(30):
         v = random_valuation("general", 7, 2.0, seed=seed)
