@@ -33,12 +33,14 @@ ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10
 
 # Per-call costs of the exhaustive search's layers and of the ranking
-# layers, in microseconds: the best of 5 passes over `calls` calls, in a
-# fresh process of one checkout.
+# layers, in microseconds (keys ending in _us): the best of 5 passes over
+# `calls` calls.  Then the memory two 1000-case certification sweeps hold,
+# in KiB (keys ending in _kib): their tracemalloc peak.  All in a fresh
+# process of one checkout.
 LAYERS = r'''
-import inspect, json, math, random, time
+import gc, inspect, json, math, random, time, tracemalloc
 import numpy as np
-from poa_lab import equilibria, mechanisms
+from poa_lab import equilibria, mechanisms, sweeps
 from poa_lab.mechanisms import (AuctionInstance, BidProfile, StandardBid,
                                 tie_explicit, tie_lexicographic)
 from poa_lab.valuations import random_valuation
@@ -143,6 +145,25 @@ for name, rule in (("lex", tie_lexicographic()),
     out[f"is_pure_nash_{name}_n5_k6_us"] = cost(
         lambda: [equilibria.is_pure_nash(p, inst5, fine_grid)
                  for p in profiles], 1) / 200
+# sweep memory, at the shapes and seeds of acceptance criteria 4 and 5.
+# CPython keeps up to 2000 freed tuples of each length below 20 for reuse,
+# and tracemalloc counts them as allocated until a full collection clears
+# them; they are filled and the collector paused first, so a peak is what
+# the sweep holds, the same on every run.
+gc.disable()
+for name, sweep in (
+        ("smoothness_sweep_1000_peak_kib", lambda count: sweeps.smoothness_sweep(
+            count, 1.0, "smooth", "submodular", 1003)),
+        ("key_lemma_sweep_1000_peak_kib", lambda count: sweeps.key_lemma_sweep(
+            count, (0.5, 0.87, 1.0, 2.0), "submodular", 1001))):
+    sweep(100)
+    held = [tuple(range(n)) for n in range(1, 20) for _ in range(2000)]
+    del held
+    tracemalloc.start()
+    sweep(1000)
+    out[name] = tracemalloc.get_traced_memory()[1] / 1024
+    tracemalloc.stop()
+gc.enable()
 print(json.dumps(out))
 '''
 

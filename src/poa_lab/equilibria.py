@@ -43,6 +43,7 @@ from .mechanisms import (
     UNIFORM_IFACE,
     AuctionInstance,
     BidProfile,
+    Outcome,
     SearchCandidates,
     StandardBid,
     TieBreakRule,
@@ -391,10 +392,11 @@ class PNESearchResult:
     exhaustive search, the number of profiles that no bidder could leave
     for a gain and that got a full auction, which equals the number of
     equilibria; for best-response dynamics, the number of best responses
-    computed.
+    computed.  outcomes[j] is run_auction's outcome of equilibria[j].
     """
 
     equilibria: tuple[BidProfile, ...]
+    outcomes: tuple[Outcome, ...]
     exhaustive: bool
     evaluated: int
 
@@ -466,7 +468,7 @@ def find_pure_nash(instance: AuctionInstance, grid: BidGrid,
                                         charge.ravel()[cells])
                 np.subtract(rowmax.ravel()[rows], utils, out=utils)
                 mask.ravel()[cells] = utils <= EQ_TOL
-        found = []
+        found, outs = [], []
         # flat indices in C order, which is itertools.product order
         picked = np.unravel_index(np.flatnonzero(mask), shape)
         bids = [_grid_bids(grid.interface, space[rows])
@@ -481,12 +483,13 @@ def find_pure_nash(instance: AuctionInstance, grid: BidGrid,
                       - out.payments[i]) <= EQ_TOL
                    for i in range(instance.n)):
                 found.append(profile)
-        return PNESearchResult(tuple(found), True, len(cells))
+                outs.append(out)
+        return PNESearchResult(tuple(found), tuple(outs), True, len(cells))
 
     if mode == "best_response_dynamics":
         rng = random.Random(seed)
         seen = set()
-        found = []
+        found, outs = [], []
         evaluated = 0
         spaces = _grid_spaces(grid, k, instance.valuations)
         worst = tie_ranks(instance.tie_break, instance.n, k)[1]
@@ -516,7 +519,8 @@ def find_pure_nash(instance: AuctionInstance, grid: BidGrid,
             if report.is_equilibrium() and key not in seen:
                 seen.add(key)
                 found.append(profile)
-        return PNESearchResult(tuple(found), False, evaluated)
+                outs.append(out)
+        return PNESearchResult(tuple(found), tuple(outs), False, evaluated)
 
     raise ValueError(f"unknown search mode {mode!r}")
 
@@ -567,7 +571,7 @@ class BayesianGame:
     @staticmethod
     def from_json(data) -> "BayesianGame":
         return BayesianGame(
-            int(data["k"]),
+            _json_int(data["k"], "k"),
             tuple(tuple(Valuation.from_json(v) for v in tset)
                   for tset in data["types"]),
             tuple(tuple(float(p) for p in pset) for pset in data["priors"]),

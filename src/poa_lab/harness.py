@@ -22,7 +22,7 @@ from . import sweeps
 from .equilibria import (BidGrid, SearchCapExceeded, bayesian_poa,
                          find_pure_nash, is_bayes_nash, is_pure_nash)
 from .mechanisms import (DISCRIMINATORY, UNIFORM, AuctionInstance, BidProfile,
-                         allocate, run_auction, social_welfare)
+                         run_auction, social_welfare)
 from .smoothness import bound_table, theorem6_da_frontier, theorem6_upa_check
 from .welfare import optimal_allocation, poa_ratio
 
@@ -183,13 +183,17 @@ def _row_ms(t0: float) -> float:
 def _run_instance_file(cfg: ExperimentConfig, report: ExperimentReport,
                        path: str):
     """Run every profile in the file through the auction, emit outcome records."""
-    with open(path) as fh:
-        data = json.load(fh)
-    instance = AuctionInstance.from_json(data)
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+        instance = AuctionInstance.from_json(data)
+        entries = data.get("profiles", [])
+        profiles = [BidProfile.from_json(e["profile"]) for e in entries]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"verify-instance: bad instance file: {exc}") from exc
     opt = optimal_allocation(instance.valuations, instance.k)
-    for entry in data.get("profiles", []):
+    for entry, profile in zip(entries, profiles):
         t0 = time.perf_counter()
-        profile = BidProfile.from_json(entry["profile"])
         out = run_auction(profile, instance.tie_break, instance.pricing)
         sw = social_welfare(instance.valuations, out.allocation)
         record = {"role": entry.get("role", ""), "profile": profile.to_json(),
@@ -289,8 +293,7 @@ def _run_find_pne(cfg: ExperimentConfig, report: ExperimentReport):
     opt = optimal_allocation(instance.valuations, instance.k)
     slack = instance.n * instance.k * grid.tick
     all_efficient = True
-    for profile in result.equilibria:
-        out = allocate(profile, instance.tie_break)
+    for profile, out in zip(result.equilibria, result.outcomes):
         sw = social_welfare(instance.valuations, out.allocation)
         regret = is_pure_nash(profile, instance, grid).max_regret
         report.records.append({
@@ -322,10 +325,13 @@ def _run_verify_bne(cfg: ExperimentConfig, report: ExperimentReport):
                             cfg.experiment)
     elif cfg.options.get("game_file"):
         from .equilibria import BayesianGame, Strategy
-        with open(cfg.options["game_file"]) as fh:
-            data = json.load(fh)
-        game = BayesianGame.from_json(data["game"])
-        strat = Strategy.from_json(data["strategy"])
+        try:
+            with open(cfg.options["game_file"]) as fh:
+                data = json.load(fh)
+            game = BayesianGame.from_json(data["game"])
+            strat = Strategy.from_json(data["strategy"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"verify-bne: bad game file: {exc}") from exc
     else:
         raise ConfigError("verify-bne needs instance='appendix-c' or game_file")
     t0 = time.perf_counter()

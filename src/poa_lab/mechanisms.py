@@ -229,7 +229,8 @@ class TieBreakRule:
         return TieBreakRule(
             data["kind"],
             bidder=data.get("bidder"),
-            order=tuple((int(i), int(j)) for i, j in order) if order else None,
+            order=tuple((_json_int(i, "order"), _json_int(j, "order"))
+                        for i, j in order) if order else None,
         )
 
 
@@ -518,16 +519,15 @@ def uniformize_profile(profile: BidProfile, tie: TieBreakRule) -> BidProfile:
     x_i * b_i(x_i); losing bids are zeroed out.  Bidders with no units map
     to the null bid (0, 0).
     """
-    out = allocate(profile, tie)
-    new_bids = []
-    for i in range(profile.n):
-        x = out.allocation[i]
-        if x == 0:
-            new_bids.append(UniformBid(0.0, 0))
-        else:
-            c = profile.vector(i)[x - 1]
-            new_bids.append(UniformBid(c, x))
-    return BidProfile(tuple(new_bids), UNIFORM_IFACE, profile.k)
+    return _uniformized(profile, allocate(profile, tie).allocation)
+
+
+def _uniformized(profile: BidProfile, allocation) -> BidProfile:
+    """uniformize_profile given the profile's allocation."""
+    return BidProfile(tuple(UniformBid(profile.vector(i)[x - 1], x) if x
+                            else UniformBid(0.0, 0)
+                            for i, x in enumerate(allocation)),
+                      UNIFORM_IFACE, profile.k)
 
 
 @dataclass(frozen=True)
@@ -564,5 +564,5 @@ class AuctionInstance:
     @staticmethod
     def from_json(data) -> "AuctionInstance":
         vals = tuple(Valuation.from_json(v) for v in data["valuations"])
-        return AuctionInstance(vals, int(data["k"]), data["pricing"],
+        return AuctionInstance(vals, _json_int(data["k"], "k"), data["pricing"],
                                TieBreakRule.from_json(data["tie_break"]))

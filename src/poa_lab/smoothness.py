@@ -29,12 +29,12 @@ from .mechanisms import (
     AuctionInstance,
     BidProfile,
     StandardBid,
+    _uniformized,
     allocate,
     beta_minus_i,
     deviation_outcomes,
     run_auction,
     uniform_vectors,
-    uniformize_profile,
 )
 from .valuations import Valuation, is_subadditive, is_submodular, tau
 from .welfare import optimal_allocation
@@ -349,6 +349,7 @@ def verify_smoothness(cases, alpha: float, kind: str,
     deviation can be blocked by losing bids that the willingness-to-pay
     term does not see, and the inequality genuinely fails.  The deviation
     expectations are exact; the certificate carries the minimum margin.
+    cases is any iterable, read once: a generator holds one case at a time.
     """
     lam = guarantee_lambda(alpha, valuation_class)
     predicate = is_submodular if valuation_class == "submodular" else is_subadditive
@@ -367,7 +368,7 @@ def verify_smoothness(cases, alpha: float, kind: str,
         out = run_auction(profile, instance.tie_break, instance.pricing)
         opposing = profile
         if kind == "weakly_smooth" and profile.interface == STANDARD:
-            opposing = uniformize_profile(profile, instance.tie_break)
+            opposing = _uniformized(profile, out.allocation)
         lhs = 0.0
         for _, _, _, (util,) in _deviation_cases(
                 instance, opt.allocation, [(opposing, 1.0)], (alpha,)):

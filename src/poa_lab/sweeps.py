@@ -2,8 +2,9 @@
 
 Every sweep derives one child generator per case from (seed, index), so
 runs are reproducible case by case.  Each sweep runs its cases in one
-serial loop: the work is pure Python, which threads cannot speed up under
-the interpreter lock.
+serial loop (pure Python, which threads cannot speed up) and holds one case
+at a time, so its memory does not grow with the case count; a worst case
+is the first index with the minimal margin.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .mechanisms import (
     BidProfile,
     StandardBid,
     UniformBid,
-    allocate,
     beta_minus_i,
     run_auction,  # noqa: F401  bound here for perfbench's tracer
     social_welfare,
@@ -103,6 +103,8 @@ def random_no_overbidding_uniform_profile(instance: AuctionInstance,
 
 @dataclass(frozen=True)
 class SweepResult:
+    """Case count, minimum margin and the first index with that margin."""
+
     cases: int
     min_margin: float
     worst_case: int
@@ -119,7 +121,8 @@ def key_lemma_sweep(count: int, alphas, valuation_class: str, seed: int,
     Each case alternates between the two pricing rules; the checked margin
     is the exact expected deviation utility minus the closed-form lower
     bound (per-unit-value form), together with the per-bidder template form
-    whose lambda is halved for subadditive valuations.
+    whose lambda is halved for subadditive valuations.  One case is held at
+    a time; worst_case is the first index with the minimal margin.
     """
 
     def one(index: int) -> float:
@@ -133,9 +136,8 @@ def key_lemma_sweep(count: int, alphas, valuation_class: str, seed: int,
             worst = min(worst, *per_unit, *template)
         return worst
 
-    margins = [one(index) for index in range(count)]
-    worst_index = min(range(count), key=lambda i: margins[i])
-    return SweepResult(count, margins[worst_index], worst_index)
+    worst, worst_index = min((one(index), index) for index in range(count))
+    return SweepResult(count, worst, worst_index)
 
 
 def smoothness_sweep(count: int, alpha: float, kind: str,
@@ -145,7 +147,8 @@ def smoothness_sweep(count: int, alpha: float, kind: str,
 
     Weak certificates alternate between uniform-interface profiles (checked
     directly) and standard-interface profiles (checked through the
-    uniformization transform).
+    uniformization transform).  The cases reach verify_smoothness one at a
+    time, from a generator.
     """
     pricing = DISCRIMINATORY if kind == "smooth" else UNIFORM
 
@@ -158,8 +161,7 @@ def smoothness_sweep(count: int, alpha: float, kind: str,
             profile = random_no_overbidding_profile(instance, rng)
         return instance, profile
 
-    cases = [one(index) for index in range(count)]
-    return verify_smoothness(cases, alpha, kind, valuation_class)
+    return verify_smoothness(map(one, range(count)), alpha, kind, valuation_class)
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +217,7 @@ def mc_vs_exact_sweep(count: int, seed: int,
             return 0.0
         return abs(mean - exact) / stderr
 
-    deviations = [one(index) for index in range(count)]
-    worst = max(deviations)
+    worst = max(map(one, range(count)))
     if worst > 3.0:
         raise AssertionError(f"MC estimate {worst:.2f} sigma from quadrature")
     return worst
@@ -259,17 +260,17 @@ def pne_efficiency_sweep(count: int, seed: int, tick: float = 0.125,
         result = find_pure_nash(instance, grid, mode="exhaustive")
         opt = optimal_allocation(vals, k).value
         slack = math.inf
-        for profile in result.equilibria:
-            out = allocate(profile, instance.tie_break)
+        for out in result.outcomes:
             sw = social_welfare(vals, out.allocation)
             slack = min(slack, sw - (opt - 2 * k * tick))
         return len(result.equilibria), slack
 
-    outcomes = [one(index) for index in range(count)]
-    total_eq = sum(n for n, _ in outcomes)
-    with_pne = sum(1 for n, _ in outcomes if n > 0)
-    min_slack = min((s for _, s in outcomes if s != math.inf),
-                    default=math.inf)
+    total_eq = with_pne = 0
+    min_slack = math.inf
+    for found, slack in map(one, range(count)):
+        total_eq += found
+        with_pne += found > 0
+        min_slack = min(min_slack, slack)
     return EfficiencySweepResult(count, with_pne, total_eq, min_slack)
 
 

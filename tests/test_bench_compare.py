@@ -1,5 +1,6 @@
 """Smoke test of scripts/bench_compare.py: its per-layer script runs
-against this checkout's package and prints one JSON object of costs."""
+against this checkout's package and prints one JSON object of costs and
+sweep memory peaks."""
 
 import importlib.util
 import math
@@ -29,8 +30,10 @@ def test_layers_script_runs_against_src():
             "run_auction_lex_n5_k6_us", "run_auction_explicit_n5_k6_us",
             "best_response_lex_n5_k6_us", "best_response_explicit_n5_k6_us",
             "is_pure_nash_lex_n5_k6_us",
-            "is_pure_nash_explicit_n5_k6_us"} == set(costs)
-    assert all(0.0 < us < math.inf for us in costs.values())
+            "is_pure_nash_explicit_n5_k6_us",
+            "smoothness_sweep_1000_peak_kib",
+            "key_lemma_sweep_1000_peak_kib"} == set(costs)
+    assert all(0.0 < cost < math.inf for cost in costs.values())
 
 
 def test_summary_gives_each_side_its_own_metrics():

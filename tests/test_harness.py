@@ -270,6 +270,58 @@ def test_verify_instance_file_emits_outcome_records(tmp_path):
     assert dumped["records"] == report.records
 
 
+def _set_k(data, k):
+    data["k"] = k
+
+
+def _set_quantity(data, quantity):
+    data["profiles"][0]["profile"]["bids"][0]["quantity"] = quantity
+
+
+def _set_order(data, order):
+    data["tie_break"] = {"kind": "explicit", "order": order}
+
+
+@pytest.mark.parametrize("change, value", [
+    (_set_k, 2.9), (_set_k, True), (_set_quantity, 1.5),
+    (_set_order, [[0, 1.5]]), (_set_order, [[True, 0]]),
+], ids=["k-2.9", "k-true", "quantity-1.5", "order-pair-0-1.5",
+        "order-pair-bool"])
+def test_cli_instance_file_errors_exit_2(tmp_path, capsys, change, value):
+    from poa_lab.instances import theorem4_instance
+
+    named = theorem4_instance(3, 1e-6)
+    data = named.instance.to_json()
+    # a uniform-interface profile: its bids carry a quantity
+    data["profiles"] = [{"role": "equilibrium",
+                         "profile": named.profile("equilibrium").to_json()}]
+    path = tmp_path / "instance.json"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(make_config(
+        experiment="verify-instance", instance=str(path))))
+    path.write_text(json.dumps(data))
+    assert cli_main(["run", str(cfg_path)]) == 0
+    change(data, value)
+    path.write_text(json.dumps(data))
+    assert cli_main(["run", str(cfg_path)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_cli_game_file_with_non_integral_k_exits_2(tmp_path, capsys):
+    from poa_lab.instances import appendix_c_bayesian
+
+    game, strat = appendix_c_bayesian()
+    blob = {"game": dict(game.to_json(), k=game.k + 0.5),
+            "strategy": strat.to_json()}
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(blob))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(make_config(
+        experiment="verify-bne", game_file=str(path))))
+    assert cli_main(["run", str(cfg_path)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_verify_bne_from_game_file(tmp_path):
     from poa_lab.equilibria import BayesianGame, Strategy
     from poa_lab.instances import appendix_c_bayesian

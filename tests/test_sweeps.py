@@ -1,0 +1,163 @@
+"""Sweeps hold one case at a time and fold it into running aggregates that
+give the numbers a list of every case gives."""
+
+import gc
+import tracemalloc
+import weakref
+
+import pytest
+
+from poa_lab import mechanisms, sweeps
+from poa_lab.equilibria import BidGrid, find_pure_nash
+from poa_lab.mechanisms import DISCRIMINATORY, UNIFORM, run_auction
+from poa_lab.smoothness import optimal_alpha, verify_smoothness
+
+ALPHAS = (0.5, 0.87, 1.0, 2.0)
+WEAK_ALPHA = optimal_alpha("uniform")
+
+SWEEPS = {
+    "smooth": lambda count: sweeps.smoothness_sweep(
+        count, 1.0, "smooth", "submodular", 7, 3, 4),
+    "weakly_smooth": lambda count: sweeps.smoothness_sweep(
+        count, WEAK_ALPHA, "weakly_smooth", "subadditive", 7, 3, 4),
+    "key_lemma": lambda count: sweeps.key_lemma_sweep(
+        count, ALPHAS[:2], "submodular", 7, 3, 4),
+}
+
+
+def _peak_bytes(sweep, count: int) -> int:
+    tracemalloc.start()
+    try:
+        sweep(count)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("name", sorted(SWEEPS))
+def test_sweep_peak_memory_does_not_grow_with_count(name):
+    sweep = SWEEPS[name]
+    # CPython keeps up to 2000 freed tuples of each length below 20 for
+    # reuse, and tracemalloc counts them as allocated until a full
+    # collection clears them.  They are filled first and the collector is
+    # paused (these sweeps make no reference cycles), so the peaks show
+    # what the sweep itself holds.
+    gc.disable()
+    try:
+        sweep(100)
+        held = [tuple(range(n)) for n in range(1, 20) for _ in range(2000)]
+        del held
+        small = _peak_bytes(sweep, 100)
+        large = _peak_bytes(sweep, 2000)
+    finally:
+        gc.enable()
+    assert large <= 1.5 * small, (small, large)
+
+
+@pytest.mark.parametrize("name", sorted(SWEEPS))
+def test_sweep_keeps_no_earlier_case_alive(name, monkeypatch):
+    made = []
+    alive = []
+
+    def tracked(*args, **kwargs):
+        alive.append(sum(ref() is not None for ref in made))
+        instance = random_instance(*args, **kwargs)
+        made.append(weakref.ref(instance))
+        return instance
+
+    random_instance = sweeps.random_instance
+    monkeypatch.setattr(sweeps, "random_instance", tracked)
+    SWEEPS[name](40)
+    # the case being checked may still be bound while the next is drawn
+    assert len(alive) == 40 and max(alive) <= 1, alive
+
+
+@pytest.mark.parametrize("seed", [11, 12, 13])
+@pytest.mark.parametrize("kind, valuation_class", [
+    ("smooth", "submodular"), ("smooth", "subadditive"),
+    ("weakly_smooth", "submodular"), ("weakly_smooth", "subadditive")])
+def test_streamed_certificate_matches_a_list_of_cases(kind, valuation_class,
+                                                      seed):
+    alpha = 1.0 if kind == "smooth" else WEAK_ALPHA
+    pricing = DISCRIMINATORY if kind == "smooth" else UNIFORM
+    cases = []
+    for index in range(40):
+        rng = sweeps.case_rng(seed, index)
+        instance = sweeps.random_instance(rng, valuation_class, pricing, 4, 5)
+        make = (sweeps.random_no_overbidding_uniform_profile
+                if kind == "weakly_smooth" and index % 2 == 0
+                else sweeps.random_no_overbidding_profile)
+        cases.append((instance, make(instance, rng)))
+    streamed = sweeps.smoothness_sweep(40, alpha, kind, valuation_class, seed,
+                                       4, 5)
+    listed = verify_smoothness(cases, alpha, kind, valuation_class)
+    assert repr(streamed) == repr(listed)
+    assert streamed.instances == 40
+
+
+def test_verify_smoothness_reads_a_one_shot_iterator_once():
+    rng = sweeps.case_rng(3, 0)
+    instance = sweeps.random_instance(rng, "submodular", DISCRIMINATORY, 3, 4)
+    case = (instance, sweeps.random_no_overbidding_profile(instance, rng))
+    once = verify_smoothness(iter([case]), 1.0, "smooth", "submodular")
+    twice = verify_smoothness(iter([case, case]), 1.0, "smooth", "submodular")
+    assert (once.instances, twice.instances) == (1, 2)
+    assert repr(once.margin) == repr(twice.margin)
+    with pytest.raises(ValueError, match="no cases"):
+        verify_smoothness(iter(()), 1.0, "smooth", "submodular")
+
+
+def test_weak_certificate_ranks_each_profile_once(monkeypatch):
+    """The uniformized opposing profile is built from the auction already
+    run on the standard profile, not from a second ranking."""
+    calls = []
+    ranked_outcome = mechanisms._ranked_outcome
+
+    def counted(*args):
+        calls.append(args[0].interface)
+        return ranked_outcome(*args)
+
+    monkeypatch.setattr(mechanisms, "_ranked_outcome", counted)
+    cert = sweeps.smoothness_sweep(10, WEAK_ALPHA, "weakly_smooth",
+                                   "submodular", 5, 3, 4)
+    assert cert.instances == 10
+    # even cases draw uniform-interface profiles, odd ones standard ones
+    assert calls == ["uniform", "standard"] * 5
+
+
+def test_key_lemma_sweep_reports_the_first_worst_case(monkeypatch):
+    margins = iter([3.0, 1.0, 2.0, 1.0, 1.5])
+    monkeypatch.setattr(sweeps, "key_lemma_margins",
+                        lambda *args: [((next(margins),), ())])
+    result = sweeps.key_lemma_sweep(5, (1.0,), "submodular", 1, 2, 2)
+    assert (result.min_margin, result.worst_case) == (1.0, 1)
+
+
+@pytest.mark.parametrize("seed, expected", [
+    (1007, "EfficiencySweepResult(instances=30, instances_with_pne=29, "
+           "equilibria=64, min_welfare_slack=0.3782337553274325)"),
+    (77, "EfficiencySweepResult(instances=30, instances_with_pne=30, "
+         "equilibria=65, min_welfare_slack=0.3212658384495145)"),
+])
+def test_pne_efficiency_sweep_results_are_unchanged(seed, expected):
+    assert repr(sweeps.pne_efficiency_sweep(30, seed=seed)) == expected
+
+
+@pytest.mark.parametrize("seed, expected", [
+    (1011, "2.955892189188475"), (78, "2.6051905622734943")])
+def test_mc_vs_exact_sweep_results_are_unchanged(seed, expected):
+    assert repr(sweeps.mc_vs_exact_sweep(12, seed=seed,
+                                         samples=10 ** 4)) == expected
+
+
+def test_search_outcomes_are_the_equilibria_auctions():
+    for index in range(6):
+        rng = sweeps.case_rng(21, index)
+        instance = sweeps.random_instance(rng, "general", DISCRIMINATORY, 2, 2)
+        for mode in ("exhaustive", "best_response_dynamics"):
+            result = find_pure_nash(instance, BidGrid(0.25, 1.0), mode,
+                                    starts=4)
+            assert len(result.outcomes) == len(result.equilibria)
+            assert result.outcomes == tuple(
+                run_auction(p, instance.tie_break, instance.pricing)
+                for p in result.equilibria)
