@@ -36,7 +36,9 @@ PAIRS = 10
 # layers, in microseconds (keys ending in _us): the best of 5 passes over
 # `calls` calls.  Then the memory two 1000-case certification sweeps hold,
 # in KiB (keys ending in _kib): their tracemalloc peak.  All in a fresh
-# process of one checkout.
+# process of one checkout.  reference_loop_us times a fixed pure-Python
+# loop that uses no package code, so it reads the host's speed: dividing
+# a time by it lets BENCH files of different sessions be compared.
 LAYERS = r'''
 import gc, inspect, json, math, random, time, tracemalloc
 import numpy as np
@@ -58,7 +60,8 @@ def cost(fn, calls):
 with_values = ("values"
                in inspect.signature(mechanisms.block_outcomes).parameters)
 tie = tie_lexicographic()
-out = {}
+out = {"reference_loop_us": cost(
+    lambda: sum(i * i for i in range(10000)), 20)}
 for k in (2, 3):
     vals = tuple(random_valuation("general", k, 0.75 / k, seed=s)
                  for s in (1, 2))

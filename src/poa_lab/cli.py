@@ -54,7 +54,7 @@ def main(argv=None) -> int:
 
         if args.command == "list-instances":
             for name in inst_mod.list_instances():
-                print(f"{name}: {inst_mod.INSTANCE_DESCRIPTIONS[name]}")
+                print(f"{name}: {inst_mod.REGISTRY[name][0]}")
             return 0
 
         if args.command == "bound-table":

@@ -38,6 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from .mechanisms import (
+    NO_OVERBID_TOL,
     STANDARD,
     UNIFORM,
     UNIFORM_IFACE,
@@ -48,6 +49,8 @@ from .mechanisms import (
     StandardBid,
     TieBreakRule,
     UniformBid,
+    _bid_from_json,
+    _json_float,
     _json_int,
     _overbids,
     _ranked_outcome,
@@ -61,7 +64,7 @@ from .mechanisms import (
     tie_ranks,
     uniform_vectors,
 )
-from .valuations import Valuation, is_submodular, marginals
+from .valuations import Valuation, is_submodular
 from .welfare import optimal_allocation
 
 EQ_TOL = 1e-9
@@ -112,9 +115,13 @@ class BidGrid:
 
     @staticmethod
     def from_json(data) -> "BidGrid":
-        return BidGrid(float(data["tick"]), float(data["max_bid"]),
-                       data.get("interface", STANDARD),
-                       bool(data.get("no_overbidding", False)))
+        no_overbidding = data.get("no_overbidding", False)
+        if not isinstance(no_overbidding, bool):
+            raise ValueError(f"no_overbidding must be true or false, got "
+                             f"{no_overbidding!r}")
+        return BidGrid(_json_float(data["tick"], "tick"),
+                       _json_float(data["max_bid"], "max_bid"),
+                       data.get("interface", STANDARD), no_overbidding)
 
 
 @dataclass(frozen=True)
@@ -267,7 +274,7 @@ def _grid_spaces(grid: BidGrid, k: int, vals: Sequence[Valuation | None]):
     """Every bidder's strategy space as an array, cut from one enumeration
     of the grid.  Under no-overbidding a bidder keeps the rows that
     check_no_overbidding accepts: prefix sums, accumulated in slot order,
-    at most v(s) + 1e-12."""
+    at most v(s) + NO_OVERBID_TOL."""
     vectors = _grid_vectors(grid, k)
     if not grid.no_overbidding:
         return [vectors] * len(vals)
@@ -277,7 +284,7 @@ def _grid_spaces(grid: BidGrid, k: int, vals: Sequence[Valuation | None]):
         if val is not None and val.k != k:
             raise ValueError("bid and valuation dimensions differ")
         spaces.append(vectors if val is None else vectors[
-            (prefix <= np.array(val.values[1:]) + 1e-12).all(axis=1)])
+            (prefix <= np.array(val.values[1:]) + NO_OVERBID_TOL).all(axis=1)])
     return spaces
 
 
@@ -553,6 +560,7 @@ class BayesianGame:
             for v in tset:
                 if v.k != self.k:
                     raise ValueError("type valuation k mismatch")
+        self.tie_break.check_bidders(self.n)
 
     @property
     def n(self) -> int:
@@ -579,13 +587,6 @@ class BayesianGame:
             TieBreakRule.from_json(data["tie_break"]),
             data["pricing"],
         )
-
-
-def _bid_from_json(data):
-    if isinstance(data, dict):
-        return UniformBid(float(data["price"]),
-                          _json_int(data["quantity"], "quantity"))
-    return StandardBid(tuple(float(x) for x in data))
 
 
 @dataclass(frozen=True)
@@ -753,7 +754,7 @@ def is_undominated_upa(val: Valuation, bid: StandardBid) -> bool:
     """
     if not is_submodular(val):
         raise ValueError("undominated characterization needs submodular valuations")
-    m = marginals(val)
+    m = val.marginals
     if abs(bid.values[0] - val.value(1)) > 1e-12:
         return False
     return all(b <= mj + 1e-12 for b, mj in zip(bid.values, m))
@@ -764,7 +765,7 @@ def canonical_upa_profile(instance: AuctionInstance,
     """Winners bid their marginals up to x_i then 0; losers bid (m(1), 0, ...)."""
     bids = []
     for val, x in zip(instance.valuations, allocation):
-        m = marginals(val)
+        m = val.marginals
         if x >= 1:
             bids.append(StandardBid(tuple(m[:x]) + (0.0,) * (instance.k - x)))
         else:
@@ -786,7 +787,7 @@ def pne_standard_to_uniform(profile: BidProfile,
     new_bids = []
     for i, val in enumerate(instance.valuations):
         vec = profile.vector(i)
-        m = marginals(val)
+        m = val.marginals
         x = out.allocation[i]
         if x >= 1:
             for j in range(x):
@@ -832,7 +833,7 @@ def lemma5_structure(profile: BidProfile, instance: AuctionInstance) -> dict:
     lower_ok = True
     upper_ok = True
     for i, val in enumerate(instance.valuations):
-        m = marginals(val)
+        m = val.marginals
         x = out.allocation[i]
         for ell in range(1, x + 1):
             if ell * d > sum(m[x - ell:x]) + tol:

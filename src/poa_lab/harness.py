@@ -19,11 +19,12 @@ from dataclasses import dataclass, field
 
 from . import instances as inst_mod
 from . import sweeps
-from .equilibria import (BidGrid, SearchCapExceeded, bayesian_poa,
+from .equilibria import (EQ_TOL, BidGrid, SearchCapExceeded, bayesian_poa,
                          find_pure_nash, is_bayes_nash, is_pure_nash)
 from .mechanisms import (DISCRIMINATORY, UNIFORM, AuctionInstance, BidProfile,
                          run_auction, social_welfare)
-from .smoothness import bound_table, theorem6_da_frontier, theorem6_upa_check
+from .smoothness import (CERTIFICATES, CLASSES, bound_table,
+                         theorem6_da_frontier, theorem6_upa_check)
 from .welfare import optimal_allocation, poa_ratio
 
 CSV_COLUMNS = ("experiment", "instance", "n", "k", "pricing", "interface",
@@ -38,7 +39,7 @@ _KIND_KEYS = {
     "certify-smoothness": {"count", "n_max", "k_max", "alphas", "kind",
                            "valuation_class"},
     "find-pne": {"instance_file", "grid", "mode", "cap", "starts",
-                 "max_rounds", "check_efficiency"},
+                 "max_rounds"},
     "verify-bne": {"instance", "game_file", "params", "tolerance"},
     "bound-table": set(),
     "theorem6-frontier": {"params"},
@@ -92,9 +93,9 @@ def _call(fn, params: dict, kind: str):
 
 
 def _check_sweep(kind: str, data: dict):
-    """A randomized sweep needs a seed, instance sizes it can draw, and at
-    least one case and one positive finite alpha: a sweep that checks
-    nothing would pass."""
+    """A randomized sweep needs a seed, instance sizes it can draw, one case
+    and one positive finite alpha (a sweep that checks nothing would pass),
+    and a kind and class of smoothness's tables (no unnamed check runs)."""
     if data.get("seed") is None:
         raise ConfigError(f"{kind} requires a seed")
     for key, above in (("count", 0), ("n_max", 1), ("k_max", 1)):
@@ -105,6 +106,11 @@ def _check_sweep(kind: str, data: dict):
             for a in alphas):
         raise ConfigError(f"{kind} alphas must be a non-empty list of "
                           f"positive finite numbers, got {alphas!r}")
+    for key, table in (("kind", CERTIFICATES), ("valuation_class", CLASSES)):
+        value = data.get(key)
+        if key in data and not (isinstance(value, str) and value in table):
+            raise ConfigError(f"{kind} {key} must be one of {list(table)}, "
+                              f"got {value!r}")
 
 
 @dataclass
@@ -215,10 +221,10 @@ def _run_verify_instance(cfg: ExperimentConfig, report: ExperimentReport):
         _run_instance_file(cfg, report, instance_id)
         return
     params = _params(cfg)
-    if instance_id not in inst_mod.VERIFIERS:
+    if instance_id not in inst_mod.REGISTRY:
         raise ConfigError(f"unknown instance id {instance_id!r}")
     t0 = time.perf_counter()
-    checks = _call(inst_mod.VERIFIERS[instance_id], params, cfg.experiment)
+    checks = _call(inst_mod.REGISTRY[instance_id][1], params, cfg.experiment)
     for c in checks:
         report.add_check(c.name, c.passed, c.value, c.detail)
     report.add_row(experiment=cfg.experiment, instance=instance_id,
@@ -257,9 +263,8 @@ def _run_certify_smoothness(cfg: ExperimentConfig, report: ExperimentReport):
         report.records.append(cert.to_json())
         report.add_row(experiment=cfg.experiment,
                        instance=f"{kind}-{vclass}",
-                       pricing=DISCRIMINATORY if kind == "smooth" else UNIFORM,
-                       alpha=alpha, **{"lambda": cert.lam},
-                       mu=cert.mu if cert.mu is not None else cert.mu2,
+                       pricing=CERTIFICATES[kind], alpha=alpha,
+                       **{"lambda": cert.lam}, mu=cert.alpha,
                        margin=cert.margin, poa=cert.implied_poa,
                        runtime_ms=_row_ms(t0))
         report.add_check(f"{kind}_{vclass}_alpha_{alpha}", cert.verified,
@@ -307,12 +312,12 @@ def _run_find_pne(cfg: ExperimentConfig, report: ExperimentReport):
                        poa=poa_ratio(opt.value, sw) if sw > 0 else "",
                        margin=sw - (opt.value - slack),
                        runtime_ms=_row_ms(t0))
-        if sw < opt.value - slack - 1e-9:
+        if sw < opt.value - slack - EQ_TOL:
             all_efficient = False
     report.add_check("search_completed", True,
                      len(result.equilibria),
                      "exhaustive" if result.exhaustive else "dynamics (may miss equilibria)")
-    if cfg.options.get("check_efficiency", instance.pricing == DISCRIMINATORY):
+    if instance.pricing == DISCRIMINATORY:
         report.add_check("pne_welfare_within_grid_slack", all_efficient,
                          len(result.equilibria))
 

@@ -42,7 +42,6 @@ from .valuations import (
     additive_valuation,
     flat_valuation,
     is_submodular,
-    marginals,
 )
 from .welfare import optimal_allocation, poa_ratio
 
@@ -157,8 +156,8 @@ def verify_theorem4(k: int = 10, eps: float = 1e-6,
     checks.append(CheckResult(
         "eq_welfare", abs(sw - named.expected["eq_welfare"]) <= 1e-12, sw))
     report = is_pure_nash(profile, inst, named.grid)
-    checks.append(CheckResult("pure_nash_regret",
-                              report.max_regret <= 1e-9, report.max_regret))
+    checks.append(CheckResult("pure_nash_regret", report.is_equilibrium(),
+                              report.max_regret))
     poa = poa_ratio(opt.value, sw)
     target = 2.0 * k / (k + 1) - 1e-4
     checks.append(CheckResult("poa_lower_bound", poa >= target, poa,
@@ -330,14 +329,14 @@ def _proposition1(instance: AuctionInstance, eps_values=()):
         if not is_submodular(v):
             raise ValueError("construction requires submodular valuations")
     k = instance.k
-    merged = sorted((m for v in instance.valuations for m in marginals(v)),
+    merged = sorted((m for v in instance.valuations for m in v.marginals),
                     reverse=True)
     d = merged[k - 1]
     if d <= 0.0:
         raise ValueError("k-th largest marginal must be positive")
     x = optimal_allocation(instance.valuations, k).allocation
     for i, units in enumerate(x):
-        if units >= 1 and marginals(instance.valuations[i])[units - 1] < d - 1e-12:
+        if units and instance.valuations[i].marginals[units - 1] < d - 1e-12:
             raise AssertionError("optimal allocation misses the bid level")
     profile = BidProfile(tuple(StandardBid((d,) * k) for _ in range(instance.n)),
                          STANDARD, k)
@@ -382,7 +381,7 @@ def verify_proposition1(instance: AuctionInstance | None = None,
     profile, tie, bumped_profiles = _proposition1(instance, eps_values)
     pinned = replace(instance, tie_break=tie)
     report = is_pure_nash(profile, pinned, grid)
-    checks = [CheckResult("prop1_pne_regret", report.max_regret <= 1e-9,
+    checks = [CheckResult("prop1_pne_regret", report.is_equilibrium(),
                           report.max_regret)]
     structure = lemma5_structure(profile, pinned)
     checks.append(CheckResult("lemma5_winning_bids_equal_d",
@@ -404,28 +403,25 @@ def verify_proposition1(instance: AuctionInstance | None = None,
 # Registry
 
 
-INSTANCE_DESCRIPTIONS = {
-    "theorem4": "uniform-price demand-reduction equilibrium, PoA -> 2k/(k+1)",
-    "theorem6-da": "pay-as-bid equalizing curve: template frontier witness",
-    "theorem6-upa": "one-unit uniform-price witness: lambda <= (1+mu)/2",
-    "appendix-c": "discretized Bayesian pay-as-bid example, BPoA >= 1.0004",
-    "proposition1": "all-equal-bid pure equilibrium and its eps variant",
+# id -> (description, verifier returning the instance's checks)
+REGISTRY = {
+    "theorem4": ("uniform-price demand-reduction equilibrium, PoA -> 2k/(k+1)",
+                 verify_theorem4),
+    "theorem6-da": ("pay-as-bid equalizing curve: template frontier witness",
+                    verify_theorem6_da),
+    "theorem6-upa": ("one-unit uniform-price witness: lambda <= (1+mu)/2",
+                     verify_theorem6_upa),
+    "appendix-c": ("discretized Bayesian pay-as-bid example, BPoA >= 1.0004",
+                   verify_appendix_c),
+    "proposition1": ("all-equal-bid pure equilibrium and its eps variant",
+                     verify_proposition1),
 }
 
 
 def list_instances() -> list[str]:
-    return sorted(INSTANCE_DESCRIPTIONS)
-
-
-VERIFIERS = {
-    "theorem4": verify_theorem4,
-    "theorem6-da": verify_theorem6_da,
-    "theorem6-upa": verify_theorem6_upa,
-    "appendix-c": verify_appendix_c,
-    "proposition1": verify_proposition1,
-}
+    return sorted(REGISTRY)
 
 
 def verify_named(instance_id: str, **params) -> list[CheckResult]:
     """The named instance's checks; KeyError for an unknown id."""
-    return VERIFIERS[instance_id](**params)
+    return REGISTRY[instance_id][1](**params)

@@ -24,6 +24,7 @@ from .valuations import Valuation
 DISCRIMINATORY = "discriminatory"
 UNIFORM = "uniform"
 PRICINGS = (DISCRIMINATORY, UNIFORM)
+NO_OVERBID_TOL = 1e-12  # the slack of every no-overbidding test
 
 # ---------------------------------------------------------------------------
 # Bids and profiles
@@ -102,6 +103,21 @@ def _json_int(value, name: str) -> int:
     return int(value)
 
 
+def _json_float(value, name: str) -> float:
+    """A number read from JSON: an int or a float, not a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _bid_from_json(data):
+    """A bid from JSON: a uniform bid's object or a standard bid's list."""
+    if isinstance(data, dict):
+        return UniformBid(float(data["price"]),
+                          _json_int(data["quantity"], "quantity"))
+    return StandardBid(tuple(float(x) for x in data))
+
+
 @dataclass(frozen=True)
 class BidProfile:
     """One bid per bidder; interface is "standard" or "uniform"."""
@@ -155,16 +171,8 @@ class BidProfile:
 
     @staticmethod
     def from_json(data) -> "BidProfile":
-        iface = data["interface"]
-        k = _json_int(data["k"], "k")
-        if iface == UNIFORM_IFACE:
-            bids = tuple(UniformBid(float(b["price"]),
-                                    _json_int(b["quantity"], "quantity"))
-                         for b in data["bids"])
-        else:
-            bids = tuple(StandardBid(tuple(float(x) for x in b))
-                         for b in data["bids"])
-        return BidProfile(bids, iface, k)
+        return BidProfile(tuple(map(_bid_from_json, data["bids"])),
+                          data["interface"], _json_int(data["k"], "k"))
 
 
 def standard_profile(k: int, *bids) -> BidProfile:
@@ -205,6 +213,11 @@ class TieBreakRule:
             if len(set(self.order)) != len(self.order):
                 raise ValueError("explicit order has duplicate entries")
 
+    def check_bidders(self, n: int) -> None:
+        """ValueError if the rule favours a bidder outside range(n)."""
+        if self.kind == "favor_bidder" and not 0 <= self.bidder < n:
+            raise ValueError(f"no bidder {self.bidder} among {n} to favour")
+
     def priority(self, bidder: int, slot: int) -> tuple:
         if self.kind == "lexicographic":
             return (bidder, slot)
@@ -225,10 +238,10 @@ class TieBreakRule:
 
     @staticmethod
     def from_json(data) -> "TieBreakRule":
-        order = data.get("order")
+        order, bidder = data.get("order"), data.get("bidder")
         return TieBreakRule(
             data["kind"],
-            bidder=data.get("bidder"),
+            bidder=None if bidder is None else _json_int(bidder, "bidder"),
             order=tuple((_json_int(i, "order"), _json_int(j, "order"))
                         for i, j in order) if order else None,
         )
@@ -349,11 +362,11 @@ def social_welfare(vals: Sequence[Valuation], allocation: Sequence[int]) -> floa
 
 
 def _overbids(vector, values) -> bool:
-    """Whether a prefix sum, in slot order, exceeds values[s] + 1e-12."""
+    """Whether a prefix sum, in slot order, exceeds v(s) + NO_OVERBID_TOL."""
     acc = 0.0
     for s, x in enumerate(vector, 1):
         acc += x
-        if acc > values[s] + 1e-12:
+        if acc > values[s] + NO_OVERBID_TOL:
             return True
     return False
 
@@ -365,17 +378,15 @@ def check_no_overbidding(val: Valuation, bid: StandardBid) -> bool:
     return not _overbids(bid.values, val.values)
 
 
-def beta_minus_i(profile: BidProfile, i: int,
-                 k: int | None = None) -> tuple[float, ...]:
+def beta_minus_i(profile: BidProfile, i: int) -> tuple[float, ...]:
     """Winning-bid vector of the auction run without bidder i.
 
-    Sorted non-decreasing and zero-padded at the front to length k; entry j
-    is the threshold bidder i must beat to win a j-th unit.  It holds the
-    values of the top k opposing bids, which the order of tied bids cannot
-    change, so it needs no tie-break rule.
+    Sorted non-decreasing and zero-padded at the front to length k, the
+    profile's; entry j is the threshold bidder i must beat to win a j-th
+    unit.  It holds the values of the top k opposing bids, which the order
+    of tied bids cannot change, so it needs no tie-break rule.
     """
-    if k is None:
-        k = profile.k
+    k = profile.k
     values = sorted((v for j in range(profile.n) if j != i
                      for v in profile.vector(j) if v > 0.0), reverse=True)[:k]
     return (0.0,) * (k - len(values)) + tuple(reversed(values))
@@ -547,6 +558,7 @@ class AuctionInstance:
         for v in self.valuations:
             if v.k != self.k:
                 raise ValueError("valuation k does not match instance k")
+        self.tie_break.check_bidders(self.n)
 
     @property
     def n(self) -> int:

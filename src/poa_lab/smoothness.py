@@ -72,15 +72,33 @@ def weak_smooth_poa_bound(lam: float, mu1: float, mu2: float) -> float:
     return (mu2 + max(1.0, mu1)) / lam
 
 
+# A kind's pricing rule: pay-as-bid is smooth (mu = alpha), uniform pricing
+# weakly smooth (mu1 = 0, mu2 = alpha).  A class's factor on lambda (a
+# subadditive per-unit value loses at most half) and membership test.
+CERTIFICATES = {"smooth": DISCRIMINATORY, "weakly_smooth": UNIFORM}
+CLASSES = {"submodular": (1.0, is_submodular),
+           "subadditive": (0.5, is_subadditive)}
+
+
+def _lookup(table: dict, key: str, what: str):
+    """table[key]; a ValueError naming what for a key not in table."""
+    if key not in table:
+        raise ValueError(f"unknown {what} {key!r}")
+    return table[key]
+
+
+def _implied_poa(kind: str, lam: float, mu: float, added: float = 0.0):
+    """PoA bound of a (lam, mu) certificate of kind, added on mu (or mu1)."""
+    if CERTIFICATES[kind] == UNIFORM:
+        return weak_smooth_poa_bound(lam, added, mu)
+    return smooth_poa_bound(lam, mu + added)
+
+
 def guarantee_lambda(alpha: float, valuation_class: str) -> float:
-    """lambda of the randomized deviation: alpha(1 - e^(-1/alpha)), halved
-    for subadditive valuations (the per-unit value loses at most factor 2)."""
-    lam = alpha * _upper_limit(alpha)
-    if valuation_class == "subadditive":
-        return lam / 2.0
-    if valuation_class == "submodular":
-        return lam
-    raise ValueError(f"unknown valuation class {valuation_class!r}")
+    """lambda of the randomized deviation: alpha(1 - e^(-1/alpha)), times
+    the class's factor in CLASSES."""
+    factor = _lookup(CLASSES, valuation_class, "valuation class")[0]
+    return alpha * _upper_limit(alpha) * factor
 
 
 @dataclass(frozen=True)
@@ -98,42 +116,26 @@ class BoundRow:
 
 
 def bound_table() -> list[BoundRow]:
-    """All PoA upper bounds, computed from the (lambda, mu) arithmetic."""
-    a_da = optimal_alpha(DISCRIMINATORY)
-    a_up = optimal_alpha(UNIFORM)
-    lam_da = guarantee_lambda(a_da, "submodular")
-    lam_up = guarantee_lambda(a_up, "submodular")
-    return [
-        BoundRow("poa", "discriminatory", "submodular", "standard|uniform",
-                 smooth_poa_bound(lam_da, a_da)),
-        BoundRow("poa", "discriminatory", "subadditive", "standard",
-                 smooth_poa_bound(0.5, 1.0)),
-        BoundRow("poa", "discriminatory", "subadditive", "uniform",
-                 smooth_poa_bound(lam_da / 2.0, a_da)),
-        BoundRow("poa", "uniform_price", "submodular", "standard|uniform",
-                 weak_smooth_poa_bound(lam_up, 0.0, a_up)),
-        BoundRow("poa", "uniform_price", "subadditive", "standard",
-                 weak_smooth_poa_bound(0.5, 0.0, 1.0)),
-        BoundRow("poa", "uniform_price", "subadditive", "uniform",
-                 weak_smooth_poa_bound(lam_up / 2.0, 0.0, a_up)),
-        # sequential composition adds 1 to mu (to mu1 under weak smoothness)
-        BoundRow("composition", "discriminatory", "submodular", "simultaneous",
-                 smooth_poa_bound(lam_da, a_da)),
-        BoundRow("composition", "discriminatory", "submodular", "sequential",
-                 smooth_poa_bound(lam_da, a_da + 1.0)),
-        BoundRow("composition", "discriminatory", "subadditive", "simultaneous",
-                 smooth_poa_bound(lam_da / 2.0, a_da)),
-        BoundRow("composition", "discriminatory", "subadditive", "sequential",
-                 smooth_poa_bound(lam_da / 2.0, a_da + 1.0)),
-        BoundRow("composition", "uniform_price", "submodular", "simultaneous",
-                 weak_smooth_poa_bound(lam_up, 0.0, a_up)),
-        BoundRow("composition", "uniform_price", "submodular", "sequential",
-                 weak_smooth_poa_bound(lam_up, 1.0, a_up)),
-        BoundRow("composition", "uniform_price", "subadditive", "simultaneous",
-                 weak_smooth_poa_bound(lam_up / 2.0, 0.0, a_up)),
-        BoundRow("composition", "uniform_price", "subadditive", "sequential",
-                 weak_smooth_poa_bound(lam_up / 2.0, 1.0, a_up)),
-    ]
+    """All PoA upper bounds, from guarantee_lambda at each rule's optimal
+    alpha, or under standard bidding with subadditive bidders the (1/2, 1)
+    deviation of Feldman, Fu, Gravin and Lucier.  Sequential composition
+    adds 1 to mu (to mu1 under weak smoothness)."""
+    rows, composition = [], []
+    for mechanism, kind in (("discriminatory", "smooth"),
+                            ("uniform_price", "weakly_smooth")):
+        alpha = optimal_alpha(CERTIFICATES[kind])
+        for vclass in CLASSES:
+            lam = guarantee_lambda(alpha, vclass)
+            bound = _implied_poa(kind, lam, alpha)
+            settings = ([("standard|uniform", bound)] if vclass == "submodular"
+                        else [("standard", _implied_poa(kind, 0.5, 1.0)),
+                              ("uniform", bound)])
+            rows += [BoundRow("poa", mechanism, vclass, *s) for s in settings]
+            composition += [
+                BoundRow("composition", mechanism, vclass, *s) for s in (
+                    ("simultaneous", bound),
+                    ("sequential", _implied_poa(kind, lam, alpha, 1.0)))]
+    return rows + composition
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +256,7 @@ def _deviation_cases(instance: AuctionInstance, x_opt: Sequence[int],
     cases = []
     for i, val in enumerate(instance.valuations):
         x = x_opt[i]
-        betas = [(beta_minus_i(profile, i, instance.k), prob)
+        betas = [(beta_minus_i(profile, i), prob)
                  for profile, prob in opposing]
         exp_beta = 0.0
         for beta, prob in betas:
@@ -282,7 +284,7 @@ def key_lemma_margins(instance: AuctionInstance, opposing, alphas,
     cases = _deviation_cases(instance, x_opt, opposing, alphas)
     margins = []
     for a, alpha in enumerate(alphas):
-        # alpha * B, the per-unit bound's scale; lam may be halved
+        # alpha * B, the per-unit bound's scale; lam has the class factor
         scale = guarantee_lambda(alpha, "submodular")
         lam = guarantee_lambda(alpha, valuation_class)
         margins.append((
@@ -307,32 +309,27 @@ def verify_key_lemma(instance: AuctionInstance, profile: BidProfile,
 
 @dataclass(frozen=True)
 class SmoothnessCertificate:
-    kind: str  # "smooth" | "weakly_smooth"
+    """A certificate of a kind in CERTIFICATES; its kind and alpha decide
+    its mu (mu1 = 0 and mu2 = alpha when weakly smooth)."""
+
+    kind: str
     lam: float
     alpha: float
     margin: float
     verified: bool
     instances: int
-    mu: float | None = None
-    mu1: float | None = None
-    mu2: float | None = None
 
     @property
     def implied_poa(self) -> float:
-        if self.kind == "smooth":
-            return smooth_poa_bound(self.lam, self.mu)
-        return weak_smooth_poa_bound(self.lam, self.mu1, self.mu2)
+        return _implied_poa(self.kind, self.lam, self.alpha)
 
     def to_json(self):
-        out = {"kind": self.kind, "lambda": self.lam, "alpha": self.alpha,
-               "margin": self.margin, "verified": self.verified,
-               "instances": self.instances, "implied_poa": self.implied_poa}
-        if self.mu is not None:
-            out["mu"] = self.mu
-        if self.mu1 is not None:
-            out["mu1"] = self.mu1
-            out["mu2"] = self.mu2
-        return out
+        mus = ({"mu1": 0.0, "mu2": self.alpha}
+               if CERTIFICATES[self.kind] == UNIFORM else {"mu": self.alpha})
+        return {"kind": self.kind, "lambda": self.lam, "alpha": self.alpha,
+                "margin": self.margin, "verified": self.verified,
+                "instances": self.instances, "implied_poa": self.implied_poa,
+                **mus}
 
 
 def verify_smoothness(cases, alpha: float, kind: str,
@@ -351,8 +348,10 @@ def verify_smoothness(cases, alpha: float, kind: str,
     expectations are exact; the certificate carries the minimum margin.
     cases is any iterable, read once: a generator holds one case at a time.
     """
+    pricing = _lookup(CERTIFICATES, kind, "certificate kind")
+    predicate = _lookup(CLASSES, valuation_class, "valuation class")[1]
     lam = guarantee_lambda(alpha, valuation_class)
-    predicate = is_submodular if valuation_class == "submodular" else is_subadditive
+    weak = pricing == UNIFORM
     min_margin = math.inf
     count = 0
     for instance, profile in cases:
@@ -360,36 +359,29 @@ def verify_smoothness(cases, alpha: float, kind: str,
             if not predicate(v):
                 raise ValueError(
                     f"valuation not in declared class {valuation_class!r}")
-        if kind == "smooth" and instance.pricing != DISCRIMINATORY:
-            raise ValueError("smooth certificates apply to pay-as-bid pricing")
-        if kind == "weakly_smooth" and instance.pricing != UNIFORM:
-            raise ValueError("weak certificates apply to uniform pricing")
+        if instance.pricing != pricing:
+            raise ValueError(f"{kind} certificates apply to {pricing} pricing")
         opt = optimal_allocation(instance.valuations, instance.k)
         out = run_auction(profile, instance.tie_break, instance.pricing)
         opposing = profile
-        if kind == "weakly_smooth" and profile.interface == STANDARD:
+        if weak and profile.interface == STANDARD:
             opposing = _uniformized(profile, out.allocation)
         lhs = 0.0
         for _, _, _, (util,) in _deviation_cases(
                 instance, opt.allocation, [(opposing, 1.0)], (alpha,)):
             lhs += util
-        if kind == "smooth":
-            rhs = lam * opt.value - alpha * sum(out.payments)
-        else:
+        if weak:
             # willingness to pay: sum_i x_i(b) * b_i(x_i(b))
-            rhs = lam * opt.value - alpha * sum(
-                x * profile.vector(i)[x - 1]
-                for i, x in enumerate(out.allocation) if x >= 1)
-        min_margin = min(min_margin, lhs - rhs)
+            paid = sum(x * profile.vector(i)[x - 1]
+                       for i, x in enumerate(out.allocation) if x >= 1)
+        else:
+            paid = sum(out.payments)
+        min_margin = min(min_margin, lhs - (lam * opt.value - alpha * paid))
         count += 1
     if count == 0:
         raise ValueError("no cases supplied")
-    if kind == "smooth":
-        return SmoothnessCertificate("smooth", lam, alpha, min_margin,
-                                     min_margin >= -MARGIN_TOL, count, mu=alpha)
-    return SmoothnessCertificate("weakly_smooth", lam, alpha, min_margin,
-                                 min_margin >= -MARGIN_TOL, count,
-                                 mu1=0.0, mu2=alpha)
+    return SmoothnessCertificate(kind, lam, alpha, min_margin,
+                                 min_margin >= -MARGIN_TOL, count)
 
 
 # ---------------------------------------------------------------------------

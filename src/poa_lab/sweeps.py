@@ -36,17 +36,15 @@ from .mechanisms import (
     tie_lexicographic,
 )
 from .smoothness import (
+    CERTIFICATES,
+    MARGIN_TOL,
+    _lookup,
     expected_deviation_utility_exact,
     expected_deviation_utility_mc,
     key_lemma_margins,
     verify_smoothness,
 )
-from .valuations import (
-    flat_valuation,
-    from_marginals,
-    marginals,
-    random_valuation,
-)
+from .valuations import flat_valuation, from_marginals, random_valuation
 from .welfare import enumerate_optimal, greedy_optimal_submodular, optimal_allocation
 
 
@@ -111,7 +109,7 @@ class SweepResult:
 
     @property
     def passed(self) -> bool:
-        return self.min_margin >= -1e-9
+        return self.min_margin >= -MARGIN_TOL
 
 
 def key_lemma_sweep(count: int, alphas, valuation_class: str, seed: int,
@@ -150,12 +148,12 @@ def smoothness_sweep(count: int, alpha: float, kind: str,
     uniformization transform).  The cases reach verify_smoothness one at a
     time, from a generator.
     """
-    pricing = DISCRIMINATORY if kind == "smooth" else UNIFORM
+    pricing = _lookup(CERTIFICATES, kind, "certificate kind")
 
     def one(index: int):
         rng = case_rng(seed, index)
         instance = random_instance(rng, valuation_class, pricing, n_max, k_max)
-        if kind == "weakly_smooth" and index % 2 == 0:
+        if pricing == UNIFORM and index % 2 == 0:
             profile = random_no_overbidding_uniform_profile(instance, rng)
         else:
             profile = random_no_overbidding_profile(instance, rng)
@@ -206,7 +204,7 @@ def mc_vs_exact_sweep(count: int, seed: int,
         x_opt = optimal_allocation(instance.valuations, instance.k).allocation
         i = next(j for j in range(instance.n) if x_opt[j] >= 1)
         val = instance.valuations[i]
-        beta = beta_minus_i(profile, i, instance.k)
+        beta = beta_minus_i(profile, i)
         exact = expected_deviation_utility_exact(
             val, x_opt[i], beta, alpha, pricing)
         mean, stderr = expected_deviation_utility_mc(
@@ -294,7 +292,7 @@ def lemma1_equilibrium(rng: random.Random) -> tuple[AuctionInstance, BidProfile]
         rest = sorted((rng.uniform(0.3, 0.8) for _ in range(k - 1)),
                       reverse=True)
         vals.append(from_marginals([first] + rest))
-    pool = sorted((m for v in vals for m in marginals(v)), reverse=True)
+    pool = sorted((m for v in vals for m in v.marginals), reverse=True)
     level = rng.uniform(0.05, 0.9 * pool[k - 1])
     vals += [flat_valuation(level, k) for _ in range(k)]
     instance = AuctionInstance(tuple(vals), k, UNIFORM, tie_lexicographic())

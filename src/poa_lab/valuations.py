@@ -66,11 +66,6 @@ def additive_valuation(per_unit: float, k: int) -> Valuation:
     return Valuation(tuple(per_unit * j for j in range(k + 1)))
 
 
-def marginals(val: Valuation) -> tuple[float, ...]:
-    """m(j) = v(j) - v(j-1) for j = 1..k; all entries non-negative."""
-    return val.marginals
-
-
 def from_marginals(margs) -> Valuation:
     vals = [0.0]
     for m in margs:
@@ -80,7 +75,7 @@ def from_marginals(margs) -> Valuation:
 
 def is_submodular(val: Valuation) -> bool:
     """True iff the marginal values are non-increasing."""
-    m = marginals(val)
+    m = val.marginals
     return all(m[j + 1] <= m[j] + _PRED_TOL for j in range(len(m) - 1))
 
 

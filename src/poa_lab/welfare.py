@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .valuations import Valuation, is_submodular, marginals
+from .valuations import Valuation, is_submodular
 
 
 @dataclass(frozen=True)
@@ -106,7 +106,7 @@ def greedy_optimal_submodular(vals: Sequence[Valuation], k: int) -> OptimalAssig
             raise ValueError("greedy optimum requires submodular valuations")
     pool = []
     for i, v in enumerate(vals):
-        for j, m in enumerate(marginals(v)):
+        for j, m in enumerate(v.marginals):
             pool.append((m, i, j))
     pool.sort(key=lambda e: (-e[0], e[1], e[2]))
     alloc = [0] * len(vals)

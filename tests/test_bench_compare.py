@@ -21,7 +21,8 @@ def test_layers_script_runs_against_src():
     bench_compare = _bench_compare()
     # layers() runs the LAYERS script in a fresh process on ROOT / "src"
     costs = bench_compare.layers(ROOT)
-    assert {"find_pure_nash_k2_us", "find_pure_nash_k3_us",
+    assert {"reference_loop_us",
+            "find_pure_nash_k2_us", "find_pure_nash_k3_us",
             "find_pure_nash_k3_cold_us", "find_pure_nash_sliced_k3_us",
             "find_pure_nash_nob_k3_us",
             "search_candidates_k3_us",

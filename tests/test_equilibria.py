@@ -59,7 +59,6 @@ from poa_lab.sweeps import (
 from poa_lab.valuations import (
     Valuation,
     from_marginals,
-    marginals,
     random_valuation,
     valuation,
 )
@@ -979,6 +978,39 @@ def test_strategy_validation():
         unbalanced.validate(game)
 
 
+def test_bayesian_game_favoured_bidder_is_one_of_the_bidders():
+    game, _ = appendix_c_bayesian()
+    assert replace(game, tie_break=tie_favor_bidder(1)).n == 2
+    with pytest.raises(ValueError, match="favour"):
+        replace(game, tie_break=tie_favor_bidder(2))
+
+
+@pytest.mark.parametrize("bad", [
+    {"tick": "0.25"}, {"tick": True}, {"max_bid": "1"}, {"max_bid": False},
+    {"no_overbidding": "false"}, {"no_overbidding": 0}, {"no_overbidding": 1}])
+def test_grid_json_reads_numbers_and_a_boolean(bad):
+    data = {"tick": 0.25, "max_bid": 1, "no_overbidding": True}
+    assert BidGrid.from_json(data) == BidGrid(0.25, 1.0, no_overbidding=True)
+    with pytest.raises(ValueError):
+        BidGrid.from_json(dict(data, **bad))
+
+
+def test_is_pure_nash_regret_boundary_is_eq_tol():
+    """A regret of exactly EQ_TOL is an equilibrium; one ulp more is not.
+    A lone bidder bidding 0 for one unit worth 2 * EQ_TOL has its best
+    grid response at one tick, and v - tick is exact (Sterbenz), so the
+    regret is exactly v - tick."""
+    inst = AuctionInstance((valuation(0, 2 * EQ_TOL),), 1, "discriminatory",
+                           tie_lexicographic())
+    profile = standard_profile(1, standard_bid(0.0))
+    for tick, regret, equilibrium in (
+            (EQ_TOL, EQ_TOL, True),
+            (math.nextafter(EQ_TOL, 0.0), math.nextafter(EQ_TOL, 1.0), False)):
+        report = is_pure_nash(profile, inst, BidGrid(tick, 1.0))
+        assert report.max_regret == regret
+        assert report.is_equilibrium() is equilibrium
+
+
 @pytest.mark.parametrize("bad", [1.7, True, "1", None, math.nan])
 def test_strategy_json_rejects_non_integral_quantities(bad):
     strat = pure_strategy(((UniformBid(0.25, 1),), (StandardBid((0.5,)),)))
@@ -1020,7 +1052,7 @@ def test_strategy_validation_rejects_bids_the_game_cannot_hold(monkeypatch):
 
 def test_undominated_upa():
     v = random_valuation("submodular", 4, 1.0, seed=21)
-    m = marginals(v)
+    m = v.marginals
     assert is_undominated_upa(v, StandardBid(m))
     lowered = StandardBid((m[0] - 0.01,) + m[1:])
     assert not is_undominated_upa(v, lowered)
@@ -1050,7 +1082,7 @@ def test_conversion_maps_losers_to_first_marginal():
     out = allocate(prof, inst.tie_break)
     for i in range(inst.n):
         if out.allocation[i] == 0:
-            m1 = marginals(inst.valuations[i])[0]
+            m1 = inst.valuations[i].marginals[0]
             assert converted.bids[i] == UniformBid(m1, 1)
         else:
             x = out.allocation[i]
@@ -1087,7 +1119,7 @@ def test_canonical_profile_shape():
     out = allocate(prof, inst.tie_break)
     for i in range(inst.n):
         vec = prof.vector(i)
-        m = marginals(inst.valuations[i])
+        m = inst.valuations[i].marginals
         x = out.allocation[i]
         if x:
             assert vec[:x] == m[:x]

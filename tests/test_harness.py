@@ -215,10 +215,21 @@ def test_cli_run_and_exit_codes(tmp_path):
     ({"starts": 2.5, "mode": "best_response_dynamics", "seed": 1},
      json.dumps),
     ({"max_rounds": True}, json.dumps),
+    # the pricing rule decides whether the welfare check runs
+    ({"check_efficiency": False}, json.dumps),
+    # grid values are JSON numbers and a JSON boolean, read as they are
+    ({"grid": {"tick": 0.25, "max_bid": 1.0, "no_overbidding": "false"}},
+     json.dumps),
+    ({"grid": {"tick": "0.25", "max_bid": 1.0}}, json.dumps),
+    ({"grid": {"tick": 0.25, "max_bid": True}}, json.dumps),
+    ({}, lambda data: json.dumps(dict(
+        data, tie_break={"kind": "favor_bidder", "bidder": 7}))),
 ], ids=["zero-tick", "no-grid", "unknown-mode", "cap-below-grid",
         "cap-not-an-integer", "starts-not-an-integer",
         "max-rounds-not-an-integer", "instance-not-json", "instance-without-k",
-        "cap-not-integral", "starts-not-integral", "max-rounds-a-bool"])
+        "cap-not-integral", "starts-not-integral", "max-rounds-a-bool",
+        "check-efficiency-key", "no-overbidding-a-string", "tick-a-string",
+        "max-bid-a-bool", "favoured-bidder-7-of-2"])
 def test_cli_find_pne_config_errors_exit_2(tmp_path, capsys, change, write):
     inst = AuctionInstance((valuation(0, 1.0, 1.5), valuation(0, 0.5, 0.75)),
                            2, "discriminatory", tie_favor_bidder(0))
@@ -282,11 +293,16 @@ def _set_order(data, order):
     data["tie_break"] = {"kind": "explicit", "order": order}
 
 
+def _set_favoured(data, bidder):
+    data["tie_break"] = {"kind": "favor_bidder", "bidder": bidder}
+
+
 @pytest.mark.parametrize("change, value", [
     (_set_k, 2.9), (_set_k, True), (_set_quantity, 1.5),
     (_set_order, [[0, 1.5]]), (_set_order, [[True, 0]]),
+    (_set_favoured, 0.5), (_set_favoured, True), (_set_favoured, 7),
 ], ids=["k-2.9", "k-true", "quantity-1.5", "order-pair-0-1.5",
-        "order-pair-bool"])
+        "order-pair-bool", "favoured-0.5", "favoured-true", "favoured-7-of-3"])
 def test_cli_instance_file_errors_exit_2(tmp_path, capsys, change, value):
     from poa_lab.instances import theorem4_instance
 
@@ -353,6 +369,24 @@ def test_rejects_vacuous_sweeps(kind, bad):
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict(make_config(experiment=kind, seed=1,
                                                **bad))
+
+
+@pytest.mark.parametrize("kind, bad", [
+    ("certify-smoothness", {"kind": "smoth"}),
+    ("certify-smoothness", {"kind": ["smooth"]}),
+    ("certify-smoothness", {"valuation_class": "general"}),
+    ("certify-smoothness", {"valuation_class": "submodualr"}),
+    ("sweep-key-lemma", {"valuation_class": "general"}),
+    ("sweep-key-lemma", {"valuation_class": "submodualr"}),
+])
+def test_cli_unknown_kind_or_class_exits_2(tmp_path, capsys, kind, bad):
+    """A kind or class outside smoothness's tables would run a check that
+    no label names, or fail with a traceback: it is a config error."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(make_config(experiment=kind, seed=5, count=5,
+                                           **bad)))
+    assert cli_main(["run", str(path)]) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 def test_integral_numbers_are_read_as_integers():

@@ -208,8 +208,7 @@ def test_check_no_overbidding():
     assert check_no_overbidding(v, StandardBid((0.0,)))
     assert not check_no_overbidding(v, StandardBid((1.5,)))
     w = random_valuation("submodular", 4, 1.0, seed=3)
-    from poa_lab.valuations import marginals
-    assert check_no_overbidding(w, StandardBid(marginals(w)))
+    assert check_no_overbidding(w, StandardBid(w.marginals))
     # a prefix sum of exactly v(s) + 1e-12 passes and one float above it
     # fails, at the first prefix and at a later one
     v = valuation(0, 0.3, 0.5)
@@ -529,6 +528,23 @@ def test_tie_rank_table_matches_the_priorities():
                     == list(itertools.accumulate(
                         (tie.priority(i, s) for s in range(k)), max)), (
                     tie, n, k, i)
+
+
+def test_favoured_bidder_is_one_of_the_bidders():
+    from poa_lab.mechanisms import TieBreakRule
+
+    vals = (valuation(0, 1), valuation(0, 0.5))
+    AuctionInstance(vals, 1, "discriminatory", tie_favor_bidder(1))
+    for bidder in (-1, 2, 7):
+        with pytest.raises(ValueError, match="favour"):
+            AuctionInstance(vals, 1, "discriminatory",
+                            tie_favor_bidder(bidder))
+    # read as an integer, like every other integer of an instance file
+    assert TieBreakRule.from_json(
+        {"kind": "favor_bidder", "bidder": 1.0}) == tie_favor_bidder(1)
+    for bad in (0.5, True, "1"):
+        with pytest.raises(ValueError, match="bidder"):
+            TieBreakRule.from_json({"kind": "favor_bidder", "bidder": bad})
 
 
 def test_tie_break_json_roundtrip():

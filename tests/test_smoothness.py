@@ -127,6 +127,41 @@ def test_bound_table_reference_constants():
         == pytest.approx(3.1462, abs=1e-4)
 
 
+# every row of bound_table, its value by repr, as the explicit 14-row table
+# gave them before the rows were derived from the certificate tables
+BOUND_TABLE = (
+    ("poa", "discriminatory", "submodular", "standard|uniform",
+     "1.5819767068693265"),
+    ("poa", "discriminatory", "subadditive", "standard", "2.0"),
+    ("poa", "discriminatory", "subadditive", "uniform", "3.163953413738653"),
+    ("poa", "uniform_price", "submodular", "standard|uniform",
+     "3.146193220620582"),
+    ("poa", "uniform_price", "subadditive", "standard", "4.0"),
+    ("poa", "uniform_price", "subadditive", "uniform", "6.292386441241164"),
+    ("composition", "discriminatory", "submodular", "simultaneous",
+     "1.5819767068693265"),
+    ("composition", "discriminatory", "submodular", "sequential",
+     "3.163953413738653"),
+    ("composition", "discriminatory", "subadditive", "simultaneous",
+     "3.163953413738653"),
+    ("composition", "discriminatory", "subadditive", "sequential",
+     "6.327906827477306"),
+    ("composition", "uniform_price", "submodular", "simultaneous",
+     "3.146193220620582"),
+    ("composition", "uniform_price", "submodular", "sequential",
+     "3.146193220620582"),
+    ("composition", "uniform_price", "subadditive", "simultaneous",
+     "6.292386441241164"),
+    ("composition", "uniform_price", "subadditive", "sequential",
+     "6.292386441241164"),
+)
+
+
+def test_bound_table_pinned_by_repr():
+    assert tuple((r.table, r.mechanism, r.valuation_class, r.setting,
+                  repr(r.value)) for r in bound_table()) == BOUND_TABLE
+
+
 def test_poa_bound_arithmetic():
     lam = 1 - 1 / E
     assert smooth_poa_bound(lam, 1.0) == pytest.approx(E / (E - 1))
@@ -201,7 +236,7 @@ def test_quadrature_matches_real_auction_integral():
         for i, val in enumerate(instance.valuations):
             if x_opt[i] == 0:
                 continue
-            beta = beta_minus_i(profile, i, instance.k)
+            beta = beta_minus_i(profile, i)
             alpha = 1.0
             upper = _upper(alpha)
             per_unit = _per_unit(val, x_opt[i])
@@ -225,7 +260,7 @@ def test_uniform_pricing_dominates_pay_as_bid():
         profile = random_no_overbidding_profile(instance, rng)
         x_opt = optimal_allocation(instance.valuations, instance.k).allocation
         for i, val in enumerate(instance.valuations):
-            beta = beta_minus_i(profile, i, instance.k)
+            beta = beta_minus_i(profile, i)
             upa = expected_deviation_utility_exact(val, x_opt[i], beta, 1.0,
                                                    "uniform")
             da = expected_deviation_utility_exact(val, x_opt[i], beta, 1.0,
@@ -243,7 +278,7 @@ def test_monte_carlo_within_three_sigma():
         for i, val in enumerate(instance.valuations):
             if x_opt[i] == 0:
                 continue
-            beta = beta_minus_i(profile, i, instance.k)
+            beta = beta_minus_i(profile, i)
             exact = expected_deviation_utility_exact(val, x_opt[i], beta, 0.87,
                                                      pricing)
             mean, stderr = expected_deviation_utility_mc(
@@ -288,7 +323,7 @@ def test_key_lemma_rhs_zero_allocation():
     instance = AuctionInstance((val, valuation(0, 0.1)), 1, "uniform",
                                tie_lexicographic())
     profile = standard_profile(1, standard_bid(0.5), standard_bid(0.05))
-    assert beta_minus_i(profile, 1, 1) == (0.5,)
+    assert beta_minus_i(profile, 1) == (0.5,)
     assert verify_key_lemma(instance, profile, 1.0)[1] == 0.0
 
 
@@ -320,7 +355,7 @@ def _per_alpha_key_lemma(instance, opposing, alpha, valuation_class):
     per_unit, template = [], []
     for i, val in enumerate(instance.valuations):
         if len(opposing) == 1:
-            beta = beta_minus_i(opposing[0][0], i, instance.k)
+            beta = beta_minus_i(opposing[0][0], i)
             rhs = 0.0
             if x_opt[i] >= 1:
                 rhs = (alpha * _upper(alpha) * x_opt[i] * _per_unit(val, x_opt[i])
@@ -331,7 +366,7 @@ def _per_alpha_key_lemma(instance, opposing, alpha, valuation_class):
         lhs = 0.0
         exp_beta = 0.0
         for profile, prob in opposing:
-            beta = beta_minus_i(profile, i, instance.k)
+            beta = beta_minus_i(profile, i)
             lhs += prob * expected_deviation_utility_exact(
                 val, x_opt[i], beta, alpha, instance.pricing)
             exp_beta += prob * sum(beta[: x_opt[i]])
@@ -424,7 +459,7 @@ def test_key_lemma_margins_reject_non_positive_alpha():
     instance = random_instance(rng, "submodular", "uniform", 3, 4)
     profile = random_no_overbidding_profile(instance, rng)
     val = instance.valuations[0]
-    beta = beta_minus_i(profile, 0, instance.k)
+    beta = beta_minus_i(profile, 0)
     for alpha in (0.0, -1.0):
         with pytest.raises(ValueError):
             verify_key_lemma(instance, profile, alpha)
@@ -516,6 +551,28 @@ def test_verify_smoothness_rejects_mismatches():
     prof_up = random_no_overbidding_profile(inst_up, rng)
     with pytest.raises(ValueError):
         verify_smoothness([(inst_up, prof_up)], 1.0, "smooth", "submodular")
+    inst_da = random_instance(rng, "submodular", "discriminatory", 3, 4)
+    prof_da = random_no_overbidding_profile(inst_da, rng)
+    with pytest.raises(ValueError, match="apply to uniform pricing"):
+        verify_smoothness([(inst_da, prof_da)], 1.0, "weakly_smooth",
+                          "submodular")
+
+
+@pytest.mark.parametrize("kind, vclass", [
+    ("smoth", "submodular"), ("smooth", "general"),
+    ("weakly_smooth", "submodualr")])
+def test_unknown_kind_or_class_is_a_value_error(kind, vclass):
+    """No third check runs under a misspelled kind or an unlisted class."""
+    rng = case_rng(18, 0)
+    inst = random_instance(rng, "submodular", "discriminatory", 3, 4)
+    prof = random_no_overbidding_profile(inst, rng)
+    with pytest.raises(ValueError, match="unknown"):
+        verify_smoothness([(inst, prof)], 1.0, kind, vclass)
+    with pytest.raises(ValueError, match="unknown"):
+        sweeps.smoothness_sweep(1, 1.0, kind, vclass, seed=1)
+    if kind == "smooth":
+        with pytest.raises(ValueError, match="unknown valuation class"):
+            guarantee_lambda(1.0, vclass)
 
 
 # -- resampled-opposition deviations ----------------------------------------------
@@ -532,7 +589,7 @@ def test_feldman_bid_non_increasing_and_support_probs():
     rng = case_rng(19, 0)
     instance = random_instance(rng, "subadditive", "uniform", 3, 5)
     profile = random_no_overbidding_profile(instance, rng)
-    beta = beta_minus_i(profile, 0, instance.k)
+    beta = beta_minus_i(profile, 0)
     support = feldman_support([(beta, 1.0)], 2, "uniform",
                               instance.valuations[0], tick=1e-9)
     assert sum(p for _, p in support) == 1.0
@@ -550,7 +607,7 @@ def test_feldman_complement_never_overbids():
         for i, val in enumerate(instance.valuations):
             if x_opt[i] == 0:
                 continue
-            beta = beta_minus_i(profile, i, instance.k)
+            beta = beta_minus_i(profile, i)
             # every prefix of the kept block, not only the whole block
             assert check_no_overbidding(
                 val, feldman_bid(beta, x_opt[i], "uniform", val))

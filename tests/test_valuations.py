@@ -8,7 +8,6 @@ from poa_lab.valuations import (
     from_marginals,
     is_subadditive,
     is_submodular,
-    marginals,
     random_valuation,
     tau,
     valuation,
@@ -16,25 +15,25 @@ from poa_lab.valuations import (
 
 
 def test_marginals_additive():
-    assert marginals(valuation(0, 1, 2)) == (1, 1)
+    assert valuation(0, 1, 2).marginals == (1, 1)
 
 
 def test_marginals_jump_at_k():
     # value 1 for 1..k-1 and 2 at k: marginals (1, 0, ..., 0, 1)
     k = 6
     v = Valuation((0.0,) + (1.0,) * (k - 1) + (2.0,))
-    assert marginals(v) == (1.0,) + (0.0,) * (k - 2) + (1.0,)
+    assert v.marginals == (1.0,) + (0.0,) * (k - 2) + (1.0,)
 
 
 def test_marginals_direct_subtraction():
-    m = marginals(valuation(0, 0.7, 1.2, 1.5))
+    m = valuation(0, 0.7, 1.2, 1.5).marginals
     assert m == pytest.approx((0.7, 0.5, 0.3))
 
 
 def test_marginals_are_computed_once_per_valuation():
     v = valuation(0, 0.7, 1.2, 1.5)
-    m = marginals(v)
-    assert marginals(v) is m and v.marginals is m
+    m = v.marginals
+    assert v.marginals is m
     assert m == (0.7, 1.2 - 0.7, 1.5 - 1.2)
     # the cached tuple is not a field: equality, hashing and freezing hold
     fresh = valuation(0, 0.7, 1.2, 1.5)
@@ -47,7 +46,7 @@ def test_marginals_are_computed_once_per_valuation():
 def test_prefix_sum_reconstruction():
     for seed in range(30):
         v = random_valuation("general", 7, 2.0, seed=seed)
-        assert from_marginals(marginals(v)).values == pytest.approx(v.values)
+        assert from_marginals(v.marginals).values == pytest.approx(v.values)
 
 
 def test_is_submodular():
