@@ -20,10 +20,10 @@ grid_bids_for order: the Bayes-Nash regrets and the exhaustive pure-Nash
 search (exact under every tie rule) score whole arrays with the block
 outcome engine and build bid objects only for what they report.  The search
 caches what a grid game fixes without its valuations: the strategy arrays,
-their keys and, for up to _BLOCK_CELLS profiles, each bidder's box of
-allocations and its floors, the lowest payment for u units against each
-row of the others' strategies, so that it scores later bidders on the
-profiles still standing only.
+their keys and, for up to _BLOCK_CELLS profiles, each bidder's floors, the
+lowest payment for u units against each row of the others' strategies, and
+the equilibrium candidates, the profiles where no bidder pays more than
+tick / 2 above its floor, so that it scores valuations on those alone.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ from .mechanisms import (
     TieBreakRule,
     UniformBid,
     _bid_from_json,
-    _json_float,
     _json_int,
     _overbids,
     _ranked_outcome,
@@ -64,12 +63,12 @@ from .mechanisms import (
     tie_ranks,
     uniform_vectors,
 )
-from .valuations import Valuation, is_submodular
+from .valuations import Valuation, _json_float, is_submodular
 from .welfare import optimal_allocation
 
 EQ_TOL = 1e-9
 # cells of one box of the profile space that the exhaustive search scores at
-# once; a space of at most this many profiles is one box, kept in the cache
+# once; a space of at most this many profiles is one box, kept as candidates
 _BLOCK_CELLS = 1 << 16
 
 
@@ -150,7 +149,6 @@ class RegretReport:
 class BestResponse:
     bid: object
     utility: float
-    units: int
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +168,7 @@ def best_response(instance: AuctionInstance, profile: BidProfile, i: int,
     utility, bid = _closed_form_response(
         instance, grid, _ranked_outcome(profile, instance.tie_break)[0], i,
         tie_ranks(instance.tie_break, profile.n, instance.k)[1][i])
-    return BestResponse(bid, utility, bid.quantity)
+    return BestResponse(bid, utility)
 
 
 def _closed_form_response(instance: AuctionInstance, grid: BidGrid,
@@ -345,16 +343,20 @@ def _box_allocations(cands: SearchCandidates, shape: tuple, i: int,
 @functools.lru_cache(maxsize=8)
 def _search_tables(grid: BidGrid, k: int, tie: TieBreakRule, pricing: str,
                    cuts: tuple, cap: int):
-    """_grid_spaces(grid, k, cuts), its SearchCandidates and, for at most
-    _BLOCK_CELLS profiles (one box), every bidder's _box_allocations and,
-    without no-overbidding, floors (else None), all read-only; cuts[j] is
-    bidder j's valuation under no-overbidding, else None.  A box keeps 9
-    bytes per profile (units and an 8-byte charge), at most n x 576 KiB
-    per entry; floors keep 8 (k + 1) bytes per bidder and row of the
-    others' strategies.  The cap is checked before anything is built, and
-    is in the key because a raise is not cached.  The cache holds the 8
-    latest entries; find_pure_nash calls the uncached __wrapped__ under
-    no-overbidding, whose cuts a sweep never repeats."""
+    """_grid_spaces(grid, k, cuts), its SearchCandidates and, without
+    no-overbidding for at most _BLOCK_CELLS profiles (one box), the
+    candidates (floors, cells, per_bidder), else None, all read-only;
+    cuts[j] is bidder j's valuation under no-overbidding, else None.
+    floors[i][u][row] is bidder i's lowest payment that wins exactly u
+    units against a row of the others' strategies (inf if none).  cells
+    are the flat indices, in profile order, of the profiles where no
+    bidder pays more than tick / 2 above its floor for the units it wins,
+    and per_bidder[i] holds bidder i's block_allocation units and charge
+    and its row at each; the boxes are not kept.  The cap is checked
+    before anything is built, and is in the key because a raise is not
+    cached.  The cache holds the 8 latest entries; find_pure_nash calls
+    the uncached __wrapped__ under no-overbidding, whose cuts a sweep
+    never repeats."""
     if not grid.no_overbidding:
         # every bidder has the whole grid space: count it before building it
         per_bidder = (math.comb(grid.npoints + k - 1, k)
@@ -367,26 +369,38 @@ def _search_tables(grid: BidGrid, k: int, tie: TieBreakRule, pricing: str,
         _check_cap(math.prod(shape), cap)
     cands = SearchCandidates(spaces, tie)
     arrays = [*spaces, *cands.keys, *cands.paid, cands.value_of_key]
-    blocks = floors = None
-    if math.prod(shape) <= _BLOCK_CELLS:
-        blocks = [list(_box_allocations(cands, shape, i, pricing))
-                  for i in range(len(shape))]
-        arrays += [a for boxes in blocks for box in boxes for a in box[1:]]
-    if blocks and not grid.no_overbidding:
-        # floors[i][u][row]: bidder i's lowest payment that wins exactly u
-        # units against a row (inf if none); as costly as block_allocation
-        floors = [np.empty((k + 1,) + shape[:i] + (1,) + shape[i + 1:])
-                  for i in range(len(shape))]
-        for i, u in itertools.product(range(len(shape)), range(k + 1)):
-            [(_, units, charge)] = blocks[i]
-            paid = (charge if pricing == UNIFORM else cands.paid[i][:, u]
-                    .reshape((-1,) + (1,) * (len(shape) - 1 - i)))
-            np.min(np.broadcast_to(paid, shape), axis=i, keepdims=True,
-                   initial=np.inf, where=units == u, out=floors[i][u])
-        arrays += floors
+    candidates = None
+    if not grid.no_overbidding and math.prod(shape) <= _BLOCK_CELLS:
+        # True where no bidder pays more than tick / 2 above its floor
+        keep = np.ones(shape, dtype=bool)
+        floors, boxes = [], []
+        for i in range(len(shape)):
+            [(_, units, charge)] = _box_allocations(cands, shape, i, pricing)
+            pay = (charge if pricing == UNIFORM
+                   else cands.paid[i].ravel()[charge])
+            # winning no unit pays 0, and the zero bid wins none
+            floors.append(np.zeros((k + 1, *shape[:i], 1, *shape[i + 1:])))
+            near = units == 0
+            for u in range(1, k + 1):
+                excess = np.where(units == u, pay, np.inf)
+                np.min(excess, axis=i, keepdims=True, out=floors[i][u])
+                # inf - inf, a row where no strategy wins u units, is nan
+                with np.errstate(invalid="ignore"):
+                    near |= np.subtract(excess, floors[i][u],
+                                        out=excess) <= grid.tick / 2
+            keep &= near
+            after = math.prod(shape[i + 1:])
+            boxes.append((units.ravel(), charge.ravel(), shape[i] * after,
+                          after))
+        cells = np.flatnonzero(keep)
+        per_bidder = [(units[cells], charge[cells],
+                       cells // box * after + cells % after)
+                      for units, charge, box, after in boxes]
+        candidates = (floors, cells, per_bidder)
+        arrays += [*floors, cells, *itertools.chain(*per_bidder)]
     for array in arrays:
         array.setflags(write=False)
-    return spaces, cands, blocks, floors
+    return spaces, cands, candidates
 
 
 @dataclass(frozen=True)
@@ -415,18 +429,23 @@ def find_pure_nash(instance: AuctionInstance, grid: BidGrid,
     """Search the grid profile space for pure Nash equilibria.
 
     "exhaustive" covers every profile (raises SearchCapExceeded beyond the
-    cap) on a boolean mask with one byte per grid profile, at most cap
-    bytes.  _search_tables gives the strategy arrays, their
-    SearchCandidates keys and, for at most _BLOCK_CELLS profiles, every
-    bidder's box; without no-overbidding they are cached with the boxes'
-    floors, with it they are built afresh.  For each bidder, one loop takes
-    the kept box or each of _box_allocations; a row's best utility, exact
-    under every tie-break rule, is max over u of v(u) - floor, bit for bit
-    the row maximum of block_utilities, and the cells where the bidder
-    gains more than EQ_TOL are cleared; with floors a later bidder is
-    scored on the cells still standing only.  The cells left, in
-    itertools.product order, get a full auction and a check of every
-    bidder against those best utilities.
+    cap), exact under every tie-break rule.  _search_tables gives the
+    strategy arrays and their SearchCandidates keys, cached without
+    no-overbidding, and for a cached space of at most _BLOCK_CELLS
+    profiles the candidates.  There a bidder's best utility against a row
+    is max over u of v(u) - floor, bit for bit the row maximum of
+    block_utilities, and a candidate stays if no bidder gains more than
+    EQ_TOL.  Otherwise a boolean mask, one byte per profile (at most cap
+    bytes), is cleared where a bidder gains more than EQ_TOL, box by box
+    from _box_allocations.  The cells left, in itertools.product order,
+    get a full auction and a check of every bidder against those best
+    utilities.  The candidates hold every equilibrium: let a bidder win u
+    units and pay p > f + tick / 2, f its floor, and M = max v + k max_bid
+    bound |v(u) - p| and |v(u) - f|.  fl(v(u) - p) and fl(v(u) - f), a
+    lower bound of the row best, are each within 2^-53 M of exact, and
+    their rounded difference within 2^-52 M more, so its computed gain
+    exceeds tick / 2 - 2^-51 M > EQ_TOL if tick / 2 >= EQ_TOL + 2^-50 M.
+    The search checks this bound per call and else takes the mask.
     "best_response_dynamics" runs seeded best-response paths and reports
     reached fixed points, which may miss equilibria.  It judges deviations
     by the closed-form best response, which is exact only under
@@ -439,45 +458,43 @@ def find_pure_nash(instance: AuctionInstance, grid: BidGrid,
                      for val in instance.valuations)
         build = (_search_tables.__wrapped__ if grid.no_overbidding
                  else _search_tables)
-        spaces, cands, blocks, floors = build(
+        spaces, cands, candidates = build(
             grid, k, instance.tie_break, instance.pricing, cuts, cap)
         shape = tuple(len(s) for s in spaces)
-        # one byte per grid profile: True where no bidder can gain by
-        # deviating on the grid
-        mask = np.ones(shape, dtype=bool)
+        vals = [np.array(val.values) for val in instance.valuations]
+        if candidates and grid.tick / 2 < EQ_TOL + 2.0 ** -50 * (
+                max(v[-1] for v in vals) + k * grid.max_bid):
+            candidates = None
         # best[i][profile with bidder i's index 0]: bidder i's best utility
         # on the grid against the others' strategies there
         best = []
-        for i in range(instance.n):
-            values = np.array(instance.valuations[i].values)
-            best.append(np.empty(shape[:i] + (1,) + shape[i + 1:]))
-            for box, units, charge in (blocks[i] if blocks else
-                                       _box_allocations(cands, shape, i,
-                                                        instance.pricing)):
-                utils = None if floors and i else block_utilities(
-                    cands, i, values, instance.pricing, units, charge)
-                rowmax = ((values.reshape((-1,) + (1,) * instance.n)
-                           - floors[i]).max(axis=0) if floors
-                          else utils.max(axis=i, keepdims=True))
-                best[i][box] = rowmax
-                if utils is not None:
+        if candidates:
+            floors, cells, per_bidder = candidates
+            keep = np.ones(len(cells), dtype=bool)
+            for i, (units, charge, rows) in enumerate(per_bidder):
+                best.append((vals[i].reshape((-1,) + (1,) * instance.n)
+                             - floors[i]).max(axis=0))
+                utils = block_utilities(cands, i, vals[i], instance.pricing,
+                                        units, charge)
+                keep &= best[i].ravel()[rows] - utils <= EQ_TOL
+            cells = cells[keep]
+        else:
+            # True where no bidder can gain by deviating on the grid
+            mask = np.ones(shape, dtype=bool)
+            for i in range(instance.n):
+                best.append(np.empty(shape[:i] + (1,) + shape[i + 1:]))
+                for box, units, charge in _box_allocations(
+                        cands, shape, i, instance.pricing):
+                    utils = block_utilities(cands, i, vals[i],
+                                            instance.pricing, units, charge)
+                    rowmax = utils.max(axis=i, keepdims=True)
+                    best[i][box] = rowmax
                     np.subtract(rowmax, utils, out=utils)
                     mask[box] &= utils <= EQ_TOL
-                    continue
-                # with floors a later bidder is scored on the cells still
-                # standing only, by flat index (its box is the whole space)
-                cells = np.flatnonzero(mask)
-                after = math.prod(shape[i + 1:])
-                rows = (cells // shape[i] if after == 1 else
-                        cells // (shape[i] * after) * after + cells % after)
-                utils = block_utilities(cands, i, values, instance.pricing,
-                                        units.ravel()[cells],
-                                        charge.ravel()[cells])
-                np.subtract(rowmax.ravel()[rows], utils, out=utils)
-                mask.ravel()[cells] = utils <= EQ_TOL
+            cells = np.flatnonzero(mask)
         found, outs = [], []
         # flat indices in C order, which is itertools.product order
-        picked = np.unravel_index(np.flatnonzero(mask), shape)
+        picked = np.unravel_index(cells, shape)
         bids = [_grid_bids(grid.interface, space[rows])
                 for space, rows in zip(spaces, picked)]
         cells = list(zip(*picked))
@@ -582,7 +599,8 @@ class BayesianGame:
             _json_int(data["k"], "k"),
             tuple(tuple(Valuation.from_json(v) for v in tset)
                   for tset in data["types"]),
-            tuple(tuple(float(p) for p in pset) for pset in data["priors"]),
+            tuple(tuple(_json_float(p, "prior") for p in pset)
+                  for pset in data["priors"]),
             BidGrid.from_json(data["grid"]),
             TieBreakRule.from_json(data["tie_break"]),
             data["pricing"],
@@ -621,7 +639,8 @@ class Strategy:
     @staticmethod
     def from_json(data) -> "Strategy":
         return Strategy(tuple(
-            tuple(tuple((_bid_from_json(b), float(p)) for b, p in mixed)
+            tuple(tuple((_bid_from_json(b), _json_float(p, "probability"))
+                        for b, p in mixed)
                   for mixed in per_type)
             for per_type in data))
 

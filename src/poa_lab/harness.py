@@ -102,7 +102,8 @@ def _check_sweep(kind: str, data: dict):
         _number(data, key, above + 1, kind, above, integer=True)
     alphas = data.get("alphas", (1.0,))
     if not isinstance(alphas, (list, tuple)) or not alphas or not all(
-            isinstance(a, (int, float)) and 0.0 < a < math.inf
+            not isinstance(a, bool) and isinstance(a, (int, float))
+            and 0.0 < a < math.inf
             for a in alphas):
         raise ConfigError(f"{kind} alphas must be a non-empty list of "
                           f"positive finite numbers, got {alphas!r}")

@@ -420,8 +420,3 @@ REGISTRY = {
 
 def list_instances() -> list[str]:
     return sorted(REGISTRY)
-
-
-def verify_named(instance_id: str, **params) -> list[CheckResult]:
-    """The named instance's checks; KeyError for an unknown id."""
-    return REGISTRY[instance_id][1](**params)

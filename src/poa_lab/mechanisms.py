@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .valuations import Valuation
+from .valuations import Valuation, _json_float
 
 DISCRIMINATORY = "discriminatory"
 UNIFORM = "uniform"
@@ -103,19 +103,12 @@ def _json_int(value, name: str) -> int:
     return int(value)
 
 
-def _json_float(value, name: str) -> float:
-    """A number read from JSON: an int or a float, not a bool or a string."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    return float(value)
-
-
 def _bid_from_json(data):
     """A bid from JSON: a uniform bid's object or a standard bid's list."""
     if isinstance(data, dict):
-        return UniformBid(float(data["price"]),
+        return UniformBid(_json_float(data["price"], "price"),
                           _json_int(data["quantity"], "quantity"))
-    return StandardBid(tuple(float(x) for x in data))
+    return StandardBid(tuple(_json_float(x, "bid") for x in data))
 
 
 @dataclass(frozen=True)

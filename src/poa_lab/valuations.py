@@ -16,6 +16,13 @@ from dataclasses import dataclass
 _PRED_TOL = 1e-12
 
 
+def _json_float(value, name: str) -> float:
+    """A number read from JSON: an int or a float, not a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class Valuation:
     """Non-decreasing value curve v(0..k) with v(0) = 0."""
@@ -50,7 +57,7 @@ class Valuation:
 
     @staticmethod
     def from_json(data) -> "Valuation":
-        return Valuation(tuple(float(x) for x in data))
+        return Valuation(tuple(_json_float(x, "value") for x in data))
 
 
 def valuation(*values: float) -> Valuation:

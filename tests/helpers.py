@@ -71,11 +71,11 @@ def best_response_enumerated(instance, profile, i, grid,
     vectors, n_uniform = _deviation_vectors(grid, instance.k, val,
                                             include_standard,
                                             profile.interface)
-    units, utils = deviation_outcomes([profile], i, vectors, val.values,
+    _, utils = deviation_outcomes([profile], i, vectors, val.values,
                                       instance.tie_break, instance.pricing)
     # np.argmax returns the first maximum
     c = int(np.argmax(utils[0]))
     if not utils[0, c] > 0.0:
-        return BestResponse(UniformBid(0.0, 0), 0.0, 0)
+        return BestResponse(UniformBid(0.0, 0), 0.0)
     return BestResponse(_deviation_bid(vectors, n_uniform, c),
-                        float(utils[0, c]), int(units[0, c]))
+                        float(utils[0, c]))

@@ -24,6 +24,7 @@ def test_layers_script_runs_against_src():
     assert {"reference_loop_us",
             "find_pure_nash_k2_us", "find_pure_nash_k3_us",
             "find_pure_nash_k3_cold_us", "find_pure_nash_sliced_k3_us",
+            "find_pure_nash_uniform_k3_us",
             "find_pure_nash_nob_k3_us",
             "search_candidates_k3_us",
             "block_k3_us", "block_allocation_k3_us", "block_utilities_k3_us",

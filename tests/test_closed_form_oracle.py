@@ -73,7 +73,7 @@ def reference_best_response(instance, profile, i, grid):
     # the winning bids with bidder i bidding nothing are its thresholds
     beta = reference_run_auction(profile.replace(i, UniformBid(0.0, 0)), tie,
                                  pricing).winning_bids
-    best = BestResponse(UniformBid(0.0, 0), 0.0, 0)
+    best = BestResponse(UniformBid(0.0, 0), 0.0)
     cap = grid.max_bid + 1e-12
     for j in range(1, k + 1):
         threshold = beta[j - 1]
@@ -91,7 +91,7 @@ def reference_best_response(instance, profile, i, grid):
                 continue
             u = val.value(j) - out.payments[i]
             if u > best.utility:
-                best = BestResponse(bid, u, j)
+                best = BestResponse(bid, u)
     return best
 
 
@@ -183,7 +183,7 @@ def test_bid_at_threshold_wins_by_tie_priority_alone(tie, bid, utility):
     inst = AuctionInstance(vals, 2, DISCRIMINATORY, tie)
     prof = standard_profile(2, zero_bid(2), standard_bid(0.5, 0.5))
     br = best_response(inst, prof, 0, BidGrid(0.25, 1.0))
-    assert br == BestResponse(bid, utility, 2)
+    assert br == BestResponse(bid, utility)
     assert deviation_outcome(inst, prof, 0, br) == (2, 2 * bid.price)
 
 
@@ -194,15 +194,15 @@ def test_uniform_price_is_zero_with_fewer_than_k_opposing_entries():
     inst = AuctionInstance(vals, 3, UNIFORM, tie_lexicographic())
     prof = standard_profile(3, zero_bid(3), standard_bid(0.5, 0.0, 0.0))
     br = best_response(inst, prof, 0, BidGrid(0.125, 1.0))
-    assert br == BestResponse(UniformBid(0.125, 2), 1.8, 2)
+    assert br == BestResponse(UniformBid(0.125, 2), 1.8)
     assert deviation_outcome(inst, prof, 0, br) == (2, 0.0)
 
 
 @pytest.mark.parametrize("max_bid, expected", [
     # bidder 1 deviates: the tie at 0.5 goes to bidder 0, and 0.75 is over
     # a cap of 0.5, so no bid wins
-    (0.5, BestResponse(UniformBid(0.0, 0), 0.0, 0)),
-    (0.75, BestResponse(UniformBid(0.75, 1), 0.25, 1)),
+    (0.5, BestResponse(UniformBid(0.0, 0), 0.0)),
+    (0.75, BestResponse(UniformBid(0.75, 1), 0.25)),
 ])
 def test_threshold_plus_tick_above_max_bid_is_skipped(max_bid, expected):
     vals = (valuation(0, 1.0), valuation(0, 1.0))
@@ -210,7 +210,7 @@ def test_threshold_plus_tick_above_max_bid_is_skipped(max_bid, expected):
     prof = standard_profile(1, standard_bid(0.5), zero_bid(1))
     br = best_response(inst, prof, 1, BidGrid(0.25, max_bid))
     assert br == expected
-    assert deviation_outcome(inst, prof, 1, br) == (expected.units,
+    assert deviation_outcome(inst, prof, 1, br) == (expected.bid.quantity,
                                                     expected.bid.price)
 
 
@@ -224,12 +224,12 @@ def test_threshold_at_the_max_bid_cap_is_allowed(pricing):
     edge = 0.5 + 1e-12
     prof = standard_profile(1, zero_bid(1), standard_bid(edge))
     br = best_response(inst, prof, 0, grid)
-    assert br == BestResponse(UniformBid(edge, 1), 1.0 - edge, 1)
+    assert br == BestResponse(UniformBid(edge, 1), 1.0 - edge)
     assert deviation_outcome(inst, prof, 0, br) == (1, edge)
     prof = standard_profile(1, zero_bid(1),
                             standard_bid(math.nextafter(edge, 1.0)))
     assert best_response(inst, prof, 0, grid) == BestResponse(
-        UniformBid(0.0, 0), 0.0, 0)
+        UniformBid(0.0, 0), 0.0)
 
 
 @pytest.mark.parametrize("pricing, bid, utility", [
@@ -242,7 +242,7 @@ def test_all_zero_opposition_costs_one_tick_per_unit_at_most(pricing, bid,
     inst = AuctionInstance(vals, 2, pricing, tie_lexicographic())
     prof = standard_profile(2, zero_bid(2), zero_bid(2))
     br = best_response(inst, prof, 0, BidGrid(0.125, 1.0))
-    assert br == BestResponse(bid, utility, 2)
+    assert br == BestResponse(bid, utility)
     assert deviation_outcome(inst, prof, 0, br)[0] == 2
 
 

@@ -170,7 +170,7 @@ def test_best_response_priced_out():
     inst = AuctionInstance(vals, 1, "discriminatory", tie_lexicographic())
     prof = standard_profile(1, zero_bid(1), standard_bid(1.0))
     br = best_response(inst, prof, 0, BidGrid(0.1, 1.0))
-    assert br.units == 0
+    assert br.bid.quantity == 0
     assert br.utility == 0.0
 
 
@@ -232,8 +232,10 @@ def test_enumeration_beats_closed_form_under_slot_level_ties():
                                      include_standard=True)
     assert closed.utility == 0.75
     assert brute.utility - closed.utility == 0.125
-    assert brute.units == 1
     assert brute.bid == UniformBid(0.125, 2)
+    # under the slot-level rule the bid for two units wins one
+    assert run_auction(prof.replace(0, brute.bid), tie,
+                       "discriminatory").allocation[0] == 1
 
 
 def test_best_response_respects_no_overbidding():
@@ -244,8 +246,8 @@ def test_best_response_respects_no_overbidding():
     free = best_response(inst, prof, 0, BidGrid(0.01, 1.0))
     capped = best_response(inst, prof, 0,
                            BidGrid(0.01, 1.0, no_overbidding=True))
-    assert free.units >= capped.units
-    if capped.units:
+    assert free.bid.quantity >= capped.bid.quantity
+    if capped.bid.quantity:
         assert check_no_overbidding(vals[0], capped.bid.expand(2))
 
 
@@ -366,8 +368,10 @@ def test_cached_search_tables_match_a_fresh_build():
     cuts = (vals[0], None, vals[2])
     for tie in (tie_lexicographic(), tie_favor_bidder(1), tie_favor_last(),
                 tie_explicit([(2, 1), (0, 1), (1, 0)]), tie_lexicographic()):
-        spaces, cached, _, _ = equilibria._search_tables(
+        spaces, cached, candidates = equilibria._search_tables(
             grid, 2, tie, "discriminatory", cuts, 10 ** 8)
+        # no candidates under no-overbidding
+        assert candidates is None
         fresh = SearchCandidates(equilibria._grid_spaces(grid, 2, cuts), tie)
         keys, pad_key, value_of_key, paid = _oracle_keys(spaces, tie)
         assert [len(s) for s in spaces] == [5, 10, 3]
@@ -432,10 +436,12 @@ def _tie_kinds(n):
 @pytest.mark.parametrize("n, grid", [(2, BidGrid(0.25, 0.75)),
                                      (3, BidGrid(0.25, 0.75, "uniform"))])
 def test_cached_blocks_match_a_fresh_block_outcomes_run(pricing, n, grid):
-    """The one box per bidder that a search keeps covers the profile space
-    and equals block_allocation built afresh, in profile order and
-    read-only; gathered under any value curve it equals block_outcomes'
-    (units, utilities) bit for bit, and a full auction on every profile."""
+    """The one box per bidder that a search scores covers the profile
+    space and equals block_allocation built afresh, in profile order;
+    gathered under any value curve it equals block_outcomes' (units,
+    utilities) bit for bit, and a full auction on every profile.  The
+    cached candidates hold, read-only, that box's entries at their cells
+    and the row of each cell."""
     k = 2
     rng = random.Random(40 + n)
     curves = [np.zeros(k + 1)] + [
@@ -444,17 +450,24 @@ def test_cached_blocks_match_a_fresh_block_outcomes_run(pricing, n, grid):
         for _ in range(3)]
     for tie in _tie_kinds(n):
         equilibria._search_tables.cache_clear()
-        spaces, cands, blocks, _ = equilibria._search_tables(
+        spaces, cands, (_, cells, per_bidder) = equilibria._search_tables(
             grid, k, tie, pricing, (None,) * n, 10 ** 8)
         shape = tuple(len(s) for s in spaces)
         fresh = SearchCandidates(equilibria._grid_spaces(grid, k, [None] * n),
                                  tie)
         gathered = []
-        for i, boxes in enumerate(blocks):
-            [(box, units, charge)] = boxes
+        for i in range(n):
+            [(box, units, charge)] = equilibria._box_allocations(
+                cands, shape, i, pricing)
             assert box == tuple(slice(None) if j == i else slice(0, shape[j])
                                 for j in range(n))
-            assert not units.flags.writeable and not charge.flags.writeable
+            at = np.unravel_index(cells, shape)
+            rows = np.ravel_multi_index(at[:i] + at[i + 1:],
+                                        shape[:i] + shape[i + 1:])
+            for cached, whole in zip(per_bidder[i], (units, charge, None)):
+                assert not cached.flags.writeable
+                assert np.array_equal(cached, rows if whole is None
+                                      else whole[at]), (tie, i)
             # rows: the others' strategies in itertools.product order
             others = shape[:i] + shape[i + 1:]
             picks = [np.array(column) for column in
@@ -503,8 +516,8 @@ def _grid_bids_at(grid, spaces, cell):
 @pytest.mark.parametrize("pricing", ["discriminatory", "uniform"])
 def test_search_above_the_block_bound_scores_slices(monkeypatch, pricing):
     """With more profiles than _BLOCK_CELLS (286 ** 2 on this grid) the
-    search keeps no blocks and scores slices; raising the bound to keep
-    them gives the same equilibria."""
+    search keeps no candidates and scores slices; raising the bound to
+    keep them gives the same equilibria."""
     rng = random.Random(5)
     vals = tuple(random_valuation("general", 3, 0.3,
                                   seed=rng.randrange(2 ** 31))
@@ -517,9 +530,9 @@ def test_search_above_the_block_bound_scores_slices(monkeypatch, pricing):
             equilibria._search_tables.cache_clear()
             inst = AuctionInstance(vals, 3, pricing, tie)
             res = find_pure_nash(inst, grid)
-            blocks = equilibria._search_tables(grid, 3, tie, pricing,
-                                               (None, None), 10 ** 8)[2]
-            assert (blocks is None) == (cells < 286 ** 2)
+            candidates = equilibria._search_tables(grid, 3, tie, pricing,
+                                                   (None, None), 10 ** 8)[2]
+            assert (candidates is None) == (cells < 286 ** 2)
             results.append(res.equilibria)
     equilibria._search_tables.cache_clear()
     assert results[0] and results[1]
@@ -624,23 +637,38 @@ def _screen_cases():
 def _assert_floor_row_maxima(inst, grid):
     """Without no-overbidding, the row maxima max_u v(u) - floor of each
     bidder's cached floors equal block_utilities' maxima along its axis
-    bit for bit; under it the search keeps no floors."""
+    bit for bit, and the candidates are the profiles where no bidder pays
+    more than tick / 2 above the floor for the units it wins, that floor
+    read per profile; under it the search keeps no candidates."""
     cuts = tuple(inst.valuations) if grid.no_overbidding else (None,) * inst.n
-    _, cands, blocks, floors = equilibria._search_tables(
+    spaces, cands, candidates = equilibria._search_tables(
         grid, inst.k, inst.tie_break, inst.pricing, cuts, 10 ** 8)
-    assert (floors is None) == grid.no_overbidding
-    for i, [(_, units, charge)] in enumerate(blocks if floors else ()):
+    assert (candidates is None) == grid.no_overbidding
+    if candidates is None:
+        return
+    floors, cells, _ = candidates
+    shape = tuple(len(s) for s in spaces)
+    gap = np.zeros(shape)
+    for i in range(inst.n):
+        [(_, units, charge)] = equilibria._box_allocations(
+            cands, shape, i, inst.pricing)
         values = np.array(inst.valuations[i].values)
         rowmax = (values.reshape((-1,) + (1,) * inst.n) - floors[i]).max(axis=0)
         utils = block_utilities(cands, i, values, inst.pricing, units, charge)
         assert rowmax.tobytes() == utils.max(axis=i, keepdims=True).tobytes()
+        pay = (charge if inst.pricing == "uniform"
+               else cands.paid[i].ravel()[charge])
+        floor = np.take_along_axis(floors[i], units[None].astype(int),
+                                   axis=0)[0]
+        gap = np.maximum(gap, pay - floor)
+    assert np.array_equal(cells, np.flatnonzero(gap <= grid.tick / 2))
 
 
 def test_screened_search_matches_full_profile_loop(monkeypatch):
     """Every tie kind, both pricings, both interfaces, no-overbidding off
-    and on: the search screened bidder by bidder finds the brute-force
-    scan's equilibria, with one auction per equilibrium, on its cached
-    boxes and again sliced into boxes of at most 5 cells."""
+    and on: the search finds the brute-force scan's equilibria, with one
+    auction per equilibrium, on its cached candidates and again sliced
+    into boxes of at most 5 cells."""
     calls = []
 
     def counted_run_auction(*args):
@@ -667,6 +695,73 @@ def test_screened_search_matches_full_profile_loop(monkeypatch):
     equilibria._search_tables.cache_clear()
     assert found > 0
     assert screened < full
+
+
+@pytest.mark.parametrize("vals, grid, pricing, missed", [
+    # a tick below EQ_TOL: paying a tick above the floor forgoes no gain
+    ((valuation(0, 1.5e-9, 2e-9), valuation(0, 1e-9, 1.5e-9)),
+     BidGrid(5e-10, 1.5e-9), pricing, True)
+    for pricing in ("discriminatory", "uniform")] + [
+    # tick / 2 is EQ_TOL, which leaves the bound no room for rounding
+    ((valuation(0, 3e-9, 4e-9), valuation(0, 2e-9, 3e-9)),
+     BidGrid(2e-9, 6e-9), pricing, False)
+    for pricing in ("discriminatory", "uniform")] + [
+    # at 1e16 a value's ulp is 2: payments a tick apart leave one utility
+    ((valuation(0, 1e16, 2e16), valuation(0, 1e16, 1.5e16)),
+     BidGrid(0.25, 1.0), pricing, pricing == "discriminatory")
+    for pricing in ("discriminatory", "uniform")],
+    ids=["tick-5e-10-da", "tick-5e-10-upa", "tick-2e-9-da", "tick-2e-9-upa",
+         "values-1e16-da", "values-1e16-upa"])
+def test_search_beyond_the_rounding_bound_scores_every_box(
+        monkeypatch, vals, grid, pricing, missed):
+    """Where tick / 2 < EQ_TOL + 2^-50 (max v + k max_bid) the search
+    leaves the cached candidates for the mask path, one box per bidder,
+    and finds the brute-force scan's equilibria.  On some of these games
+    the candidates miss equilibria, so the bound is needed."""
+    inst = AuctionInstance(vals, 2, pricing, tie_lexicographic())
+    equilibria._search_tables.cache_clear()
+    spaces, _, (_, cells, _) = equilibria._search_tables(
+        grid, 2, inst.tie_break, pricing, (None, None), 10 ** 8)
+    scored = []
+    box_allocations = equilibria._box_allocations
+
+    def counted(cands, shape, i, pricing):
+        scored.append(i)
+        return box_allocations(cands, shape, i, pricing)
+
+    monkeypatch.setattr(equilibria, "_box_allocations", counted)
+    expected, _ = _grid_oracle_pure_nash(inst, grid)
+    assert find_pure_nash(inst, grid).equilibria == expected
+    assert scored == [0, 1]
+    rows = [{tuple(v): c for c, v in enumerate(s.tolist())} for s in spaces]
+    at = {int(np.ravel_multi_index(
+        [rows[i][p.vector(i)] for i in range(2)], (len(spaces[0]),) * 2))
+        for p in expected}
+    assert bool(at - set(cells.tolist())) == missed
+    equilibria._search_tables.cache_clear()
+
+
+@pytest.mark.parametrize("pricing, kept", [("discriminatory", 446),
+                                           ("uniform", 9141)])
+def test_candidate_entry_keeps_no_full_boxes(monkeypatch, pricing, kept):
+    """On the grid-pne grid at k = 3 (165 ** 2 profiles) the cached entry
+    holds no array with an entry per profile, as a box has, and less than
+    the 9 bytes per profile and bidder of the boxes; a search on the warm
+    entry builds no box."""
+    grid = BidGrid(0.125, 1.0)
+    tie = tie_lexicographic()
+    equilibria._search_tables.cache_clear()
+    _, _, (floors, cells, per_bidder) = equilibria._search_tables(
+        grid, 3, tie, pricing, (None, None), 10 ** 8)
+    arrays = [*floors, cells, *itertools.chain(*per_bidder)]
+    assert len(cells) == kept
+    assert all(a.size < 165 ** 2 for a in arrays)
+    assert sum(a.nbytes for a in arrays) < 2 * 9 * 165 ** 2
+    monkeypatch.setattr(equilibria, "_box_allocations", None)
+    vals = tuple(random_valuation("general", 3, 0.25, seed=s) for s in (1, 2))
+    assert find_pure_nash(AuctionInstance(vals, 3, pricing, tie),
+                          grid).equilibria
+    equilibria._search_tables.cache_clear()
 
 
 def test_exhaustive_search_is_exact_under_slot_level_ties():
@@ -714,7 +809,7 @@ def test_search_sliced_into_many_blocks_matches_oracle(monkeypatch, inst,
     # standard grid one bidder's last box is partial
     k, pricing = inst.k, inst.pricing
     cuts = tuple(inst.valuations) if grid.no_overbidding else (None,) * inst.n
-    spaces, cands, _, _ = equilibria._search_tables.__wrapped__(
+    spaces, cands, _ = equilibria._search_tables.__wrapped__(
         grid, k, inst.tie_break, pricing, cuts, 10 ** 8)
     shape = tuple(len(s) for s in spaces)
     equilibria._search_tables.cache_clear()
@@ -1142,8 +1237,8 @@ def test_best_response_to_equalizing_curve():
     curve_levels = {v for v in prof.vector(1) if v > 0}
     assert any(abs(br.bid.price - level) <= 1.1e-6 for level in curve_levels)
     assert br.utility == pytest.approx(
-        named.instance.valuations[0].value(br.units)
-        - br.units * br.bid.price, abs=1e-9)
+        named.instance.valuations[0].value(br.bid.quantity)
+        - br.bid.quantity * br.bid.price, abs=1e-9)
 
 
 def test_no_continuum_equilibrium_instance_on_grid():

@@ -224,12 +224,17 @@ def test_cli_run_and_exit_codes(tmp_path):
     ({"grid": {"tick": 0.25, "max_bid": True}}, json.dumps),
     ({}, lambda data: json.dumps(dict(
         data, tie_break={"kind": "favor_bidder", "bidder": 7}))),
+    ({}, lambda data: json.dumps(dict(
+        data, valuations=[[0, True, 1.5], [0, 0.5, 0.75]]))),
+    ({}, lambda data: json.dumps(dict(
+        data, valuations=[[0, "1.0", 1.5], [0, 0.5, 0.75]]))),
 ], ids=["zero-tick", "no-grid", "unknown-mode", "cap-below-grid",
         "cap-not-an-integer", "starts-not-an-integer",
         "max-rounds-not-an-integer", "instance-not-json", "instance-without-k",
         "cap-not-integral", "starts-not-integral", "max-rounds-a-bool",
         "check-efficiency-key", "no-overbidding-a-string", "tick-a-string",
-        "max-bid-a-bool", "favoured-bidder-7-of-2"])
+        "max-bid-a-bool", "favoured-bidder-7-of-2", "value-true",
+        "value-a-string"])
 def test_cli_find_pne_config_errors_exit_2(tmp_path, capsys, change, write):
     inst = AuctionInstance((valuation(0, 1.0, 1.5), valuation(0, 0.5, 0.75)),
                            2, "discriminatory", tie_favor_bidder(0))
@@ -297,12 +302,32 @@ def _set_favoured(data, bidder):
     data["tie_break"] = {"kind": "favor_bidder", "bidder": bidder}
 
 
+def _set_value(data, value):
+    data["valuations"][0][1] = value
+
+
+def _set_price(data, price):
+    data["profiles"][0]["profile"]["bids"][0]["price"] = price
+
+
+def _set_standard_bid(data, top):
+    data["profiles"][0]["profile"] = {
+        "interface": "standard", "k": 3,
+        "bids": [[top, 0.0, 0.0], [0.5, 0.0, 0.0], [0.25, 0.0, 0.0]]}
+
+
 @pytest.mark.parametrize("change, value", [
     (_set_k, 2.9), (_set_k, True), (_set_quantity, 1.5),
     (_set_order, [[0, 1.5]]), (_set_order, [[True, 0]]),
     (_set_favoured, 0.5), (_set_favoured, True), (_set_favoured, 7),
+    # numbers are JSON numbers, read as they are: 1 is a value, a price
+    # and a bid each of these could stand for
+    (_set_value, True), (_set_value, "1.0"), (_set_price, True),
+    (_set_price, "1.0"), (_set_standard_bid, True), (_set_standard_bid, "1"),
 ], ids=["k-2.9", "k-true", "quantity-1.5", "order-pair-0-1.5",
-        "order-pair-bool", "favoured-0.5", "favoured-true", "favoured-7-of-3"])
+        "order-pair-bool", "favoured-0.5", "favoured-true", "favoured-7-of-3",
+        "value-true", "value-a-string", "price-true", "price-a-string",
+        "standard-bid-true", "standard-bid-a-string"])
 def test_cli_instance_file_errors_exit_2(tmp_path, capsys, change, value):
     from poa_lab.instances import theorem4_instance
 
@@ -364,7 +389,8 @@ def test_verify_bne_from_game_file(tmp_path):
                                  {"alphas": [1.0, -0.5]}, {"count": 0},
                                  {"count": -3}, {"count": "many"},
                                  {"n_max": 1}, {"k_max": 1}, {"count": 3.9},
-                                 {"count": True}, {"n_max": 2.5}])
+                                 {"count": True}, {"n_max": 2.5},
+                                 {"alphas": [True]}, {"alphas": ["1.0"]}])
 def test_rejects_vacuous_sweeps(kind, bad):
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict(make_config(experiment=kind, seed=1,
@@ -385,6 +411,17 @@ def test_cli_unknown_kind_or_class_exits_2(tmp_path, capsys, kind, bad):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(make_config(experiment=kind, seed=5, count=5,
                                            **bad)))
+    assert cli_main(["run", str(path)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["sweep-key-lemma", "certify-smoothness"])
+def test_cli_bool_alpha_exits_2(tmp_path, capsys, kind):
+    """A JSON true is not an alpha of 1: the run would pass with its row's
+    alpha reading True."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(make_config(experiment=kind, seed=5, count=5,
+                                           alphas=[True])))
     assert cli_main(["run", str(path)]) == 2
     assert "config error" in capsys.readouterr().err
 
@@ -474,3 +511,47 @@ def test_deviation_scan_reports_pinned():
     score candidate arrays, reproduce their recorded reports bit for bit."""
     for options, digest in PINNED_SCAN_REPORTS:
         assert _report_digest(make_config(**options)) == digest, options
+
+
+def _set_prior(blob, value):
+    blob["game"]["priors"][0][0] = value
+
+
+def _set_type_value(blob, value):
+    blob["game"]["types"][0][0][1] = value
+
+
+def _set_probability(blob, value):
+    blob["strategy"][0][0][0][1] = value
+
+
+def _set_support_bid(blob, value):
+    blob["strategy"][0][0][0][0] = [value]
+
+
+@pytest.mark.parametrize("change, value", [
+    (_set_prior, True), (_set_prior, "1"), (_set_type_value, True),
+    (_set_type_value, "1.0"), (_set_probability, True),
+    (_set_probability, "1"), (_set_support_bid, True),
+    (_set_support_bid, "0.333"),
+], ids=["prior-true", "prior-a-string", "type-value-true",
+        "type-value-a-string", "probability-true", "probability-a-string",
+        "bid-true", "bid-a-string"])
+def test_cli_game_file_numbers_exit_2(tmp_path, capsys, change, value):
+    """A game file's priors, type values, probabilities and bids are JSON
+    numbers: a bool or a string that float() would read is a config
+    error."""
+    from poa_lab.instances import appendix_c_bayesian
+
+    game, strat = appendix_c_bayesian()
+    blob = {"game": game.to_json(), "strategy": strat.to_json()}
+    path = tmp_path / "game.json"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(make_config(
+        experiment="verify-bne", game_file=str(path))))
+    path.write_text(json.dumps(blob))
+    assert cli_main(["run", str(cfg_path)]) == 0
+    change(blob, value)
+    path.write_text(json.dumps(blob))
+    assert cli_main(["run", str(cfg_path)]) == 2
+    assert "config error" in capsys.readouterr().err

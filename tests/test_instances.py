@@ -4,6 +4,7 @@ from poa_lab import equilibria
 from poa_lab.equilibria import is_bayes_nash, lemma5_structure
 from poa_lab.instances import (
     appendix_c_bayesian,
+    REGISTRY,
     default_proposition1_instance,
     list_instances,
     proposition1_epsilon_pne,
@@ -11,7 +12,6 @@ from poa_lab.instances import (
     theorem4_instance,
     theorem6_da_instance,
     theorem6_upa_instance,
-    verify_named,
 )
 from poa_lab.mechanisms import (
     AuctionInstance,
@@ -28,7 +28,7 @@ from dataclasses import replace
 
 @pytest.mark.parametrize("instance_id", list_instances())
 def test_all_named_instances_verify(instance_id):
-    for check in verify_named(instance_id):
+    for check in REGISTRY[instance_id][1]():
         assert check.passed, (instance_id, check)
 
 
@@ -150,11 +150,6 @@ def test_named_instance_json_shape():
     assert data["instance"]["k"] == 5
     assert data["profiles"][0]["role"] == "equilibrium"
     assert set(data["expected"]) == set(data["provenance"])
-
-
-def test_verify_named_rejects_unknown():
-    with pytest.raises(KeyError):
-        verify_named("theorem99")
 
 
 def test_list_instances_contents():

@@ -193,3 +193,10 @@ def test_validation_rejects_non_finite_values(bad):
 def test_json_roundtrip():
     v = valuation(0, 0.25, 0.5, 0.5)
     assert Valuation.from_json(v.to_json()) == v
+
+
+@pytest.mark.parametrize("data", [[0, True, 1.5], [0, 1, "1.5"],
+                                  [False, 1.0]])
+def test_json_values_are_json_numbers(data):
+    with pytest.raises(ValueError, match="must be a number"):
+        Valuation.from_json(data)
