@@ -4,11 +4,12 @@
         --workload grid-pne=1007 --out BENCH_grid-pne.json
 
 Run from the repository root.  --before and --after name git revisions,
-each exported with ``git archive`` into a temporary directory.  For each
-of PAIRS pairs, each checkout in turn, the side that goes first
-alternating between pairs, runs ``perfbench/run.py`` once per workload,
-for its own default run length, and then the LAYERS script in a fresh
-process.  The JSON records both git shas and the git tree of each
+each exported with ``git archive`` into a temporary directory.  In each of
+PAIRS pairs, every workload runs ``perfbench/run.py`` once on each
+checkout, for its own default run length, back to back, and then the
+LAYERS script runs in a fresh process on each; the side that goes first
+alternates from one of these runs to the next, so a drift in the host's
+speed lands on both sides.  The JSON records both git shas and the git tree of each
 ``src/`` (which a later amend of the commit keeps), the core count, the
 Python and numpy versions, every run's end-to-end metrics and per-layer
 costs, and their medians and quartiles per side.
@@ -32,9 +33,9 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10
 
-# Per-call costs of the exhaustive search's layers and of the ranking
-# layers, in microseconds (keys ending in _us): the best of 5 passes over
-# `calls` calls.  Then the memory two 1000-case certification sweeps hold,
+# Per-call costs of the exhaustive search's layers, of the ranking layers
+# and, per case, of two 500-case certification sweeps, in microseconds
+# (keys ending in _us): the best of 5 passes over `calls` calls.  Then the memory two 1000-case certification sweeps hold,
 # in KiB (keys ending in _kib): their tracemalloc peak.  All in a fresh
 # process of one checkout.  reference_loop_us times a fixed pure-Python
 # loop that uses no package code, so it reads the host's speed: dividing
@@ -153,6 +154,14 @@ for name, rule in (("lex", tie_lexicographic()),
     out[f"is_pure_nash_{name}_n5_k6_us"] = cost(
         lambda: [equilibria.is_pure_nash(p, inst5, fine_grid)
                  for p in profiles], 1) / 200
+# the certification sweeps per case, at the shapes and seeds of acceptance
+# criteria 4 and 5: one pass is a 500-case sweep
+out["smoothness_sweep_500_case_us"] = cost(
+    lambda: sweeps.smoothness_sweep(500, 1.0, "smooth", "submodular", 1003),
+    1) / 500
+out["key_lemma_sweep_500_case_us"] = cost(
+    lambda: sweeps.key_lemma_sweep(500, (0.5, 0.87, 1.0, 2.0), "submodular",
+                                   1001), 1) / 500
 # sweep memory, at the shapes and seeds of acceptance criteria 4 and 5.
 # CPython keeps up to 2000 freed tuples of each length below 20 for reuse,
 # and tracemalloc counts them as allocated until a full collection clears
@@ -232,6 +241,19 @@ def summary(runs: dict) -> dict:
     }
 
 
+def schedule(specs):
+    """(pair, spec, side) in run order: per pair, each workload spec and
+    then the per-layer script (spec None) runs on both sides back to back.
+    The side that goes first alternates from one such run to the next and,
+    for each spec, from one pair to the next."""
+    for pair in range(PAIRS):
+        for slot, spec in enumerate(list(specs) + [None], pair):
+            order = ("before", "after") if slot % 2 == 0 else ("after",
+                                                                "before")
+            for side in order:
+                yield pair, spec, side
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--before", required=True, help="git revision")
@@ -260,30 +282,31 @@ def compare(args, scratch: str) -> dict:
                     "python": platform.python_version(),
                     "numpy": np.__version__,
                     "platform": platform.platform()},
-        "method": (f"{PAIRS} pairs; in each, each side runs "
+        "method": (f"{PAIRS} pairs; in each, both sides run "
                    "perfbench/run.py --trace 0 at its default run length "
-                   "per workload, then the per-layer script, the side run "
-                   "first alternating between pairs; medians over pairs"),
+                   "back to back per workload, then the per-layer script, "
+                   "the side run first alternating from one such run to "
+                   "the next; medians over pairs"),
         "workloads": {},
     }
     # a workload may run at several seeds: entries are keyed NAME=SEED
     specs = [(spec, *spec.split("=")) for spec in args.workload]
     runs = {spec: {"before": [], "after": []} for spec, _, _ in specs}
     layer_runs = {"before": [], "after": []}
-    for pair in range(PAIRS):
-        order = ("before", "after") if pair % 2 == 0 else ("after", "before")
-        for side in order:
-            tree = trees[side][0]
-            for spec, workload, seed in specs:
-                detail, result = run_workload(tree, workload, int(seed))
-                runs[spec][side].append({
-                    "metrics": {name: m["value"]
-                                for name, m in result["metrics"].items()},
-                    "failed": result["failed"],
-                    "equilibria_digest": detail.get("equilibria_digest")})
-                print(spec, pair, side, runs[spec][side][-1]["metrics"],
-                      file=sys.stderr)
+    for pair, spec, side in schedule(args.workload):
+        tree = trees[side][0]
+        if spec is None:
             layer_runs[side].append(layers(tree))
+            continue
+        workload, seed = spec.split("=")
+        detail, result = run_workload(tree, workload, int(seed))
+        runs[spec][side].append({
+            "metrics": {name: m["value"]
+                        for name, m in result["metrics"].items()},
+            "failed": result["failed"],
+            "equilibria_digest": detail.get("equilibria_digest")})
+        print(spec, pair, side, runs[spec][side][-1]["metrics"],
+              file=sys.stderr)
     for spec, workload, seed in specs:
         entry = {"workload": workload, "seed": int(seed), "runs": runs[spec]}
         entry.update(summary({side: [r["metrics"] for r in side_runs]

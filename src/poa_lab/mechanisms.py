@@ -334,6 +334,33 @@ def _ranked_outcome(profile: BidProfile, tie: TieBreakRule,
     return ranked, Outcome(tuple(x), beta, p, pays)
 
 
+def _ranked_outcomes(bids: np.ndarray, ranks: np.ndarray, k: np.ndarray,
+                     uniform: np.ndarray):
+    """_ranked_outcome's (allocation, uniform price, payments) for a batch
+    of rows, bit for bit: bids[r, i, s] is bidder i's s-th marginal bid in
+    row r, non-negative and zero-padded, ranks[r, i, s] its place in
+    tie_ranks' table, k[r] the row's units and uniform[r] whether the row
+    prices uniformly.  One lexsort per row orders the entries by
+    (-value, rank); the first k positive ones win, the next sets the
+    price."""
+    rows, n, width = bids.shape
+    flat = bids.reshape(rows, -1)
+    order = np.lexsort((ranks.reshape(rows, -1), -flat))
+    ranked = np.zeros((rows, n * width + 1))
+    ranked[:, :-1] = np.take_along_axis(flat, order, axis=1)
+    wins = (ranked[:, :-1] > 0.0) & (np.arange(n * width) < k[:, None])
+    units = ((order // width)[:, :, None] == np.arange(n)) & wins[:, :, None]
+    units = units.sum(axis=1)
+    price = ranked[np.arange(rows), k]
+    # pay-as-bid pays sum(vector[:units]), summed slot by slot
+    paid = np.zeros((rows, n, width + 1))
+    np.cumsum(bids, axis=2, out=paid[:, :, 1:])
+    payments = np.where(
+        uniform[:, None], units * price[:, None],
+        np.take_along_axis(paid, units[:, :, None], axis=2)[:, :, 0])
+    return units, price, payments
+
+
 def allocate(profile: BidProfile, tie: TieBreakRule) -> Outcome:
     """Run the allocation rule; payments are left unset."""
     return _ranked_outcome(profile, tie)[1]
@@ -383,6 +410,20 @@ def beta_minus_i(profile: BidProfile, i: int) -> tuple[float, ...]:
     values = sorted((v for j in range(profile.n) if j != i
                      for v in profile.vector(j) if v > 0.0), reverse=True)[:k]
     return (0.0,) * (k - len(values)) + tuple(reversed(values))
+
+
+def _betas_minus(bids: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """beta_minus_i of every bidder of a batch of rows: entry [r, i, j] for
+    j < k[r], and 0 after, where bids[r, i, s] is bidder i's s-th marginal
+    bid in row r, non-negative and zero-padded.  Each bidder's own bids
+    are zeroed and the rest sorted ascending; the last k[r] are the top."""
+    rows, n, width = bids.shape
+    others = np.where(np.eye(n, dtype=bool)[:, :, None], 0.0, bids[:, None])
+    ranked = np.sort(others.reshape(rows, n, n * width), axis=2)
+    slots = np.arange(width)
+    top = np.minimum(n * width - k[:, None] + slots, n * width - 1)
+    betas = np.take_along_axis(ranked, top[:, None, :], axis=2)
+    return np.where(slots < k[:, None, None], betas, 0.0)
 
 
 class SearchCandidates:

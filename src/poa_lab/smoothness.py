@@ -14,6 +14,7 @@ solve), and the two instances showing the template cannot beat e/(e-1)
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -23,21 +24,24 @@ import numpy as np
 from .equilibria import BidGrid, _grid_spaces
 from .mechanisms import (
     DISCRIMINATORY,
+    PRICINGS,
     STANDARD,
     UNIFORM,
     UNIFORM_IFACE,
     AuctionInstance,
     BidProfile,
     StandardBid,
-    _uniformized,
+    _betas_minus,
+    _ranked_outcomes,
     allocate,
     beta_minus_i,
     deviation_outcomes,
-    run_auction,
+    run_auction,  # noqa: F401  bound here for perfbench's tracer
+    tie_ranks,
     uniform_vectors,
 )
-from .valuations import Valuation, is_subadditive, is_submodular, tau
-from .welfare import optimal_allocation
+from .valuations import Valuation, is_subadditive, is_submodular
+from .welfare import optimal_allocation, optimal_allocations
 
 MARGIN_TOL = 1e-9
 
@@ -142,16 +146,6 @@ def bound_table() -> list[BoundRow]:
 # The randomized uniform deviation and its exact expected utility
 
 
-def _per_unit_value(val: Valuation, x_opt: int) -> float:
-    """v(tau)/tau over the first x_opt units; 0 when x_opt = 0."""
-    if not 0 <= x_opt <= val.k:
-        raise ValueError("x_opt out of range")
-    if x_opt == 0:
-        return 0.0
-    t = tau(val, x_opt)
-    return val.value(t) / t
-
-
 def _upper_limit(alpha: float) -> float:
     """B = 1 - e^(-1/alpha), the top of the deviation's support."""
     if alpha <= 0:
@@ -159,46 +153,87 @@ def _upper_limit(alpha: float) -> float:
     return 1.0 - math.exp(-1.0 / alpha)
 
 
-def expected_deviation_utility_exact(val: Valuation, x_opt: int,
-                                     beta_minus: Sequence[float],
-                                     alpha: float, pricing: str) -> float:
-    """Exact expectation of the deviator's utility, by piecewise quadrature.
+def _per_unit_values(values: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """v(tau)/tau over the first x units, the least v(j)/j for j <= x, and 0
+    where x = 0: values[..., u] is v(u) and x holds one count per curve."""
+    width = values.shape[-1] - 1
+    ratios = np.minimum.accumulate(values[..., 1:] / np.arange(1, width + 1),
+                                   axis=-1)
+    at = np.take_along_axis(ratios, np.maximum(x - 1, 0)[..., None], axis=-1)
+    return np.where(x > 0, at[..., 0], 0.0)
+
+
+def _quadrature(values: np.ndarray, x: np.ndarray, beta: np.ndarray,
+                per_unit: np.ndarray, alphas, uniform: np.ndarray):
+    """Exact E[u] of the randomized deviation, one per alpha and curve:
+    values[..., u] is v(u), beta[..., j - 1] the threshold beta_j, x the
+    units x_opt, per_unit v(tau)/tau and uniform whether pricing is
+    uniform, all broadcast over the curves.
 
     Between consecutive thresholds gamma_j = clamp(beta_j * tau/v(tau), 0, B)
     the deviation wins exactly j units.  Pay-as-bid charges t*j*v(tau)/tau;
     uniform pricing charges the same while the deviator still has losing
     bids of his own, and the displaced bid beta_j on the top segment where
-    he wins his full quantity.
+    he wins his full quantity.  Every operation is the scalar sum's, in its
+    order; the logarithms are math.log's, which np.log does not match to
+    the last bit on every host.
     """
-    if x_opt == 0:
-        return 0.0
-    return _deviation_utility(val, x_opt, beta_minus, alpha, pricing,
-                              _per_unit_value(val, x_opt), _upper_limit(alpha))
+    alpha = np.reshape(alphas, (-1, 1))
+    upper = np.reshape([_upper_limit(a) for a in alphas], (-1, 1))
+    j = np.arange(1, beta.shape[-1] + 1)
+    # only the segments j <= x of a deviation with v(tau)/tau > 0 can
+    # count; they are computed as one flat array per alpha
+    live = (j <= x[..., None]) & (per_unit > 0.0)[..., None]
+    unit = np.broadcast_to(per_unit[..., None], live.shape)[live]
+    top = (j == x[..., None])[live]
+    uniform_top = np.broadcast_to(uniform[..., None], live.shape)[live] & top
+    gains = values[..., 1:][live]
+    threshold = beta[live]
+    js = np.broadcast_to(j, live.shape)[live]
+    # segment j runs from gamma_j to gamma_(j+1), the top one (j = x) to B
+    a = np.minimum(np.maximum(threshold / unit, 0.0), upper)
+    b = np.where(top, upper, np.minimum(np.maximum(
+        np.roll(beta, -1, axis=-1)[live] / unit, 0.0), upper))
+    valid = b > a
+    log_term = np.zeros(valid.shape)
+    log_term[valid] = list(map(math.log,
+                               ((1.0 - a[valid]) / (1.0 - b[valid])).tolist()))
+    mass = alpha * log_term
+    util = np.where(uniform_top, (gains - js * threshold) * mass,
+                    gains * mass - (js * unit) * (alpha * (log_term - (b - a))))
+    terms = np.zeros((len(alphas),) + live.shape)
+    terms[:, live] = np.where(valid, util, 0.0)
+    # summed segment by segment, as the scalar loop does from 0.0: no term
+    # is -0.0, so starting from the first term gives the same bits
+    return np.cumsum(terms, axis=-1)[..., -1]
 
 
-def _deviation_utility(val: Valuation, x_opt: int,
-                       beta_minus: Sequence[float], alpha: float,
-                       pricing: str, per_unit: float, upper: float) -> float:
-    """expected_deviation_utility_exact given the deviation's v(tau)/tau
-    (0 when x_opt = 0) and upper limit B, with no check of its inputs."""
-    if per_unit <= 0.0:
-        return 0.0
-    gammas = [min(max(beta_minus[j - 1] / per_unit, 0.0), upper)
-              for j in range(1, x_opt + 1)]
-    gammas.append(upper)
-    total = 0.0
-    for j in range(1, x_opt + 1):
-        a, b = gammas[j - 1], gammas[j]
-        if b <= a:
-            continue
-        log_term = math.log((1.0 - a) / (1.0 - b))
-        mass = alpha * log_term
-        if pricing == UNIFORM and j == x_opt:
-            total += (val.value(j) - j * beta_minus[j - 1]) * mass
-        else:
-            t_mass = alpha * (log_term - (b - a))
-            total += val.value(j) * mass - j * per_unit * t_mass
-    return total
+def _check_deviation(val: Valuation, x_opt: int, beta_minus, alpha: float,
+                     pricing: str) -> None:
+    """ValueError for a deviation the expected utility is not defined for."""
+    if not 0 <= x_opt <= val.k:
+        raise ValueError("x_opt out of range")
+    if pricing not in PRICINGS:
+        raise ValueError(f"unknown pricing rule {pricing!r}")
+    if len(beta_minus) < x_opt:
+        raise ValueError("beta_minus has fewer than x_opt thresholds")
+    if not all(0.0 <= b < math.inf for b in beta_minus):
+        raise ValueError("beta_minus must be finite and non-negative")
+    _upper_limit(alpha)
+
+
+def expected_deviation_utility_exact(val: Valuation, x_opt: int,
+                                     beta_minus: Sequence[float],
+                                     alpha: float, pricing: str) -> float:
+    """Exact expectation of the deviator's utility, by piecewise quadrature:
+    one row of the certificate kernel's (see _quadrature)."""
+    _check_deviation(val, x_opt, beta_minus, alpha, pricing)
+    values = np.array([val.values])
+    x = np.array([x_opt])
+    beta = np.zeros((1, val.k))
+    beta[0, :x_opt] = beta_minus[:x_opt]
+    return float(_quadrature(values, x, beta, _per_unit_values(values, x),
+                             (alpha,), np.array([pricing == UNIFORM]))[0, 0])
 
 
 def _units_won(thresholds: np.ndarray, bids: np.ndarray) -> np.ndarray:
@@ -213,11 +248,8 @@ def expected_deviation_utility_mc(val: Valuation, x_opt: int,
                                   pricing: str, samples: int = 10 ** 6,
                                   seed: int = 0) -> tuple[float, float]:
     """Monte Carlo cross-check of the exact quadrature: (mean, stderr)."""
-    if x_opt == 0:
-        return 0.0, 0.0
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    per_unit = _per_unit_value(val, x_opt)
+    _check_deviation(val, x_opt, beta_minus, alpha, pricing)
+    per_unit = float(_per_unit_values(np.array(val.values), np.array(x_opt)))
     if per_unit <= 0.0:
         return 0.0, 0.0
     # inverse CDF of the density alpha/(1-t): t = 1 - e^(-u/alpha)
@@ -228,13 +260,17 @@ def expected_deviation_utility_mc(val: Valuation, x_opt: int,
     gains = np.asarray(val.values, dtype=float)[won]
     if pricing == DISCRIMINATORY:
         pay = won * bids
-    elif pricing == UNIFORM:
+    else:
         price = np.where(won < x_opt, bids, thresholds[x_opt - 1])
         pay = won * price
-    else:
-        raise ValueError(f"unknown pricing rule {pricing!r}")
     util = gains - pay
     return float(util.mean()), float(util.std(ddof=1) / math.sqrt(samples))
+
+
+# ---------------------------------------------------------------------------
+# The certificate kernel: CHUNK cases per numpy pass
+
+CHUNK = 64
 
 
 def _opposing_list(opposing):
@@ -246,55 +282,154 @@ def _opposing_list(opposing):
     return opposing
 
 
-def _deviation_cases(instance: AuctionInstance, x_opt: Sequence[int],
-                     opposing, alphas):
-    """Per bidder i: (x_i*, v(tau)/tau, E[sum_{j<=x_i*} beta_j], one exact
-    E[u_i(b'_i, b_-i)] per alpha) of the randomized deviation against the
-    mixed opposing [(BidProfile, prob)].  B is computed once per alpha, so
-    every alpha is checked before any quadrature."""
-    uppers = [_upper_limit(alpha) for alpha in alphas]
-    cases = []
-    for i, val in enumerate(instance.valuations):
-        x = x_opt[i]
-        betas = [(beta_minus_i(profile, i), prob)
-                 for profile, prob in opposing]
-        exp_beta = 0.0
-        for beta, prob in betas:
-            exp_beta += prob * sum(beta[:x])
-        unit_value = _per_unit_value(val, x)
-        utils = []
-        for alpha, upper in zip(alphas, uppers):
-            lhs = 0.0
-            for beta, prob in betas:
-                lhs += prob * _deviation_utility(
-                    val, x, beta, alpha, instance.pricing, unit_value, upper)
-            utils.append(lhs)
-        cases.append((x, unit_value, exp_beta, utils))
-    return cases
+def _row(instance: AuctionInstance, profile: BidProfile):
+    """What the kernel reads of one (instance, profile) case; it holds
+    neither object."""
+    if (profile.n, profile.k) != (instance.n, instance.k):
+        raise ValueError("the profile does not fit the instance")
+    return (instance.k, [v.values for v in instance.valuations],
+            profile.vectors(), instance.tie_break,
+            instance.pricing == UNIFORM, profile.interface == STANDARD)
+
+
+@dataclass(frozen=True)
+class _Certified:
+    """The kernel's arrays for a chunk of rows.  Bidder axes run to the
+    chunk's largest n, unit axes to its largest k; absent bidders hold
+    zeros.  outcome is the auction's (allocation, uniform price, payments,
+    paid), paid being the payments' sum under pay-as-bid and the
+    willingness to pay sum_i x_i * b_i(x_i) under uniform pricing."""
+
+    n: np.ndarray
+    optimum: np.ndarray
+    opt_value: np.ndarray
+    values_at_opt: np.ndarray
+    per_unit: np.ndarray
+    betas: np.ndarray
+    beta_sums: np.ndarray
+    utils: np.ndarray
+    outcome: tuple | None
+
+
+def _certify(rows, alphas, auction: bool) -> _Certified:
+    """One pass over a chunk of _row's rows, each row's numbers equal bit
+    for bit to the scalar code's: the optimum by optimal_allocations;
+    with auction, the outcome by _ranked_outcomes and, for a standard
+    profile under uniform pricing, its uniformization as the opposing
+    profile (else the profile itself); every beta_-i; v(tau)/tau; and the
+    exact quadrature of every bidder for every alpha."""
+    n = np.array([len(row[1]) for row in rows])
+    k = np.array([row[0] for row in rows])
+    count, width = len(rows), int(k.max())
+    values = np.zeros((count, int(n.max()), width + 1))
+    bids = np.zeros((count, values.shape[1], width))
+    for r, (units, vals, vectors, *_) in enumerate(rows):
+        values[r, :len(vals), :units + 1] = vals
+        bids[r, :len(vals), :units] = vectors
+    # a -0.0 bid is a zero bid, as the scalar code's v > 0.0 tests read it
+    bids = np.where(bids > 0.0, bids, 0.0)
+    # -inf past each row's k, and past v(0) = 0 for absent bidders
+    slots = np.arange(width + 1)
+    present = (slots <= k[:, None, None]) & (
+        (np.arange(values.shape[1])[:, None] < n[:, None, None]) | (slots == 0))
+    optimum, opt_value = optimal_allocations(
+        np.where(present, values, -np.inf), k)
+    uniform = np.array([row[4] for row in rows])
+    opposing, outcome = bids, None
+    if auction:
+        ranks = np.zeros(bids.shape, dtype=np.int64)
+        for r, (units, vals, _, tie, *_) in enumerate(rows):
+            ranks[r, :len(vals), :units] = tie_ranks(tie, len(vals), units)[0]
+        allocation, price, payments = _ranked_outcomes(bids, ranks, k, uniform)
+        last = np.take_along_axis(
+            bids, np.maximum(allocation - 1, 0)[:, :, None], axis=2)[:, :, 0]
+        # a standard profile under uniform pricing faces its uniformization:
+        # each winner bids its last winning bid on the units it won
+        uniformize = uniform & np.array([row[5] for row in rows])
+        opposing = np.where(
+            uniformize[:, None, None],
+            np.where(np.arange(width) < allocation[:, :, None],
+                     last[:, :, None], 0.0), bids)
+        willing = np.where(allocation > 0, allocation * last, 0.0)
+        paid = np.cumsum(np.where(uniform[:, None], willing, payments),
+                         axis=1)[:, -1]
+        outcome = (allocation, price, payments, paid)
+    betas = _betas_minus(opposing, k)
+    sums = np.zeros(values.shape)
+    np.cumsum(betas, axis=2, out=sums[:, :, 1:])
+    per_unit = _per_unit_values(values, optimum)
+    return _Certified(
+        n, optimum, opt_value,
+        np.take_along_axis(values, optimum[:, :, None], axis=2)[:, :, 0],
+        per_unit, betas,
+        np.take_along_axis(sums, optimum[:, :, None], axis=2)[:, :, 0],
+        _quadrature(values, optimum, betas, per_unit, alphas,
+                    uniform[:, None]),
+        outcome)
+
+
+def _certified_chunks(cases, alphas, auction: bool):
+    """_certify over an iterable of (instance, profile) cases, read once,
+    CHUNK at a time: a chunk holds the packed rows, not the cases."""
+    rows = itertools.starmap(_row, cases)
+    while chunk := list(itertools.islice(rows, CHUNK)):
+        yield _certify(chunk, alphas, auction)
+
+
+def _key_lemma_forms(alphas, valuation_class: str):
+    """margins(utils, x, per_unit, exp_beta, v_x): the per-unit margin
+    E[u] - (alpha*B * x * v(tau)/tau - alpha*E[sum beta]) and the template
+    margin of verify_template_inequality (lambda the class constant, mu =
+    alpha), stacked on axis 1 of (alphas, 2, ...) arrays.  Every alpha
+    and the class are checked here, before any quadrature."""
+    per_alpha = [(alpha, guarantee_lambda(alpha, "submodular"),
+                  guarantee_lambda(alpha, valuation_class))
+                 for alpha in alphas]
+
+    def margins(utils, x, per_unit, exp_beta, v_x):
+        alpha, scale, lam = np.reshape(per_alpha, (-1, 3) + (1,) * x.ndim
+                                       ).swapaxes(0, 1)
+        paid = alpha * exp_beta
+        return np.stack((utils - (scale * x * per_unit - paid),
+                         utils - (lam * v_x - paid)), axis=1)
+    return margins
 
 
 def key_lemma_margins(instance: AuctionInstance, opposing, alphas,
                       valuation_class: str = "submodular"):
     """[(per_unit, template)] per alpha: the per-bidder margins of
     verify_key_lemma (with E[sum beta] against a mixed opposing) and of
-    template_margins_key_lemma, from one optimum and one exact expectation
-    per (bidder, alpha, opposing profile)."""
+    template_margins_key_lemma.  The kernel takes one row per opposing
+    profile, CHUNK rows per pass; each row's quadratures and threshold
+    sums are folded in list order as lhs += prob * util."""
     opposing = _opposing_list(opposing)
-    x_opt = optimal_allocation(instance.valuations, instance.k).allocation
-    cases = _deviation_cases(instance, x_opt, opposing, alphas)
-    margins = []
-    for a, alpha in enumerate(alphas):
-        # alpha * B, the per-unit bound's scale; lam has the class factor
-        scale = guarantee_lambda(alpha, "submodular")
-        lam = guarantee_lambda(alpha, valuation_class)
-        margins.append((
-            tuple(utils[a] - (scale * x * unit_value - alpha * exp_beta)
-                  for x, unit_value, exp_beta, utils in cases),
-            tuple(verify_template_inequality(utils[a], val.value(x),
-                                             exp_beta, lam, alpha)
-                  for val, (x, _, exp_beta, utils)
-                  in zip(instance.valuations, cases))))
-    return margins
+    margins = _key_lemma_forms(alphas, valuation_class)
+    n = instance.n
+    lhs = exp_beta = 0.0
+    probs = iter(prob for _, prob in opposing)
+    for chunk in _certified_chunks(
+            ((instance, profile) for profile, _ in opposing), alphas, False):
+        for r, prob in zip(range(len(chunk.n)), probs):
+            lhs = lhs + prob * chunk.utils[:, r, :n]
+            exp_beta = exp_beta + prob * chunk.beta_sums[r, :n]
+    return [(tuple(per_unit), tuple(template))
+            for per_unit, template in margins(
+                lhs, chunk.optimum[0, :n], chunk.per_unit[0, :n], exp_beta,
+                chunk.values_at_opt[0, :n]).tolist()]
+
+
+def _key_lemma_worst(cases, alphas, valuation_class: str):
+    """Each case's least margin of key_lemma_margins against its one
+    profile, the first in that order over alphas, per-unit then template
+    forms and bidders; cases are read once, a chunk at a time."""
+    margins = _key_lemma_forms(alphas, valuation_class)
+    for chunk in _certified_chunks(cases, alphas, False):
+        both = margins(chunk.utils, chunk.optimum, chunk.per_unit,
+                       chunk.beta_sums, chunk.values_at_opt)
+        absent = np.arange(both.shape[-1]) >= chunk.n[:, None]
+        both[..., absent] = math.inf
+        yield from map(min, np.moveaxis(both, 2, 0).reshape(
+            len(chunk.n), -1).tolist())
 
 
 def verify_key_lemma(instance: AuctionInstance, profile: BidProfile,
@@ -346,38 +481,33 @@ def verify_smoothness(cases, alpha: float, kind: str,
     deviation can be blocked by losing bids that the willingness-to-pay
     term does not see, and the inequality genuinely fails.  The deviation
     expectations are exact; the certificate carries the minimum margin.
-    cases is any iterable, read once: a generator holds one case at a time.
+    cases is any iterable, read once: the kernel holds one chunk of CHUNK
+    packed cases, with no case object, so memory does not grow with the
+    count.
     """
     pricing = _lookup(CERTIFICATES, kind, "certificate kind")
     predicate = _lookup(CLASSES, valuation_class, "valuation class")[1]
     lam = guarantee_lambda(alpha, valuation_class)
-    weak = pricing == UNIFORM
+
+    def checked():
+        for instance, profile in cases:
+            for v in instance.valuations:
+                if not predicate(v):
+                    raise ValueError(
+                        f"valuation not in declared class {valuation_class!r}")
+            if instance.pricing != pricing:
+                raise ValueError(
+                    f"{kind} certificates apply to {pricing} pricing")
+            yield instance, profile
+
     min_margin = math.inf
     count = 0
-    for instance, profile in cases:
-        for v in instance.valuations:
-            if not predicate(v):
-                raise ValueError(
-                    f"valuation not in declared class {valuation_class!r}")
-        if instance.pricing != pricing:
-            raise ValueError(f"{kind} certificates apply to {pricing} pricing")
-        opt = optimal_allocation(instance.valuations, instance.k)
-        out = run_auction(profile, instance.tie_break, instance.pricing)
-        opposing = profile
-        if weak and profile.interface == STANDARD:
-            opposing = _uniformized(profile, out.allocation)
-        lhs = 0.0
-        for _, _, _, (util,) in _deviation_cases(
-                instance, opt.allocation, [(opposing, 1.0)], (alpha,)):
-            lhs += util
-        if weak:
-            # willingness to pay: sum_i x_i(b) * b_i(x_i(b))
-            paid = sum(x * profile.vector(i)[x - 1]
-                       for i, x in enumerate(out.allocation) if x >= 1)
-        else:
-            paid = sum(out.payments)
-        min_margin = min(min_margin, lhs - (lam * opt.value - alpha * paid))
-        count += 1
+    for chunk in _certified_chunks(checked(), (alpha,), True):
+        # sum_i E[u_i], summed bidder by bidder
+        lhs = np.cumsum(chunk.utils[0], axis=1)[:, -1]
+        margins = lhs - (lam * chunk.opt_value - alpha * chunk.outcome[3])
+        min_margin = min(min_margin, *margins.tolist())
+        count += len(margins)
     if count == 0:
         raise ValueError("no cases supplied")
     return SmoothnessCertificate(kind, lam, alpha, min_margin,

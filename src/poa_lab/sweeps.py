@@ -1,14 +1,18 @@
 """Seeded randomized sweeps backing the certification suite.
 
 Every sweep derives one child generator per case from (seed, index), so
-runs are reproducible case by case.  Each sweep runs its cases in one
-serial loop (pure Python, which threads cannot speed up) and holds one case
-at a time, so its memory does not grow with the case count; a worst case
-is the first index with the minimal margin.
+runs are reproducible case by case.  Each sweep draws its cases in one
+serial loop.  The key-lemma and smoothness sweeps hand them to the
+certificate kernel, which packs each case into a row as it is drawn and
+certifies smoothness.CHUNK rows per numpy pass: it holds one chunk of
+packed rows and no case object.  The other sweeps hold one case at a
+time.  So no sweep's memory grows with the case count; a worst case is
+the first index with the minimal margin.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass, replace
@@ -38,10 +42,10 @@ from .mechanisms import (
 from .smoothness import (
     CERTIFICATES,
     MARGIN_TOL,
+    _key_lemma_worst,
     _lookup,
     expected_deviation_utility_exact,
     expected_deviation_utility_mc,
-    key_lemma_margins,
     verify_smoothness,
 )
 from .valuations import flat_valuation, from_marginals, random_valuation
@@ -119,22 +123,20 @@ def key_lemma_sweep(count: int, alphas, valuation_class: str, seed: int,
     Each case alternates between the two pricing rules; the checked margin
     is the exact expected deviation utility minus the closed-form lower
     bound (per-unit-value form), together with the per-bidder template form
-    whose lambda is halved for subadditive valuations.  One case is held at
-    a time; worst_case is the first index with the minimal margin.
+    whose lambda is halved for subadditive valuations.  The kernel reads
+    the cases a chunk at a time; worst_case is the first index with the
+    minimal margin.
     """
 
-    def one(index: int) -> float:
+    def one(index: int):
         rng = case_rng(seed, index)
         pricing = DISCRIMINATORY if index % 2 == 0 else UNIFORM
         instance = random_instance(rng, valuation_class, pricing, n_max, k_max)
-        profile = random_no_overbidding_profile(instance, rng)
-        worst = math.inf
-        for per_unit, template in key_lemma_margins(
-                instance, profile, alphas, valuation_class):
-            worst = min(worst, *per_unit, *template)
-        return worst
+        return instance, random_no_overbidding_profile(instance, rng)
 
-    worst, worst_index = min((one(index), index) for index in range(count))
+    worst, worst_index = min(zip(
+        _key_lemma_worst(map(one, range(count)), alphas, valuation_class),
+        itertools.count()))
     return SweepResult(count, worst, worst_index)
 
 
@@ -145,8 +147,8 @@ def smoothness_sweep(count: int, alpha: float, kind: str,
 
     Weak certificates alternate between uniform-interface profiles (checked
     directly) and standard-interface profiles (checked through the
-    uniformization transform).  The cases reach verify_smoothness one at a
-    time, from a generator.
+    uniformization transform).  The cases reach verify_smoothness from a
+    generator, which its kernel reads a chunk at a time.
     """
     pricing = _lookup(CERTIFICATES, kind, "certificate kind")
 

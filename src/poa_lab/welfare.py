@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .valuations import Valuation, is_submodular
 
 
@@ -64,6 +66,37 @@ def optimal_allocation(vals: Sequence[Valuation], k: int) -> OptimalAssignment:
                 units -= x
                 break
     return OptimalAssignment(tuple(alloc), total)
+
+
+def optimal_allocations(values: np.ndarray, k: np.ndarray):
+    """optimal_allocation for a batch of rows, bit for bit: (units, welfare)
+    arrays, where values[r, i, x] is bidder i's v(x) in row r with k[r]
+    units.  Rows are padded with -inf above their k and, past v(0) = 0,
+    for absent bidders: that changes neither the exactly-k DP nor its
+    lexicographically smallest backtrack, which takes the first x of each
+    bidder whose candidate equals the maximum."""
+    rows, n, width = values.shape
+    u, x = np.indices((width, width))
+    # the candidates of bidder i for u units are v_i(x) + after[i][u - x],
+    # after[i] being the best of bidders i + 1.. on each unit count; a -inf
+    # column past its end stands for x > u
+    rest = np.where(x <= u, u - x, width)
+    after = [None] * n
+    best = np.full((rows, width + 1), -np.inf)
+    best[:, 0] = 0.0
+    for i in range(n - 1, -1, -1):
+        after[i] = best
+        best = np.full((rows, width + 1), -np.inf)
+        best[:, :width] = (values[:, i, None, :] + after[i][:, rest]).max(axis=2)
+    r = np.arange(rows)
+    welfare = best[r, k]
+    units = k.copy()
+    alloc = np.empty((rows, n), dtype=np.int64)
+    for i in range(n):
+        cands = values[:, i, :] + after[i][r[:, None], rest[units]]
+        alloc[:, i] = np.argmax(cands == cands.max(axis=1)[:, None], axis=1)
+        units -= alloc[:, i]
+    return alloc, welfare
 
 
 def enumerate_optimal(vals: Sequence[Valuation], k: int) -> OptimalAssignment:

@@ -1,6 +1,8 @@
 """Shared helpers for the test suite."""
 
+import math
 import random
+from typing import Sequence
 
 import numpy as np
 
@@ -11,8 +13,11 @@ from poa_lab.equilibria import (
     _deviation_vectors,
 )
 from poa_lab.mechanisms import (
+    UNIFORM,
+    AuctionInstance,
     StandardBid,
     UniformBid,
+    beta_minus_i,
     deviation_outcomes,
     run_auction,
     standard_profile,
@@ -21,6 +26,8 @@ from poa_lab.mechanisms import (
     tie_favor_last,
     tie_lexicographic,
 )
+from poa_lab.smoothness import _upper_limit
+from poa_lab.valuations import Valuation, tau
 
 
 def random_profile(rng: random.Random, n: int, k: int, scale: float = 1.0):
@@ -79,3 +86,69 @@ def best_response_enumerated(instance, profile, i, grid,
         return BestResponse(UniformBid(0.0, 0), 0.0)
     return BestResponse(_deviation_bid(vectors, n_uniform, c),
                         float(utils[0, c]))
+
+
+# The scalar deviation quadrature, the reference the certificate kernel is
+# held to bit for bit.
+
+
+def _per_unit_value(val: Valuation, x_opt: int) -> float:
+    """v(tau)/tau over the first x_opt units; 0 when x_opt = 0."""
+    if not 0 <= x_opt <= val.k:
+        raise ValueError("x_opt out of range")
+    if x_opt == 0:
+        return 0.0
+    t = tau(val, x_opt)
+    return val.value(t) / t
+
+
+def _deviation_utility(val: Valuation, x_opt: int,
+                       beta_minus: Sequence[float], alpha: float,
+                       pricing: str, per_unit: float, upper: float) -> float:
+    """expected_deviation_utility_exact given the deviation's v(tau)/tau
+    (0 when x_opt = 0) and upper limit B, with no check of its inputs."""
+    if per_unit <= 0.0:
+        return 0.0
+    gammas = [min(max(beta_minus[j - 1] / per_unit, 0.0), upper)
+              for j in range(1, x_opt + 1)]
+    gammas.append(upper)
+    total = 0.0
+    for j in range(1, x_opt + 1):
+        a, b = gammas[j - 1], gammas[j]
+        if b <= a:
+            continue
+        log_term = math.log((1.0 - a) / (1.0 - b))
+        mass = alpha * log_term
+        if pricing == UNIFORM and j == x_opt:
+            total += (val.value(j) - j * beta_minus[j - 1]) * mass
+        else:
+            t_mass = alpha * (log_term - (b - a))
+            total += val.value(j) * mass - j * per_unit * t_mass
+    return total
+
+
+def _deviation_cases(instance: AuctionInstance, x_opt: Sequence[int],
+                     opposing, alphas):
+    """Per bidder i: (x_i*, v(tau)/tau, E[sum_{j<=x_i*} beta_j], one exact
+    E[u_i(b'_i, b_-i)] per alpha) of the randomized deviation against the
+    mixed opposing [(BidProfile, prob)].  B is computed once per alpha, so
+    every alpha is checked before any quadrature."""
+    uppers = [_upper_limit(alpha) for alpha in alphas]
+    cases = []
+    for i, val in enumerate(instance.valuations):
+        x = x_opt[i]
+        betas = [(beta_minus_i(profile, i), prob)
+                 for profile, prob in opposing]
+        exp_beta = 0.0
+        for beta, prob in betas:
+            exp_beta += prob * sum(beta[:x])
+        unit_value = _per_unit_value(val, x)
+        utils = []
+        for alpha, upper in zip(alphas, uppers):
+            lhs = 0.0
+            for beta, prob in betas:
+                lhs += prob * _deviation_utility(
+                    val, x, beta, alpha, instance.pricing, unit_value, upper)
+            utils.append(lhs)
+        cases.append((x, unit_value, exp_beta, utils))
+    return cases

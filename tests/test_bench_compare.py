@@ -6,6 +6,8 @@ import importlib.util
 import math
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -33,6 +35,7 @@ def test_layers_script_runs_against_src():
             "best_response_lex_n5_k6_us", "best_response_explicit_n5_k6_us",
             "is_pure_nash_lex_n5_k6_us",
             "is_pure_nash_explicit_n5_k6_us",
+            "smoothness_sweep_500_case_us", "key_lemma_sweep_500_case_us",
             "smoothness_sweep_1000_peak_kib",
             "key_lemma_sweep_1000_peak_kib"} == set(costs)
     assert all(0.0 < cost < math.inf for cost in costs.values())
@@ -45,3 +48,19 @@ def test_summary_gives_each_side_its_own_metrics():
     assert summary["medians"] == {"before": {"a": 2.0},
                                   "after": {"a": 1.0, "b": 6.0}}
     assert summary["quartiles"]["before"]["a"] == [1.5, 2.0, 2.5]
+
+
+@pytest.mark.parametrize("specs", [["a=1"], ["a=1", "b=2"]])
+def test_schedule_alternates_the_first_side_run_by_run(specs):
+    bench_compare = _bench_compare()
+    runs = list(bench_compare.schedule(specs))
+    slots = [runs[i:i + 2] for i in range(0, len(runs), 2)]
+    # each slot is one spec on both sides, back to back
+    assert all(a[:2] == b[:2] and {a[2], b[2]} == {"before", "after"}
+               for a, b in slots)
+    firsts = [a[2] for a, _ in slots]
+    assert all(x != y for x, y in zip(firsts, firsts[1:len(specs) + 1]))
+    for spec in specs + [None]:
+        led = [a[2] for a, _ in slots if a[1] == spec]
+        assert len(led) == bench_compare.PAIRS
+        assert all(x != y for x, y in zip(led, led[1:]))

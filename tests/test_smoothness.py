@@ -429,29 +429,38 @@ def test_key_lemma_margins_mixed_opposition():
                 assert per_unit == pytest.approx(mixed, abs=1e-12)
 
 
+def _count_kernel_steps(monkeypatch):
+    """Counts of packed cases and of the rows the kernel optimises and
+    computes every beta_-i of."""
+    calls = {"packed": 0, "optimised": 0, "betas": 0}
+    row = smoothness._row
+    optimal_allocations = smoothness.optimal_allocations
+    betas_minus = smoothness._betas_minus
+
+    def counted_row(*args):
+        calls["packed"] += 1
+        return row(*args)
+
+    def counted_optimum(values, k):
+        calls["optimised"] += len(k)
+        return optimal_allocations(values, k)
+
+    def counted_betas(bids, k):
+        calls["betas"] += len(k)
+        return betas_minus(bids, k)
+
+    monkeypatch.setattr(smoothness, "_row", counted_row)
+    monkeypatch.setattr(smoothness, "optimal_allocations", counted_optimum)
+    monkeypatch.setattr(smoothness, "_betas_minus", counted_betas)
+    return calls
+
+
 def test_key_lemma_sweep_one_optimum_per_case(monkeypatch):
-    calls = {"optimal_allocation": 0, "beta_minus_i": 0, "bidders": 0}
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    def counted_instance(*args, **kwargs):
-        instance = random_instance(*args, **kwargs)
-        calls["bidders"] += instance.n
-        return instance
-
-    monkeypatch.setattr(smoothness, "optimal_allocation",
-                        counted("optimal_allocation", optimal_allocation))
-    monkeypatch.setattr(smoothness, "beta_minus_i",
-                        counted("beta_minus_i", beta_minus_i))
-    monkeypatch.setattr(sweeps, "random_instance", counted_instance)
-    result = sweeps.key_lemma_sweep(25, ALPHAS, "subadditive", seed=33)
-    assert result.cases == 25 and result.passed
-    assert calls["optimal_allocation"] == 25
-    assert calls["beta_minus_i"] == calls["bidders"] >= 50
+    calls = _count_kernel_steps(monkeypatch)
+    # 100 cases: one full chunk and a partial one
+    result = sweeps.key_lemma_sweep(100, ALPHAS, "subadditive", seed=33)
+    assert result.cases == 100 and result.passed
+    assert calls == {"packed": 100, "optimised": 100, "betas": 100}
 
 
 def test_key_lemma_margins_reject_non_positive_alpha():
@@ -479,6 +488,61 @@ def test_key_lemma_margins_reject_non_positive_alpha():
         with pytest.raises(ValueError):
             expected_deviation_utility_mc(val, x_opt, beta, 1.0, "uniform",
                                           samples=10)
+
+
+@pytest.fixture
+def no_deviation_work(monkeypatch):
+    """Fails a test if either expectation starts work: both compute
+    v(tau)/tau first."""
+    def work(*args):
+        raise AssertionError("the deviation input was not checked first")
+
+    monkeypatch.setattr(smoothness, "_per_unit_values", work)
+
+
+EXPECTATIONS = {
+    "exact": expected_deviation_utility_exact,
+    "mc": lambda *args: expected_deviation_utility_mc(*args, samples=10),
+}
+
+
+@pytest.mark.parametrize("expectation", sorted(EXPECTATIONS))
+def test_deviation_rejects_an_unknown_pricing_rule(expectation,
+                                                   no_deviation_work):
+    with pytest.raises(ValueError, match="pricing rule 'bogus'"):
+        EXPECTATIONS[expectation](valuation(0.0, 1.0, 1.5), 2, (0.2, 0.4),
+                                  1.0, "bogus")
+
+
+@pytest.mark.parametrize("expectation", sorted(EXPECTATIONS))
+def test_deviation_rejects_a_nan_threshold(expectation, no_deviation_work):
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        EXPECTATIONS[expectation](valuation(0.0, 1.0, 1.5), 2,
+                                  (0.2, math.nan), 1.0, "uniform")
+
+
+@pytest.mark.parametrize("expectation", sorted(EXPECTATIONS))
+def test_deviation_rejects_an_infinite_threshold(expectation,
+                                                 no_deviation_work):
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        EXPECTATIONS[expectation](valuation(0.0, 1.0, 1.5), 1,
+                                  (0.2, math.inf), 1.0, "uniform")
+
+
+@pytest.mark.parametrize("expectation", sorted(EXPECTATIONS))
+def test_deviation_rejects_a_negative_threshold(expectation,
+                                                no_deviation_work):
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        EXPECTATIONS[expectation](valuation(0.0, 1.0, 1.5), 2, (-0.1, 0.4),
+                                  1.0, "discriminatory")
+
+
+@pytest.mark.parametrize("expectation", sorted(EXPECTATIONS))
+def test_deviation_rejects_fewer_thresholds_than_units(expectation,
+                                                       no_deviation_work):
+    with pytest.raises(ValueError, match="fewer than x_opt"):
+        EXPECTATIONS[expectation](valuation(0.0, 1.0, 1.5), 2, (0.2,), 1.0,
+                                  "discriminatory")
 
 
 def test_empty_opposition_rejected():
@@ -515,18 +579,7 @@ def test_verify_smoothness_small_sweeps():
 
 
 def test_verify_smoothness_one_optimum_per_case(monkeypatch):
-    calls = {"optimal_allocation": 0, "beta_minus_i": 0}
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(smoothness, "optimal_allocation",
-                        counted("optimal_allocation", optimal_allocation))
-    monkeypatch.setattr(smoothness, "beta_minus_i",
-                        counted("beta_minus_i", beta_minus_i))
+    calls = _count_kernel_steps(monkeypatch)
     for kind, pricing in (("smooth", "discriminatory"),
                           ("weakly_smooth", "uniform")):
         cases = []
@@ -535,10 +588,9 @@ def test_verify_smoothness_one_optimum_per_case(monkeypatch):
             instance = random_instance(rng, "submodular", pricing, 5, 6)
             cases.append((instance,
                           random_no_overbidding_profile(instance, rng)))
-        calls.update(optimal_allocation=0, beta_minus_i=0)
+        calls.update(packed=0, optimised=0, betas=0)
         assert verify_smoothness(cases, 1.0, kind, "submodular").verified
-        assert calls["optimal_allocation"] == len(cases)
-        assert calls["beta_minus_i"] == sum(inst.n for inst, _ in cases)
+        assert calls == dict.fromkeys(calls, len(cases))
 
 
 def test_verify_smoothness_rejects_mismatches():

@@ -5,9 +5,10 @@ import gc
 import tracemalloc
 import weakref
 
+import numpy as np
 import pytest
 
-from poa_lab import mechanisms, sweeps
+from poa_lab import mechanisms, smoothness, sweeps
 from poa_lab.equilibria import BidGrid, find_pure_nash
 from poa_lab.mechanisms import DISCRIMINATORY, UNIFORM, run_auction
 from poa_lab.smoothness import optimal_alpha, verify_smoothness
@@ -108,29 +109,46 @@ def test_verify_smoothness_reads_a_one_shot_iterator_once():
 
 
 def test_weak_certificate_ranks_each_profile_once(monkeypatch):
-    """The uniformized opposing profile is built from the auction already
-    run on the standard profile, not from a second ranking."""
+    """The uniformized opposing profile is built from the one batched
+    auction of each chunk, not from a second ranking."""
     calls = []
-    ranked_outcome = mechanisms._ranked_outcome
+    ranked_outcomes = smoothness._ranked_outcomes
 
-    def counted(*args):
-        calls.append(args[0].interface)
-        return ranked_outcome(*args)
+    def counted(bids, ranks, k, uniform):
+        calls.append(len(k))
+        return ranked_outcomes(bids, ranks, k, uniform)
 
-    monkeypatch.setattr(mechanisms, "_ranked_outcome", counted)
-    cert = sweeps.smoothness_sweep(10, WEAK_ALPHA, "weakly_smooth",
+    def scalar(*args):
+        raise AssertionError("a case was ranked outside the kernel")
+
+    monkeypatch.setattr(smoothness, "_ranked_outcomes", counted)
+    monkeypatch.setattr(mechanisms, "_ranked_outcome", scalar)
+    cert = sweeps.smoothness_sweep(70, WEAK_ALPHA, "weakly_smooth",
                                    "submodular", 5, 3, 4)
-    assert cert.instances == 10
-    # even cases draw uniform-interface profiles, odd ones standard ones
-    assert calls == ["uniform", "standard"] * 5
+    assert cert.instances == 70
+    assert calls == [smoothness.CHUNK, 70 - smoothness.CHUNK]
 
 
 def test_key_lemma_sweep_reports_the_first_worst_case(monkeypatch):
-    margins = iter([3.0, 1.0, 2.0, 1.0, 1.5])
-    monkeypatch.setattr(sweeps, "key_lemma_margins",
-                        lambda *args: [((next(margins),), ())])
-    result = sweeps.key_lemma_sweep(5, (1.0,), "submodular", 1, 2, 2)
-    assert (result.min_margin, result.worst_case) == (1.0, 1)
+    """Cases 70 and 150, in the second and third chunks, share the least
+    margin; the sweep reports the first."""
+    margins = dict.fromkeys(range(200), 3.0)
+    margins.update({10: 2.0, 70: 1.0, 150: 1.0})
+    start = [0]
+
+    def forms(alphas, valuation_class):
+        def fixed(utils, x, *rest):
+            out = np.full((len(alphas), 2) + x.shape, 5.0)
+            for r in range(x.shape[0]):
+                out[-1, 1, r, 0] = margins[start[0] + r]
+            start[0] += x.shape[0]
+            return out
+        return fixed
+
+    monkeypatch.setattr(smoothness, "_key_lemma_forms", forms)
+    result = sweeps.key_lemma_sweep(200, (1.0, 2.0), "submodular", 1, 2, 2)
+    assert (result.min_margin, result.worst_case) == (1.0, 70)
+    assert start[0] == 200
 
 
 @pytest.mark.parametrize("seed, expected", [
