@@ -41,7 +41,7 @@ PAIRS = 10
 # loop that uses no package code, so it reads the host's speed: dividing
 # a time by it lets BENCH files of different sessions be compared.
 LAYERS = r'''
-import gc, inspect, json, math, random, time, tracemalloc
+import gc, json, math, random, time, tracemalloc
 import numpy as np
 from poa_lab import equilibria, mechanisms, sweeps
 from poa_lab.mechanisms import (AuctionInstance, BidProfile, StandardBid,
@@ -57,9 +57,6 @@ def cost(fn, calls):
         best = min(best, (time.perf_counter() - t0) / calls)
     return best * 1e6
 
-# the outcome engine returns utilities where it takes the value vector
-with_values = ("values"
-               in inspect.signature(mechanisms.block_outcomes).parameters)
 tie = tie_lexicographic()
 out = {"reference_loop_us": cost(
     lambda: sum(i * i for i in range(10000)), 20)}
@@ -104,18 +101,23 @@ out["search_candidates_k3_us"] = cost(
 cands = mechanisms.SearchCandidates(spaces, tie)
 picks = (np.arange(len(spaces[1])),)
 values = np.array(vals[0].values)
-args = (cands, 0, values, "discriminatory", picks) if with_values else (
-    cands, 0, "discriminatory", picks)
-out["block_k3_us"] = cost(lambda: mechanisms.block_outcomes(*args), 50)
-if hasattr(mechanisms, "block_allocation"):
-    # the two halves of a block: the game's, then the valuation's
+
+
+def block():
     alloc = mechanisms.block_allocation(cands, 0, "discriminatory", picks)
-    out["block_allocation_k3_us"] = cost(
-        lambda: mechanisms.block_allocation(cands, 0, "discriminatory", picks),
-        50)
-    out["block_utilities_k3_us"] = cost(
-        lambda: mechanisms.block_utilities(cands, 0, values,
-                                           "discriminatory", *alloc), 50)
+    return mechanisms.block_utilities(cands, 0, values, "discriminatory",
+                                      *alloc)
+
+
+# a whole block, then its two halves: the game's and the valuation's
+out["block_k3_us"] = cost(block, 50)
+alloc = mechanisms.block_allocation(cands, 0, "discriminatory", picks)
+out["block_allocation_k3_us"] = cost(
+    lambda: mechanisms.block_allocation(cands, 0, "discriminatory", picks),
+    50)
+out["block_utilities_k3_us"] = cost(
+    lambda: mechanisms.block_utilities(cands, 0, values,
+                                       "discriminatory", *alloc), 50)
 rng = random.Random(5)
 profile = BidProfile(tuple(StandardBid(tuple(sorted(
     (rng.random() for _ in range(6)), reverse=True))) for _ in range(5)),
@@ -123,10 +125,9 @@ profile = BidProfile(tuple(StandardBid(tuple(sorted(
 vectors = np.array([sorted((rng.random() for _ in range(6)), reverse=True)
                     for _ in range(12)])
 v6 = np.array(random_valuation("submodular", 6, 1.0, seed=3).values)
-args = ([profile], 0, vectors) + ((v6,) if with_values else ()) + (
-    tie, "uniform")
 out["deviation_outcomes_n5_k6_c12_us"] = cost(
-    lambda: mechanisms.deviation_outcomes(*args), 200)
+    lambda: mechanisms.deviation_outcomes([profile], 0, vectors, v6, tie,
+                                          "uniform"), 200)
 # the ranking layers: n=5, k=6, uniform pricing, tick 1e-3, 200 seeded
 # profiles whose bids sit on eight grid levels, so ties are common; one
 # call is one pass over the profiles, divided by their number

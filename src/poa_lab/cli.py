@@ -6,11 +6,10 @@ Exit codes: 0 all checks passed, 1 an assertion/check failed, 2 bad config.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import instances as inst_mod
-from .harness import ConfigError, ExperimentConfig, run, write_csv
+from .harness import ConfigError, ExperimentConfig, read_json, run, write_csv
 
 
 def _print_report(report) -> int:
@@ -47,14 +46,13 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "run":
-            with open(args.config) as fh:
-                data = json.load(fh)
+            data = read_json(args.config, "config")
             report = run(ExperimentConfig.from_dict(data))
             return _print_report(report)
 
         if args.command == "list-instances":
-            for name in inst_mod.list_instances():
-                print(f"{name}: {inst_mod.REGISTRY[name][0]}")
+            for name, (description, _) in sorted(inst_mod.REGISTRY.items()):
+                print(f"{name}: {description}")
             return 0
 
         if args.command == "bound-table":
@@ -75,10 +73,8 @@ def main(argv=None) -> int:
                       "instance": args.instance_id, "params": params}
             report = run(ExperimentConfig.from_dict(config))
             return _print_report(report)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ConfigError, FileNotFoundError) as exc:
+        # a FileNotFoundError here is an output path in a missing directory
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     return 2

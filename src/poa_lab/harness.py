@@ -19,8 +19,9 @@ from dataclasses import dataclass, field
 
 from . import instances as inst_mod
 from . import sweeps
-from .equilibria import (EQ_TOL, BidGrid, SearchCapExceeded, bayesian_poa,
-                         find_pure_nash, is_bayes_nash, is_pure_nash)
+from .equilibria import (EQ_TOL, BayesianGame, BidGrid, SearchCapExceeded,
+                         Strategy, bayesian_poa, find_pure_nash,
+                         is_bayes_nash, is_pure_nash)
 from .mechanisms import (DISCRIMINATORY, UNIFORM, AuctionInstance, BidProfile,
                          run_auction, social_welfare)
 from .smoothness import (CERTIFICATES, CLASSES, bound_table,
@@ -64,6 +65,19 @@ def _number(options: dict, key: str, default, kind: str,
                           f"{'integer' if integer else 'number'} above "
                           f"{above}, got {value!r}")
     return int(value) if integer else float(value)
+
+
+def read_json(path, what: str, parse=lambda data: data):
+    """parse(the JSON document at path).  A path that is not a string, a
+    file that cannot be read (missing, a directory, not JSON) and a
+    KeyError, TypeError or ValueError from parse are each a ConfigError."""
+    if not isinstance(path, str):
+        raise ConfigError(f"{what}: a path must be a string, got {path!r}")
+    try:
+        with open(path) as fh:
+            return parse(json.load(fh))
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{what}: {exc}") from exc
 
 
 def _params(cfg: "ExperimentConfig") -> dict:
@@ -135,6 +149,10 @@ class ExperimentConfig:
         unknown = set(data) - allowed
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        for key in ("output_json", "output_csv"):
+            if not isinstance(data.get(key) or "", str):
+                raise ConfigError(f"{key} must be a path string, "
+                                  f"got {data[key]!r}")
         seed = data.get("seed")
         if kind in _RANDOMIZED:
             _check_sweep(kind, data)
@@ -190,14 +208,14 @@ def _row_ms(t0: float) -> float:
 def _run_instance_file(cfg: ExperimentConfig, report: ExperimentReport,
                        path: str):
     """Run every profile in the file through the auction, emit outcome records."""
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
+    def parse(data):
         instance = AuctionInstance.from_json(data)
         entries = data.get("profiles", [])
-        profiles = [BidProfile.from_json(e["profile"]) for e in entries]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"verify-instance: bad instance file: {exc}") from exc
+        return instance, entries, [BidProfile.from_json(e["profile"])
+                                   for e in entries]
+
+    instance, entries, profiles = read_json(
+        path, "verify-instance: bad instance file", parse)
     opt = optimal_allocation(instance.valuations, instance.k)
     for entry, profile in zip(entries, profiles):
         t0 = time.perf_counter()
@@ -217,8 +235,10 @@ def _run_instance_file(cfg: ExperimentConfig, report: ExperimentReport,
 
 def _run_verify_instance(cfg: ExperimentConfig, report: ExperimentReport):
     instance_id = cfg.options.get("instance")
-    if instance_id and (instance_id.endswith(".json")
-                        or os.path.exists(instance_id)):
+    if not isinstance(instance_id, str):
+        raise ConfigError(f"verify-instance instance must be an instance id "
+                          f"or a file path, got {instance_id!r}")
+    if instance_id.endswith(".json") or os.path.exists(instance_id):
         _run_instance_file(cfg, report, instance_id)
         return
     params = _params(cfg)
@@ -276,12 +296,10 @@ def _run_find_pne(cfg: ExperimentConfig, report: ExperimentReport):
     path = cfg.options.get("instance_file")
     if not path:
         raise ConfigError("find-pne needs instance_file")
-    try:
-        with open(path) as fh:
-            instance = AuctionInstance.from_json(json.load(fh))
-        grid = BidGrid.from_json(cfg.options["grid"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"find-pne: bad instance or options: {exc}") from exc
+    instance, grid = read_json(
+        path, "find-pne: bad instance or options",
+        lambda data: (AuctionInstance.from_json(data),
+                      BidGrid.from_json(cfg.options["grid"])))
     cap = _number(cfg.options, "cap", 10 ** 8, "find-pne", 0, integer=True)
     starts = _number(cfg.options, "starts", 20, "find-pne", 0, integer=True)
     max_rounds = _number(cfg.options, "max_rounds", 200, "find-pne", 0,
@@ -330,14 +348,10 @@ def _run_verify_bne(cfg: ExperimentConfig, report: ExperimentReport):
         game, strat = _call(inst_mod.appendix_c_bayesian, params,
                             cfg.experiment)
     elif cfg.options.get("game_file"):
-        from .equilibria import BayesianGame, Strategy
-        try:
-            with open(cfg.options["game_file"]) as fh:
-                data = json.load(fh)
-            game = BayesianGame.from_json(data["game"])
-            strat = Strategy.from_json(data["strategy"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"verify-bne: bad game file: {exc}") from exc
+        game, strat = read_json(
+            cfg.options["game_file"], "verify-bne: bad game file",
+            lambda data: (BayesianGame.from_json(data["game"]),
+                          Strategy.from_json(data["strategy"])))
     else:
         raise ConfigError("verify-bne needs instance='appendix-c' or game_file")
     t0 = time.perf_counter()

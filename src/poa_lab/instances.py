@@ -62,14 +62,6 @@ class NamedInstance:
     provenance: dict
     grid: BidGrid | None = None
 
-    @property
-    def n(self) -> int:
-        return self.instance.n
-
-    @property
-    def k(self) -> int:
-        return self.instance.k
-
     def profile(self, role: str) -> BidProfile:
         for tag, prof in self.profiles:
             if tag == role:
@@ -306,19 +298,18 @@ def verify_appendix_c(alpha: float = 0.0014,
 # Pure equilibria of the pay-as-bid auction (tie-break constructions)
 
 
-def proposition1_pne(instance: AuctionInstance) -> tuple[BidProfile, TieBreakRule]:
-    """All-equal bid profile at the k-th largest marginal, plus the
-    tie-break rule allocating along a welfare-optimal assignment.
+def proposition1(instance: AuctionInstance, eps_values=()
+                 ) -> tuple[BidProfile, TieBreakRule, list[BidProfile]]:
+    """Proposition 1's construction, from one optimal allocation: the
+    all-equal bid profile at the k-th largest marginal, the tie-break rule
+    allocating along a welfare-optimal assignment, and for each eps in
+    eps_values the all-equal profile bumped by eps/k along that allocation.
 
     Requires submodular valuations (so every allocated marginal covers the
     common bid) and a positive k-th marginal; see the loser-never-wins rule.
+    The bumped bids are strictly highest, so no ties remain and each bumped
+    profile is an eps-equilibrium under every tie-break rule.
     """
-    return _proposition1(instance)[:2]
-
-
-def _proposition1(instance: AuctionInstance, eps_values=()):
-    """proposition1_pne's profile and rule, then the eps-bumped profiles of
-    proposition1_epsilon_pne, all from one optimal allocation."""
     if any(eps <= 0 for eps in eps_values):
         raise ValueError("eps must be positive")
     if instance.n < 2:
@@ -347,16 +338,6 @@ def _proposition1(instance: AuctionInstance, eps_values=()):
     return profile, tie_explicit(order), bumped
 
 
-def proposition1_epsilon_pne(instance: AuctionInstance,
-                             eps: float) -> BidProfile:
-    """Bump the all-equal profile by eps/k along the optimal allocation.
-
-    The bumped bids are strictly highest, so no ties remain and the profile
-    is an eps-equilibrium under every tie-break rule.
-    """
-    return _proposition1(instance, (eps,))[2][0]
-
-
 def default_proposition1_instance() -> AuctionInstance:
     """Two additive bidders; merged marginals (3, 3, 2, 2), bid level 3."""
     vals = (additive_valuation(3.0, 2), additive_valuation(2.0, 2))
@@ -378,7 +359,7 @@ def verify_proposition1(instance: AuctionInstance | None = None,
         instance = default_proposition1_instance()
     grid = BidGrid(tick, max(v.value(v.k) for v in instance.valuations) + 1.0,
                    STANDARD)
-    profile, tie, bumped_profiles = _proposition1(instance, eps_values)
+    profile, tie, bumped_profiles = proposition1(instance, eps_values)
     pinned = replace(instance, tie_break=tie)
     report = is_pure_nash(profile, pinned, grid)
     checks = [CheckResult("prop1_pne_regret", report.is_equilibrium(),
@@ -416,7 +397,3 @@ REGISTRY = {
     "proposition1": ("all-equal-bid pure equilibrium and its eps variant",
                      verify_proposition1),
 }
-
-
-def list_instances() -> list[str]:
-    return sorted(REGISTRY)

@@ -428,7 +428,7 @@ def _betas_minus(bids: np.ndarray, k: np.ndarray) -> np.ndarray:
 
 class SearchCandidates:
     """Every bidder's candidate marginal-bid vectors, keyed once for
-    block_outcomes.
+    block_allocation.
 
     spaces[j] is bidder j's (candidates x k) array of vectors.  Each entry
     of a vector is a (value, tie rank) pair, where the rank is the integer
@@ -464,7 +464,7 @@ class SearchCandidates:
         for space in spaces:
             part = keys[start:start + space.size].reshape(space.shape)
             start += space.size
-            # int32 halves the bytes block_outcomes gathers per cell
+            # int32 halves the bytes block_allocation gathers per cell
             block = np.full((len(space), k + 1), self.pad_key, dtype=np.int32)
             block[:, :k] = np.sort(part, axis=1)
             self.keys.append(block)
@@ -475,7 +475,7 @@ class SearchCandidates:
 
 def block_allocation(cands: SearchCandidates, i: int, pricing: str,
                      picks: Sequence[np.ndarray]):
-    """The valuation-free half of block_outcomes: (units, charge) arrays
+    """The valuation-free half of a block's outcomes: (units, charge) arrays
     of bidder i, entry [r, c] for its c-th candidate against the others'
     candidates picks[0][r], picks[1][r], ... (one index array per other
     bidder, in bidder order; with none, one row faces no entry).  Units
@@ -529,16 +529,6 @@ def block_utilities(cands: SearchCandidates, i: int, values: np.ndarray,
     return values[units] - charge
 
 
-def block_outcomes(cands: SearchCandidates, i: int, values: np.ndarray,
-                   pricing: str, picks: Sequence[np.ndarray]):
-    """(units, utilities) arrays of bidder i, whose value for u units is
-    values[u]: block_allocation, then block_utilities.  Entry [r, c] equals
-    bit for bit values[x] - payment with x and payment from run_auction on
-    the c-th candidate against the others' candidates picks[.][r]."""
-    units, charge = block_allocation(cands, i, pricing, picks)
-    return units, block_utilities(cands, i, values, pricing, units, charge)
-
-
 def deviation_outcomes(profiles: Sequence[BidProfile], i: int,
                        vectors: np.ndarray, values: np.ndarray,
                        tie: TieBreakRule, pricing: str):
@@ -546,15 +536,17 @@ def deviation_outcomes(profiles: Sequence[BidProfile], i: int,
     values[u]: entry [r, c] is its outcome bidding the marginal-bid vector
     vectors[c] against the other bids of profiles[r], equal bit for bit to
     run_auction on profiles[r] with bidder i's bid replaced.  Each profile
-    is one block_outcomes row."""
+    is one row of block_allocation."""
     n = profiles[0].n
     spaces = [vectors if j == i else np.array([p.vector(j) for p in profiles])
               for j in range(n)]
-    outcomes = block_outcomes(SearchCandidates(spaces, tie), i, values,
-                              pricing, [np.arange(len(profiles))] * (n - 1))
+    cands = SearchCandidates(spaces, tie)
+    units, charge = block_allocation(cands, i, pricing,
+                                     [np.arange(len(profiles))] * (n - 1))
+    utils = block_utilities(cands, i, values, pricing, units, charge)
     # with no other bidder the one row stands for every profile
     shape = (len(profiles), len(vectors))
-    return tuple(np.broadcast_to(a, shape) for a in outcomes)
+    return tuple(np.broadcast_to(a, shape) for a in (units, utils))
 
 
 def uniformize_profile(profile: BidProfile, tie: TieBreakRule) -> BidProfile:
@@ -564,11 +556,7 @@ def uniformize_profile(profile: BidProfile, tie: TieBreakRule) -> BidProfile:
     x_i * b_i(x_i); losing bids are zeroed out.  Bidders with no units map
     to the null bid (0, 0).
     """
-    return _uniformized(profile, allocate(profile, tie).allocation)
-
-
-def _uniformized(profile: BidProfile, allocation) -> BidProfile:
-    """uniformize_profile given the profile's allocation."""
+    allocation = allocate(profile, tie).allocation
     return BidProfile(tuple(UniformBid(profile.vector(i)[x - 1], x) if x
                             else UniformBid(0.0, 0)
                             for i, x in enumerate(allocation)),

@@ -119,10 +119,11 @@ def random_valuation(kind: str, k: int, scale: float = 1.0,
                      seed: int = 0) -> Valuation:
     """Deterministic-in-seed random valuation of the requested class.
 
-    kind: "submodular" draws k marginals and sorts them non-increasing;
-    "subadditive" rejection-samples raw curves against the pair check;
-    "general" is any monotone curve.  The class predicate is re-verified
-    before returning.
+    kind: "submodular" draws k marginals and sorts them non-increasing,
+    then re-verifies is_submodular before returning; "subadditive"
+    rejection-samples raw curves, testing each v(m) against every
+    v(x) + v(m - x) as it is drawn, the pairs is_subadditive checks;
+    "general" is any monotone curve, and has no predicate to check.
     """
     if k < 1:
         raise ValueError("k must be >= 1")

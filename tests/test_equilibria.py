@@ -36,7 +36,6 @@ from poa_lab.mechanisms import (
     UniformBid,
     allocate,
     block_allocation,
-    block_outcomes,
     block_utilities,
     check_no_overbidding,
     run_auction,
@@ -438,8 +437,8 @@ def _tie_kinds(n):
 def test_cached_blocks_match_a_fresh_block_outcomes_run(pricing, n, grid):
     """The one box per bidder that a search scores covers the profile
     space and equals block_allocation built afresh, in profile order;
-    gathered under any value curve it equals block_outcomes' (units,
-    utilities) bit for bit, and a full auction on every profile.  The
+    gathered under any value curve it equals the (units, utilities) of
+    block_allocation and block_utilities on the fresh candidates bit for bit, and a full auction on every profile.  The
     cached candidates hold, read-only, that box's entries at their cells
     and the row of each cell."""
     k = 2
@@ -489,9 +488,11 @@ def test_cached_blocks_match_a_fresh_block_outcomes_run(pricing, n, grid):
             for values in curves:
                 utils = block_utilities(cands, i, values, pricing, units,
                                         charge)
-                ref_units, ref_utils = map(
-                    profile_order,
-                    block_outcomes(fresh, i, values, pricing, picks))
+                fresh_units, fresh_charge = block_allocation(
+                    fresh, i, pricing, picks)
+                ref_units, ref_utils = map(profile_order, (
+                    fresh_units, block_utilities(fresh, i, values, pricing,
+                                                 fresh_units, fresh_charge)))
                 assert utils.shape == shape
                 assert utils.tobytes() == ref_utils.copy().tobytes()
                 per_curve.append((ref_units, utils))
@@ -1165,8 +1166,8 @@ def test_undominated_needs_submodular():
 def test_theorem4_loser_bids_undominated():
     named = theorem4_instance(8, 1e-6)
     prof = named.profile("equilibrium")
-    for i in range(1, named.n):
-        bid = prof.bids[i].expand(named.k)
+    for i in range(1, named.instance.n):
+        bid = prof.bids[i].expand(named.instance.k)
         assert is_undominated_upa(named.instance.valuations[i], bid)
 
 
@@ -1261,8 +1262,8 @@ def test_theorem4_conversion_is_fixed_point():
     named = theorem4_instance(6, 1e-6)
     inst = named.instance
     std = standard_profile(
-        named.k, *(named.profile("equilibrium").bids[i].expand(named.k)
-                   for i in range(named.n)))
+        inst.k, *(named.profile("equilibrium").bids[i].expand(inst.k)
+                  for i in range(inst.n)))
     converted = pne_standard_to_uniform(std, inst)
     assert converted.bids == named.profile("equilibrium").bids
 

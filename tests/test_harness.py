@@ -9,6 +9,7 @@ from poa_lab.harness import (
     ConfigError,
     ExperimentConfig,
     ExperimentReport,
+    read_json,
     run,
 )
 from poa_lab.mechanisms import AuctionInstance, tie_favor_bidder
@@ -196,6 +197,71 @@ def test_cli_run_and_exit_codes(tmp_path):
     assert cli_main(["verify", "theorem6-upa", "--k", "5"]) == 2
     assert cli_main(["verify", "theorem4", "--k", "2"]) == 2
     assert cli_main(["verify", "theorem6-da", "--k", "1"]) == 2
+
+
+def test_cli_config_that_is_not_json_exits_2(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"schema_version": 1, "experiment": ')
+    assert cli_main(["run", str(path)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_cli_config_path_that_is_a_directory_exits_2(tmp_path, capsys):
+    assert cli_main(["run", str(tmp_path)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def _run_config(tmp_path, **options):
+    """The exit code of poa-lab run on a config file holding options."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(make_config(**options)))
+    return cli_main(["run", str(path)])
+
+
+def test_cli_find_pne_instance_file_that_is_a_directory_exits_2(tmp_path,
+                                                                capsys):
+    assert _run_config(tmp_path, experiment="find-pne",
+                       instance_file=str(tmp_path),
+                       grid={"tick": 0.25, "max_bid": 1.0}) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_cli_verify_bne_game_file_that_is_a_directory_exits_2(tmp_path,
+                                                              capsys):
+    assert _run_config(tmp_path, experiment="verify-bne",
+                       game_file=str(tmp_path)) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("instance", [5, ["theorem4"]],
+                         ids=["a-number", "a-list"])
+def test_cli_verify_instance_that_is_not_a_string_exits_2(tmp_path, capsys,
+                                                          instance):
+    assert _run_config(tmp_path, experiment="verify-instance",
+                       instance=instance) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["output_json", "output_csv"])
+@pytest.mark.parametrize("value", [1, True, ["report.json"]],
+                         ids=["a-number", "a-bool", "a-list"])
+def test_output_paths_must_be_strings(key, value):
+    # refused before any work: an integer would be opened as a descriptor
+    with pytest.raises(ConfigError, match=key):
+        ExperimentConfig.from_dict(make_config(experiment="bound-table",
+                                               **{key: value}))
+
+
+def test_read_json_refuses_a_path_that_is_not_a_string():
+    # an integer would be opened as a file descriptor: 0 is stdin
+    with pytest.raises(ConfigError, match="string"):
+        read_json(0, "find-pne instance_file")
+
+
+def test_cli_output_into_a_missing_directory_exits_2(tmp_path, capsys):
+    assert _run_config(tmp_path, experiment="bound-table",
+                       output_json=str(tmp_path / "missing" / "r.json")) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("change, write", [

@@ -1,14 +1,13 @@
 import pytest
 
 from poa_lab import equilibria
+from poa_lab.cli import main as cli_main
 from poa_lab.equilibria import is_bayes_nash, lemma5_structure
 from poa_lab.instances import (
     appendix_c_bayesian,
     REGISTRY,
     default_proposition1_instance,
-    list_instances,
-    proposition1_epsilon_pne,
-    proposition1_pne,
+    proposition1,
     theorem4_instance,
     theorem6_da_instance,
     theorem6_upa_instance,
@@ -26,7 +25,7 @@ from poa_lab.welfare import optimal_allocation, poa_ratio
 from dataclasses import replace
 
 
-@pytest.mark.parametrize("instance_id", list_instances())
+@pytest.mark.parametrize("instance_id", sorted(REGISTRY))
 def test_all_named_instances_verify(instance_id):
     for check in REGISTRY[instance_id][1]():
         assert check.passed, (instance_id, check)
@@ -84,7 +83,8 @@ def test_appendix_c_alpha_threshold():
 
 def test_proposition1_merged_marginal_example():
     inst = default_proposition1_instance()
-    profile, tie = proposition1_pne(inst)
+    profile, tie, bumped = proposition1(inst)
+    assert bumped == []
     assert profile.vector(0) == (3.0, 3.0)
     assert profile.vector(1) == (3.0, 3.0)
     out = allocate(profile, tie)
@@ -100,21 +100,22 @@ def test_proposition1_requires_submodular_and_competition():
     inst = AuctionInstance((jump, other), 3, "discriminatory",
                            tie_lexicographic())
     with pytest.raises(ValueError):
-        proposition1_pne(inst)
+        proposition1(inst)
     lonely = AuctionInstance((other,), 3, "discriminatory", tie_lexicographic())
     with pytest.raises(ValueError):
-        proposition1_pne(lonely)
+        proposition1(lonely)
 
 
 def test_proposition1_epsilon_profile_unambiguous():
     inst = default_proposition1_instance()
-    bumped = proposition1_epsilon_pne(inst, 0.1)
+    base, _, (bumped, tiny) = proposition1(inst, (0.1, 1e-12))
     # exactly k bids sit strictly above the common level: no ties remain
-    level = proposition1_pne(inst)[0].vector(0)[0]
+    level = base.vector(0)[0]
     raised = [v for i in range(inst.n) for v in bumped.vector(i) if v > level]
     assert len(raised) == inst.k
-    tiny = proposition1_epsilon_pne(inst, 1e-12)
-    base = proposition1_pne(inst)[0]
+    for eps in (0.0, -0.1):
+        with pytest.raises(ValueError, match="eps"):
+            proposition1(inst, (eps,))
     for i in range(inst.n):
         assert tiny.vector(i) == pytest.approx(base.vector(i), abs=1e-11)
 
@@ -152,10 +153,12 @@ def test_named_instance_json_shape():
     assert set(data["expected"]) == set(data["provenance"])
 
 
-def test_list_instances_contents():
-    ids = list_instances()
+def test_list_instances_contents(capsys):
+    assert cli_main(["list-instances"]) == 0
+    ids = [line.split(":")[0]
+           for line in capsys.readouterr().out.splitlines()]
     assert "theorem4" in ids and "appendix-c" in ids
-    assert ids == sorted(ids)
+    assert ids == sorted(REGISTRY)
 
 
 def test_measured_poa_below_certified_bounds():
@@ -168,7 +171,7 @@ def test_measured_poa_below_certified_bounds():
     named = theorem4_instance(10, 1e-6)
     out = allocate(named.profile("equilibrium"), named.instance.tie_break)
     sw = social_welfare(named.instance.valuations, out.allocation)
-    opt = optimal_allocation(named.instance.valuations, named.k)
+    opt = optimal_allocation(named.instance.valuations, named.instance.k)
     measured = poa_ratio(opt.value, sw)
     assert measured <= bounds[("uniform_price", "subadditive", "uniform")] + 1e-9
     game, strat = appendix_c_bayesian()

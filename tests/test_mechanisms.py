@@ -13,7 +13,8 @@ from poa_lab.mechanisms import (
     UniformBid,
     allocate,
     beta_minus_i,
-    block_outcomes,
+    block_allocation,
+    block_utilities,
     check_no_overbidding,
     deviation_outcomes,
     run_auction,
@@ -352,8 +353,9 @@ def test_deviation_outcomes_equal_full_auction():
 
 
 def _check_block(choices, vectors, i, tie, val_rng):
-    """block_outcomes of bidder i's vectors against every combination of
-    the others' choices equals a full auction on each."""
+    """block_allocation then block_utilities of bidder i's vectors against
+    every combination of the others' choices equals a full auction on
+    each."""
     k = len(vectors[0])
     spaces = [[_vector(b, k) for b in bids] for bids in choices]
     spaces.insert(i, vectors)
@@ -367,7 +369,8 @@ def _check_block(choices, vectors, i, tie, val_rng):
     picks = [np.array(p) for p in zip(*combos)]
     for pricing in ("discriminatory", "uniform"):
         for values in _valuations_to_check(val_rng, k):
-            units, utils = block_outcomes(cands, i, values, pricing, picks)
+            units, charge = block_allocation(cands, i, pricing, picks)
+            utils = block_utilities(cands, i, values, pricing, units, charge)
             assert units.shape == utils.shape == (len(combos), len(vectors))
             for r, combo in enumerate(combos):
                 bids = [StandardBid(_vector(bids[p], k))
