@@ -73,8 +73,9 @@ def main(argv=None) -> int:
                       "instance": args.instance_id, "params": params}
             report = run(ExperimentConfig.from_dict(config))
             return _print_report(report)
-    except (ConfigError, FileNotFoundError) as exc:
-        # a FileNotFoundError here is an output path in a missing directory
+    except (ConfigError, OSError) as exc:
+        # an OSError here is a report's output path that cannot be written:
+        # a missing directory, a directory
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     return 2

@@ -32,7 +32,7 @@ import functools
 import itertools
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -70,10 +70,14 @@ EQ_TOL = 1e-9
 # cells of one box of the profile space that the exhaustive search scores at
 # once; a space of at most this many profiles is one box, kept as candidates
 _BLOCK_CELLS = 1 << 16
+# rows of a strategy space that is_bayes_nash scans per (bidder, type): one
+# opposing scenario against them all is then at most one box of the search
+_DEVIATION_ROWS = _BLOCK_CELLS
 
 
 class SearchCapExceeded(RuntimeError):
-    """Exhaustive profile enumeration would exceed the configured cap."""
+    """A grid enumeration would exceed its cap: the profiles of an
+    exhaustive search, or the deviations of is_bayes_nash."""
 
 
 @dataclass(frozen=True)
@@ -201,29 +205,6 @@ def _closed_form_response(instance: AuctionInstance, grid: BidGrid,
     return best, UniformBid(*bid)
 
 
-def _deviation_vectors(grid: BidGrid, k: int, val: Valuation,
-                       include_standard: bool, interface: str):
-    """The grid bids a deviation scan tries, as one array of marginal-bid
-    vectors: every uniform grid bid, then, with include_standard in a
-    standard-interface game, every standard one (k <= 4).  Also returns
-    the number of uniform rows."""
-    vectors = _grid_spaces(replace(grid, interface=UNIFORM_IFACE), k, [val])[0]
-    n_uniform = len(vectors)
-    if include_standard:
-        if k > 4:
-            raise SearchCapExceeded("standard-bid enumeration limited to k <= 4")
-        if interface == STANDARD:
-            vectors = np.concatenate([vectors, _grid_spaces(
-                replace(grid, interface=STANDARD), k, [val])[0]])
-    return vectors, n_uniform
-
-
-def _deviation_bid(vectors: np.ndarray, n_uniform: int, c: int):
-    """The grid bid of row c of _deviation_vectors."""
-    return _grid_bids(UNIFORM_IFACE if c < n_uniform else STANDARD,
-                      vectors[c:c + 1])[0]
-
-
 # ---------------------------------------------------------------------------
 # Pure Nash verification and search
 
@@ -253,6 +234,13 @@ def is_pure_nash(profile: BidProfile, instance: AuctionInstance,
 def is_epsilon_equilibrium(profile: BidProfile, instance: AuctionInstance,
                            grid: BidGrid, eps: float) -> bool:
     return is_pure_nash(profile, instance, grid).max_regret <= eps + EQ_TOL
+
+
+def _space_size(grid: BidGrid, k: int) -> int:
+    """The number of rows of _grid_vectors(grid, k), without building it."""
+    if grid.interface == STANDARD:
+        return math.comb(grid.npoints + k - 1, k)
+    return 1 + (grid.npoints - 1) * k
 
 
 def _grid_vectors(grid: BidGrid, k: int) -> np.ndarray:
@@ -359,10 +347,7 @@ def _search_tables(grid: BidGrid, k: int, tie: TieBreakRule, pricing: str,
     never repeats."""
     if not grid.no_overbidding:
         # every bidder has the whole grid space: count it before building it
-        per_bidder = (math.comb(grid.npoints + k - 1, k)
-                      if grid.interface == STANDARD
-                      else 1 + (grid.npoints - 1) * k)
-        _check_cap(per_bidder ** len(cuts), cap)
+        _check_cap(_space_size(grid, k) ** len(cuts), cap)
     spaces = tuple(_grid_spaces(grid, k, cuts))
     shape = tuple(len(s) for s in spaces)
     if grid.no_overbidding:
@@ -652,33 +637,25 @@ def pure_strategy(bids_per_bidder) -> Strategy:
         for per_type in bids_per_bidder))
 
 
-def _opposing_scenarios(game: BayesianGame, strat: Strategy, i: int):
-    """One (profile, probability) pair per opposing scenario.
-
-    Enumerates opposing type tuples under the product prior, then each
-    combination of support bids; probabilities multiply exactly.  Bidder
-    i's own bid in each profile is a placeholder.
-    """
-    others = [j for j in range(game.n) if j != i]
-    scenarios = []
-    type_ranges = [range(len(game.types[j])) for j in others]
-    for type_combo in itertools.product(*type_ranges):
-        p_type = 1.0
-        for j, t in zip(others, type_combo):
-            p_type *= game.priors[j][t]
+def _type_profiles(game: BayesianGame, strat: Strategy,
+                   bidders: Sequence[int]):
+    """The type profiles of bidders under the product prior: yields
+    (types, p_type, [(bids, p), ...]) for each with p_type > 0, types[m]
+    and bids[m] the type and a support bid of bidders[m], and p = p_type
+    times the bids' probabilities, multiplied in bidder order; a
+    combination of bids with p = 0 is left out."""
+    for types in itertools.product(*(range(len(game.types[j]))
+                                     for j in bidders)):
+        p_type = math.prod(game.priors[j][t] for j, t in zip(bidders, types))
         if p_type == 0.0:
             continue
-        mixes = [strat.rules[j][t] for j, t in zip(others, type_combo)]
-        for bid_combo in itertools.product(*mixes):
-            p = p_type
-            bids = [UniformBid(0.0, 0)] * game.n
-            for j, (bid, pb) in zip(others, bid_combo):
-                p *= pb
-                bids[j] = bid
-            if p == 0.0:
-                continue
-            scenarios.append((_game_profile(game, bids), p))
-    return scenarios
+        combos = []
+        for combo in itertools.product(*(strat.rules[j][t]
+                                         for j, t in zip(bidders, types))):
+            p = math.prod((pb for _, pb in combo), start=p_type)
+            if p != 0.0:
+                combos.append(([bid for bid, _ in combo], p))
+        yield types, p_type, combos
 
 
 def _game_profile(game: BayesianGame, bids) -> BidProfile:
@@ -689,26 +666,37 @@ def _game_profile(game: BayesianGame, bids) -> BidProfile:
         game.grid.interface, game.k)
 
 
-def is_bayes_nash(game: BayesianGame, strat: Strategy,
-                  include_standard: bool = False) -> RegretReport:
+def is_bayes_nash(game: BayesianGame, strat: Strategy) -> RegretReport:
     """Exact expected regret of every (bidder, type) against grid deviations.
 
-    Expectations enumerate opposing type tuples and mixed supports exactly;
-    deviations scan every uniform grid bid (plus all standard grid bids when
-    include_standard is set, k <= 4), and one counts only if it beats the
-    current expected utility.
+    Expectations enumerate opposing type profiles and mixed supports
+    exactly.  The deviations are the game's own strategy space,
+    grid_bids_for(game.grid, k, type): every standard grid bid on a
+    standard grid, every uniform one on a uniform grid, cut by the type's
+    no-overbidding constraint when the grid has one; a deviation counts
+    only if it beats the current expected utility.  A space of more than
+    _DEVIATION_ROWS (65,536) bids raises SearchCapExceeded before
+    anything is built.
     """
+    rows = _space_size(game.grid, game.k)
+    if rows > _DEVIATION_ROWS:
+        raise SearchCapExceeded(f"{rows} deviation bids exceed the limit of "
+                                f"{_DEVIATION_ROWS}")
     strat.validate(game)
     entries = []
     for i in range(game.n):
-        scenarios = _opposing_scenarios(game, strat, i)
+        # bidder i's own bid in each profile is a placeholder
+        others = [j for j in range(game.n) if j != i]
+        scenarios = [
+            (_game_profile(game, bids[:i] + [UniformBid(0.0, 0)] + bids[i:]), p)
+            for _, _, combos in _type_profiles(game, strat, others)
+            for bids, p in combos]
         profiles = [profile for profile, _ in scenarios]
         for t, val in enumerate(game.types[i]):
             mixed = strat.rules[i][t]
             support = np.array([_game_profile(game, [bid]).vector(0)
                                 for bid, _ in mixed])
-            vectors, n_uniform = _deviation_vectors(
-                game.grid, game.k, val, include_standard, game.grid.interface)
+            vectors = _grid_spaces(game.grid, game.k, [val])[0]
             _, utils = deviation_outcomes(
                 profiles, i, np.concatenate([support, vectors]), val.values,
                 game.tie_break, game.pricing)
@@ -724,7 +712,8 @@ def is_bayes_nash(game: BayesianGame, strat: Strategy,
             best, best_bid = cur, None
             if deviations[c] > cur:
                 best = float(deviations[c])
-                best_bid = _deviation_bid(vectors, n_uniform, c)
+                best_bid = _grid_bids(game.grid.interface,
+                                      vectors[c:c + 1])[0]
             entries.append(RegretEntry(i, t, cur, best,
                                        max(0.0, best - cur), best_bid))
     return RegretReport(tuple(entries))
@@ -733,27 +722,12 @@ def is_bayes_nash(game: BayesianGame, strat: Strategy,
 def bayesian_poa(game: BayesianGame, strat: Strategy) -> float:
     """Expected optimal welfare over expected equilibrium welfare, exactly."""
     strat.validate(game)
-    type_ranges = [range(len(ts)) for ts in game.types]
-    e_opt = 0.0
-    e_sw = 0.0
-    for combo in itertools.product(*type_ranges):
-        p_type = 1.0
-        for i, t in enumerate(combo):
-            p_type *= game.priors[i][t]
-        if p_type == 0.0:
-            continue
-        vals = tuple(game.types[i][t] for i, t in enumerate(combo))
+    e_opt = e_sw = 0.0
+    for types, p_type, combos in _type_profiles(game, strat, range(game.n)):
+        vals = tuple(game.types[i][t] for i, t in enumerate(types))
         e_opt += p_type * optimal_allocation(vals, game.k).value
-        mixes = [strat.rules[i][t] for i, t in enumerate(combo)]
-        for bid_combo in itertools.product(*mixes):
-            p = p_type
-            entries = []
-            for bid, pb in bid_combo:
-                p *= pb
-                entries.append(bid)
-            if p == 0.0:
-                continue
-            out = allocate(_game_profile(game, entries), game.tie_break)
+        for bids, p in combos:
+            out = allocate(_game_profile(game, bids), game.tie_break)
             e_sw += p * social_welfare(vals, out.allocation)
     if e_sw <= 0:
         raise ValueError("equilibrium welfare is not positive")

@@ -355,7 +355,10 @@ def _run_verify_bne(cfg: ExperimentConfig, report: ExperimentReport):
     else:
         raise ConfigError("verify-bne needs instance='appendix-c' or game_file")
     t0 = time.perf_counter()
-    rep = is_bayes_nash(game, strat)
+    try:
+        rep = is_bayes_nash(game, strat)
+    except SearchCapExceeded as exc:
+        raise ConfigError(f"verify-bne: {exc}") from exc
     poa = bayesian_poa(game, strat)
     report.add_row(experiment=cfg.experiment,
                    instance=cfg.options.get("instance") or cfg.options.get("game_file"),

@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
@@ -9,11 +10,15 @@ import numpy as np
 from poa_lab.equilibria import (
     BayesianGame,
     BestResponse,
-    _deviation_bid,
-    _deviation_vectors,
+    BidGrid,
+    _grid_bids,
+    _grid_spaces,
+    pure_strategy,
 )
 from poa_lab.mechanisms import (
+    STANDARD,
     UNIFORM,
+    UNIFORM_IFACE,
     AuctionInstance,
     StandardBid,
     UniformBid,
@@ -47,6 +52,22 @@ def singleton_game(instance, grid) -> BayesianGame:
         grid, instance.tie_break, instance.pricing)
 
 
+def standard_deviation_game():
+    """(game, strategy) where only a standard bid pays to deviate to: k = 2,
+    tick 0.25, pay-as-bid, lexicographic ties.  Bidder 0, worth (0.875,
+    0.625) per unit, bids (0.25, 0.25); bidder 1 bids (0.5, 0.5) or, half
+    the time, (0.25, 0).  Bidding (0.5, 0.25) wins one unit then two, 0.5625
+    in expectation against 0.5, and no uniform bid beats 0.5."""
+    game = BayesianGame(
+        2, ((Valuation((0.0, 0.875, 1.5)),),
+            (Valuation((0.0, 1.0, 1.625)), Valuation((0.0, 0.5, 0.5)))),
+        ((1.0,), (0.5, 0.5)), BidGrid(0.25, 1.0, "standard"),
+        tie_lexicographic(), "discriminatory")
+    return game, pure_strategy((
+        (StandardBid((0.25, 0.25)),),
+        (StandardBid((0.5, 0.5)), StandardBid((0.25, 0.0)))))
+
+
 def random_tie(rng: random.Random, n: int, k: int):
     """A tie rule of a random kind; an explicit one ranks a shuffled subset
     of the (bidder, slot) pairs, so later slots often rank ahead of earlier
@@ -72,20 +93,27 @@ def utilities(vals, profile, tie, pricing):
 
 def best_response_enumerated(instance, profile, i, grid,
                              include_standard=False) -> BestResponse:
-    """Reference best response: scan every uniform (optionally standard)
-    grid bid, keeping the first best one that beats bidding nothing."""
+    """Reference best response: scan every uniform (optionally, on a
+    standard-interface profile, then every standard) grid bid, keeping the
+    first best one that beats bidding nothing."""
     val = instance.valuations[i]
-    vectors, n_uniform = _deviation_vectors(grid, instance.k, val,
-                                            include_standard,
-                                            profile.interface)
-    _, utils = deviation_outcomes([profile], i, vectors, val.values,
-                                      instance.tie_break, instance.pricing)
+    interfaces = [UNIFORM_IFACE]
+    if include_standard and profile.interface == STANDARD:
+        interfaces.append(STANDARD)
+    spaces = [_grid_spaces(replace(grid, interface=interface), instance.k,
+                           [val])[0] for interface in interfaces]
+    _, utils = deviation_outcomes([profile], i, np.concatenate(spaces),
+                                  val.values, instance.tie_break,
+                                  instance.pricing)
     # np.argmax returns the first maximum
     c = int(np.argmax(utils[0]))
     if not utils[0, c] > 0.0:
         return BestResponse(UniformBid(0.0, 0), 0.0)
-    return BestResponse(_deviation_bid(vectors, n_uniform, c),
-                        float(utils[0, c]))
+    for interface, space in zip(interfaces, spaces):
+        if c < len(space):
+            return BestResponse(_grid_bids(interface, space[c:c + 1])[0],
+                                float(utils[0, c]))
+        c -= len(space)
 
 
 # The scalar deviation quadrature, the reference the certificate kernel is

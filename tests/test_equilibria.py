@@ -67,6 +67,7 @@ from helpers import (
     random_profile,
     random_tie,
     singleton_game,
+    standard_deviation_game,
 )
 
 
@@ -919,13 +920,34 @@ def test_appendix_c_perturbed_has_regret():
 
 
 
-def _reference_is_bayes_nash(game, strat, include_standard):
-    """Every opposing scenario and every candidate scored by its own
-    run_auction, in is_bayes_nash's order."""
+def test_standard_deviation_breaks_a_uniform_certificate():
+    # a scan of the uniform bids alone certified this strategy (regret 0)
+    game, strat = standard_deviation_game()
+    report = is_bayes_nash(game, strat)
+    assert report.max_regret == 0.0625
+    worst = max(report.entries, key=lambda e: e.regret)
+    assert (worst.bidder, worst.type_index) == (0, 0)
+    assert worst.best_bid == StandardBid((0.5, 0.25))
+    assert not report.is_equilibrium()
+
+
+def test_deviation_space_beyond_the_limit_is_refused_unbuilt(monkeypatch):
+    def no_space(*args):
+        raise AssertionError("a strategy space was built")
+
+    game, strat = standard_deviation_game()
+    monkeypatch.setattr(equilibria, "_grid_vectors", no_space)
+    # a standard k = 2 grid of tick 1/512 has C(514, 2) = 131,841 bids
+    fine = replace(game, grid=BidGrid(1 / 512, 1.0))
+    assert equilibria._space_size(fine.grid, 2) == 131841
+    with pytest.raises(SearchCapExceeded, match="limit"):
+        is_bayes_nash(fine, strat)
+
+
+def _reference_is_bayes_nash(game, strat):
+    """Every opposing scenario and every bid of the game's strategy space
+    scored by its own run_auction, in is_bayes_nash's order."""
     std = game.grid.interface == "standard"
-    grids = [replace(game.grid, interface="uniform")]
-    if include_standard and std:
-        grids.append(replace(game.grid, interface="standard"))
     entries = []
     for i in range(game.n):
         others = [j for j in range(game.n) if j != i]
@@ -963,11 +985,10 @@ def _reference_is_bayes_nash(game, strat, include_standard):
             for bid, pm in strat.rules[i][t]:
                 cur += pm * expected(val, bid)
             best, best_bid = cur, None
-            for grid in grids:
-                for cand in grid_bids_for(grid, game.k, val):
-                    u = expected(val, cand)
-                    if u > best:
-                        best, best_bid = u, cand
+            for cand in grid_bids_for(game.grid, game.k, val):
+                u = expected(val, cand)
+                if u > best:
+                    best, best_bid = u, cand
             entries.append(RegretEntry(i, t, cur, best, max(0.0, best - cur),
                                        best_bid))
     return RegretReport(tuple(entries))
@@ -1000,25 +1021,25 @@ def _random_bayes_case(index):
         rules.append(tuple(per_type))
     game = BayesianGame(k, tuple(types), tuple(priors), grid, tie,
                         rng.choice(("discriminatory", "uniform")))
-    return game, Strategy(tuple(rules)), rng.random() < 0.5
+    return game, Strategy(tuple(rules))
 
 
 def test_bayes_nash_matches_auction_oracle():
     kinds = set()
     mixed = 0
     for index in range(200):
-        game, strat, include_standard = _random_bayes_case(index)
+        game, strat = _random_bayes_case(index)
         kinds.add((game.tie_break.kind, game.pricing, game.grid.interface,
-                   game.grid.no_overbidding, include_standard))
+                   game.grid.no_overbidding))
         # an opponent with two types, one of them mixing unequally
         mixed += any(len(per_type) > 1 and any(
             len({p for _, p in rule}) > 1 for rule in per_type)
             for per_type in strat.rules[1:])
-        assert (is_bayes_nash(game, strat, include_standard)
-                == _reference_is_bayes_nash(game, strat, include_standard))
+        assert is_bayes_nash(game, strat) == _reference_is_bayes_nash(game,
+                                                                      strat)
     # every tie kind under both pricings, both interfaces, no-overbidding
-    # on and off, with and without the standard deviations
-    assert len(kinds) == 4 * 2 * 2 * 2 * 2
+    # on and off
+    assert len(kinds) == 4 * 2 * 2 * 2
     assert mixed >= 40
 
 

@@ -264,6 +264,60 @@ def test_cli_output_into_a_missing_directory_exits_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_cli_bound_table_csv_into_a_directory_exits_2(tmp_path, capsys):
+    assert cli_main(["bound-table", "--csv", str(tmp_path)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_cli_output_json_that_is_a_directory_exits_2(tmp_path, capsys):
+    assert _run_config(tmp_path, experiment="bound-table",
+                       output_json=str(tmp_path)) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def _write_game(tmp_path, game, strat):
+    """A verify-bne config file on a game file holding game and strat."""
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps({"game": game.to_json(),
+                                "strategy": strat.to_json()}))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(make_config(experiment="verify-bne",
+                                               game_file=str(path))))
+    return str(cfg_path)
+
+
+def test_cli_verify_bne_beyond_the_deviation_limit_exits_2(
+        tmp_path, capsys, monkeypatch):
+    """A standard k = 4 grid of tick 1e-3 has C(1004, 4) bids: refused
+    before any strategy space is built."""
+    from poa_lab import equilibria
+    from poa_lab.equilibria import BayesianGame, BidGrid, pure_strategy
+    from poa_lab.mechanisms import StandardBid, tie_lexicographic
+
+    def no_space(*args):
+        raise AssertionError("a strategy space was built")
+
+    v = valuation(0, 0.5, 0.75, 0.875, 1.0)
+    grid = BidGrid(1e-3, 1.0)
+    game = BayesianGame(4, ((v,), (v,)), ((1.0,), (1.0,)), grid,
+                        tie_lexicographic(), "discriminatory")
+    bid = StandardBid((0.25, 0.25, 0.0, 0.0))
+    cfg_path = _write_game(tmp_path, game, pure_strategy(((bid,), (bid,))))
+    monkeypatch.setattr(equilibria, "_grid_vectors", no_space)
+    assert cli_main(["run", cfg_path]) == 2
+    assert "deviation bids exceed the limit" in capsys.readouterr().err
+
+
+def test_cli_verify_bne_fails_on_a_standard_deviation(tmp_path, capsys):
+    """Bidder 0's best deviation is a standard bid no uniform one matches
+    (test_equilibria.test_standard_deviation_breaks_a_uniform_certificate)."""
+    from helpers import standard_deviation_game
+
+    cfg_path = _write_game(tmp_path, *standard_deviation_game())
+    assert cli_main(["run", cfg_path]) == 1
+    assert "FAIL bne_regret value=0.0625" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("change, write", [
     ({"grid": {"tick": 0, "max_bid": 1.0}}, json.dumps),
     ({"grid": None}, json.dumps),
