@@ -688,7 +688,8 @@ def is_bayes_nash(game: BayesianGame, strat: Strategy) -> RegretReport:
         # bidder i's own bid in each profile is a placeholder
         others = [j for j in range(game.n) if j != i]
         scenarios = [
-            (_game_profile(game, bids[:i] + [UniformBid(0.0, 0)] + bids[i:]), p)
+            (_game_profile(game, [*bids[:i], UniformBid(0.0, 0), *bids[i:]]),
+             p)
             for _, _, combos in _type_profiles(game, strat, others)
             for bids, p in combos]
         profiles = [profile for profile, _ in scenarios]

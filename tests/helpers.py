@@ -54,10 +54,10 @@ def singleton_game(instance, grid) -> BayesianGame:
 
 def standard_deviation_game():
     """(game, strategy) where only a standard bid pays to deviate to: k = 2,
-    tick 0.25, pay-as-bid, lexicographic ties.  Bidder 0, worth (0.875,
-    0.625) per unit, bids (0.25, 0.25); bidder 1 bids (0.5, 0.5) or, half
-    the time, (0.25, 0).  Bidding (0.5, 0.25) wins one unit then two, 0.5625
-    in expectation against 0.5, and no uniform bid beats 0.5."""
+    tick 0.25, pay-as-bid, lexicographic ties.  Bidder 0, of marginal
+    values (0.875, 0.625), bids (0.25, 0.25); bidder 1 bids (0.5, 0.5) or,
+    half the time, (0.25, 0).  Bidding (0.5, 0.25) wins one unit then two,
+    0.5625 in expectation against 0.5, and no uniform bid beats 0.5."""
     game = BayesianGame(
         2, ((Valuation((0.0, 0.875, 1.5)),),
             (Valuation((0.0, 1.0, 1.625)), Valuation((0.0, 0.5, 0.5)))),
