@@ -33,9 +33,10 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10
 
-# Per-call costs of the exhaustive search's layers, of the ranking layers
-# and, per case, of two 500-case certification sweeps, in microseconds
-# (keys ending in _us): the best of 5 passes over `calls` calls.  Then the memory two 1000-case certification sweeps hold,
+# Per-call costs of the exhaustive search's layers, of the ranking layers,
+# of random_valuation and, per case, of five 500-case certification
+# sweeps, in microseconds (keys ending in _us): the best of 5 passes over
+# `calls` calls.  Then the memory two 1000-case certification sweeps hold,
 # in KiB (keys ending in _kib): their tracemalloc peak.  All in a fresh
 # process of one checkout.  reference_loop_us times a fixed pure-Python
 # loop that uses no package code, so it reads the host's speed: dividing
@@ -43,7 +44,7 @@ PAIRS = 10
 LAYERS = r'''
 import gc, json, math, random, time, tracemalloc
 import numpy as np
-from poa_lab import equilibria, mechanisms, sweeps
+from poa_lab import equilibria, mechanisms, smoothness, sweeps
 from poa_lab.mechanisms import (AuctionInstance, BidProfile, StandardBid,
                                 tie_explicit, tie_lexicographic)
 from poa_lab.valuations import random_valuation
@@ -163,6 +164,22 @@ out["smoothness_sweep_500_case_us"] = cost(
 out["key_lemma_sweep_500_case_us"] = cost(
     lambda: sweeps.key_lemma_sweep(500, (0.5, 0.87, 1.0, 2.0), "submodular",
                                    1001), 1) / 500
+# and their subadditive sweeps, whose cases draw curves by rejection
+weak = smoothness.optimal_alpha("uniform")
+out["key_lemma_sweep_subadditive_500_case_us"] = cost(
+    lambda: sweeps.key_lemma_sweep(500, (0.5, 0.87, 1.0, 2.0), "subadditive",
+                                   1002), 1) / 500
+out["smoothness_sweep_subadditive_500_case_us"] = cost(
+    lambda: sweeps.smoothness_sweep(500, 1.0, "smooth", "subadditive", 1004),
+    1) / 500
+out["weak_smoothness_sweep_subadditive_500_case_us"] = cost(
+    lambda: sweeps.smoothness_sweep(500, weak, "weakly_smooth",
+                                    "subadditive", 1006), 1) / 500
+# one curve per call, as the other sweeps and the searches draw them
+for kind, k in (("subadditive", 8), ("submodular", 8), ("general", 3)):
+    out[f"random_valuation_{kind}_k{k}_us"] = cost(
+        lambda: [random_valuation(kind, k, 1.0, seed=s)
+                 for s in range(200)], 1) / 200
 # sweep memory, at the shapes and seeds of acceptance criteria 4 and 5.
 # CPython keeps up to 2000 freed tuples of each length below 20 for reuse,
 # and tracemalloc counts them as allocated until a full collection clears

@@ -64,7 +64,7 @@ from .mechanisms import (
     uniform_vectors,
 )
 from .valuations import Valuation, _json_float, is_submodular
-from .welfare import optimal_allocation
+from .welfare import optimal_allocation, poa_ratio
 
 EQ_TOL = 1e-9
 # cells of one box of the profile space that the exhaustive search scores at
@@ -720,8 +720,10 @@ def is_bayes_nash(game: BayesianGame, strat: Strategy) -> RegretReport:
     return RegretReport(tuple(entries))
 
 
-def bayesian_poa(game: BayesianGame, strat: Strategy) -> float:
-    """Expected optimal welfare over expected equilibrium welfare, exactly."""
+def bayesian_welfare(game: BayesianGame,
+                     strat: Strategy) -> tuple[float, float]:
+    """(expected optimal welfare, expected welfare of the strategy),
+    exactly."""
     strat.validate(game)
     e_opt = e_sw = 0.0
     for types, p_type, combos in _type_profiles(game, strat, range(game.n)):
@@ -730,9 +732,13 @@ def bayesian_poa(game: BayesianGame, strat: Strategy) -> float:
         for bids, p in combos:
             out = allocate(_game_profile(game, bids), game.tie_break)
             e_sw += p * social_welfare(vals, out.allocation)
-    if e_sw <= 0:
-        raise ValueError("equilibrium welfare is not positive")
-    return e_opt / e_sw
+    return e_opt, e_sw
+
+
+def bayesian_poa(game: BayesianGame, strat: Strategy) -> float:
+    """Expected optimal welfare over expected equilibrium welfare; a
+    ValueError when the latter is not positive."""
+    return poa_ratio(*bayesian_welfare(game, strat))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from . import instances as inst_mod
 from . import sweeps
 from .equilibria import (EQ_TOL, BayesianGame, BidGrid, SearchCapExceeded,
-                         Strategy, bayesian_poa, find_pure_nash,
+                         Strategy, bayesian_welfare, find_pure_nash,
                          is_bayes_nash, is_pure_nash)
 from .mechanisms import (DISCRIMINATORY, UNIFORM, AuctionInstance, BidProfile,
                          run_auction, social_welfare)
@@ -359,12 +359,14 @@ def _run_verify_bne(cfg: ExperimentConfig, report: ExperimentReport):
         rep = is_bayes_nash(game, strat)
     except SearchCapExceeded as exc:
         raise ConfigError(f"verify-bne: {exc}") from exc
-    poa = bayesian_poa(game, strat)
+    # an empty poa marks it undefined, at zero welfare
+    e_opt, e_sw = bayesian_welfare(game, strat)
     report.add_row(experiment=cfg.experiment,
                    instance=cfg.options.get("instance") or cfg.options.get("game_file"),
                    n=game.n, k=game.k, pricing=game.pricing,
                    interface=game.grid.interface, margin=rep.max_regret,
-                   poa=poa, runtime_ms=_row_ms(t0))
+                   poa=poa_ratio(e_opt, e_sw) if e_sw > 0 else "",
+                   runtime_ms=_row_ms(t0))
     report.add_check("bne_regret", rep.max_regret <= tol, rep.max_regret)
 
 

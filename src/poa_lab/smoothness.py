@@ -40,7 +40,7 @@ from .mechanisms import (
     tie_ranks,
     uniform_vectors,
 )
-from .valuations import Valuation, is_subadditive, is_submodular
+from .valuations import Valuation, subadditive_curves, submodular_curves
 from .welfare import optimal_allocation, optimal_allocations
 
 MARGIN_TOL = 1e-9
@@ -78,10 +78,11 @@ def weak_smooth_poa_bound(lam: float, mu1: float, mu2: float) -> float:
 
 # A kind's pricing rule: pay-as-bid is smooth (mu = alpha), uniform pricing
 # weakly smooth (mu1 = 0, mu2 = alpha).  A class's factor on lambda (a
-# subadditive per-unit value loses at most half) and membership test.
+# subadditive per-unit value loses at most half) and membership test, on
+# a chunk's packed curves.
 CERTIFICATES = {"smooth": DISCRIMINATORY, "weakly_smooth": UNIFORM}
-CLASSES = {"submodular": (1.0, is_submodular),
-           "subadditive": (0.5, is_subadditive)}
+CLASSES = {"submodular": (1.0, submodular_curves),
+           "subadditive": (0.5, subadditive_curves)}
 
 
 def _lookup(table: dict, key: str, what: str):
@@ -311,25 +312,58 @@ class _Certified:
     outcome: tuple | None
 
 
-def _certify(rows, alphas, auction: bool) -> _Certified:
+def _packed(rows, n, k, part: int, width: int, units) -> np.ndarray:
+    """Part 1 (curves, k + 1 values each) or 2 (bid vectors, k each) of
+    every row, zero-padded to (rows, max n, width); ValueError unless each
+    row holds n of them of the right length."""
+    items = [item for row in rows for item in row[part]]
+    if not (np.array_equal([len(row[part]) for row in rows], n)
+            and np.array_equal(np.fromiter(map(len, items), int, len(items)),
+                               np.repeat(units, n))):
+        raise ValueError("a row's curves or bids do not fit its n and k")
+    out = np.zeros((len(rows), int(n.max()), width))
+    # boolean assignment fills row by row, bidder by bidder, slot by slot
+    out[(np.arange(out.shape[1]) < n[:, None])[:, :, None]
+        & (np.arange(width) < units[:, None, None])] = np.fromiter(
+            itertools.chain.from_iterable(items), float, int(units @ n))
+    return out
+
+
+def _certify(rows, alphas, auction: bool,
+             valuation_class: str | None = None) -> _Certified:
     """One pass over a chunk of _row's rows, each row's numbers equal bit
     for bit to the scalar code's: the optimum by optimal_allocations;
     with auction, the outcome by _ranked_outcomes and, for a standard
     profile under uniform pricing, its uniformization as the opposing
     profile (else the profile itself); every beta_-i; v(tau)/tau; and the
-    exact quadrature of every bidder for every alpha."""
+    exact quadrature of every bidder for every alpha.
+
+    The packed chunk is checked first, as Valuation and StandardBid check
+    one object: curves from v(0) = 0, finite and non-decreasing; bids
+    finite, non-negative and non-increasing; and, given a class, each
+    curve in it by CLASSES's predicate.  Each failure is a ValueError."""
     n = np.array([len(row[1]) for row in rows])
     k = np.array([row[0] for row in rows])
     count, width = len(rows), int(k.max())
-    values = np.zeros((count, int(n.max()), width + 1))
-    bids = np.zeros((count, values.shape[1], width))
-    for r, (units, vals, vectors, *_) in enumerate(rows):
-        values[r, :len(vals), :units + 1] = vals
-        bids[r, :len(vals), :units] = vectors
+    values = _packed(rows, n, k, 1, width + 1, k + 1)
+    bids = _packed(rows, n, k, 2, width, k)
+    slots = np.arange(width + 1)
+    if not (np.isfinite(values).all() and (values[:, :, 0] == 0.0).all()
+            and ((values[:, :, 1:] >= values[:, :, :-1])
+                 | (slots[1:] > k[:, None, None])).all()):
+        raise ValueError("valuation curves must start at v(0) = 0 and be "
+                         "finite and non-decreasing")
+    if not (((0.0 <= bids) & (bids < math.inf)).all()
+            and (bids[:, :, 1:] <= bids[:, :, :-1]).all()):
+        raise ValueError("marginal bids must be finite, non-negative and "
+                         "non-increasing")
+    if valuation_class is not None and not CLASSES[valuation_class][1](
+            values, k[:, None]).all():
+        raise ValueError(
+            f"valuation not in declared class {valuation_class!r}")
     # a -0.0 bid is a zero bid, as the scalar code's v > 0.0 tests read it
     bids = np.where(bids > 0.0, bids, 0.0)
     # -inf past each row's k, and past v(0) = 0 for absent bidders
-    slots = np.arange(width + 1)
     present = (slots <= k[:, None, None]) & (
         (np.arange(values.shape[1])[:, None] < n[:, None, None]) | (slots == 0))
     optimum, opt_value = optimal_allocations(
@@ -368,12 +402,18 @@ def _certify(rows, alphas, auction: bool) -> _Certified:
         outcome)
 
 
-def _certified_chunks(cases, alphas, auction: bool):
-    """_certify over an iterable of (instance, profile) cases, read once,
-    CHUNK at a time: a chunk holds the packed rows, not the cases."""
+def _chunks(cases):
+    """_row of each of an iterable of (instance, profile) cases, read once,
+    CHUNK rows at a time: a chunk holds the rows, not the cases."""
     rows = itertools.starmap(_row, cases)
     while chunk := list(itertools.islice(rows, CHUNK)):
-        yield _certify(chunk, alphas, auction)
+        yield chunk
+
+
+def _certified_chunks(cases, alphas, auction: bool):
+    """_certify over (instance, profile) cases, CHUNK at a time."""
+    for rows in _chunks(cases):
+        yield _certify(rows, alphas, auction)
 
 
 def _key_lemma_forms(alphas, valuation_class: str):
@@ -422,14 +462,23 @@ def _key_lemma_worst(cases, alphas, valuation_class: str):
     """Each case's least margin of key_lemma_margins against its one
     profile, the first in that order over alphas, per-unit then template
     forms and bidders; cases are read once, a chunk at a time."""
+    return _key_lemma_least(_certified_chunks(cases, alphas, False), alphas,
+                            valuation_class)
+
+
+def _key_lemma_least(certified, alphas, valuation_class: str):
+    """_key_lemma_worst of each row of _certify's chunks.  Each chunk is
+    let go once its margins are read, before the next one is made."""
     margins = _key_lemma_forms(alphas, valuation_class)
-    for chunk in _certified_chunks(cases, alphas, False):
+
+    def least(chunk):
         both = margins(chunk.utils, chunk.optimum, chunk.per_unit,
                        chunk.beta_sums, chunk.values_at_opt)
         absent = np.arange(both.shape[-1]) >= chunk.n[:, None]
         both[..., absent] = math.inf
-        yield from map(min, np.moveaxis(both, 2, 0).reshape(
-            len(chunk.n), -1).tolist())
+        return list(map(min, np.moveaxis(both, 2, 0).reshape(
+            len(chunk.n), -1).tolist()))
+    return itertools.chain.from_iterable(map(least, certified))
 
 
 def verify_key_lemma(instance: AuctionInstance, profile: BidProfile,
@@ -483,31 +532,35 @@ def verify_smoothness(cases, alpha: float, kind: str,
     expectations are exact; the certificate carries the minimum margin.
     cases is any iterable, read once: the kernel holds one chunk of CHUNK
     packed cases, with no case object, so memory does not grow with the
-    count.
+    count.  Every valuation is checked against the class in the packed
+    chunk (see _certify).
     """
+    return _smoothness_certificate(_chunks(cases), alpha, kind,
+                                   valuation_class)
+
+
+def _smoothness_certificate(chunks, alpha: float, kind: str,
+                            valuation_class: str) -> SmoothnessCertificate:
+    """verify_smoothness over chunks of _row's rows."""
     pricing = _lookup(CERTIFICATES, kind, "certificate kind")
-    predicate = _lookup(CLASSES, valuation_class, "valuation class")[1]
+    weak = pricing == UNIFORM
     lam = guarantee_lambda(alpha, valuation_class)
 
-    def checked():
-        for instance, profile in cases:
-            for v in instance.valuations:
-                if not predicate(v):
-                    raise ValueError(
-                        f"valuation not in declared class {valuation_class!r}")
-            if instance.pricing != pricing:
-                raise ValueError(
-                    f"{kind} certificates apply to {pricing} pricing")
-            yield instance, profile
+    def margins(rows):
+        """The chunk's margins; its rows and arrays go with the call."""
+        if any(row[4] != weak for row in rows):
+            raise ValueError(f"{kind} certificates apply to {pricing} pricing")
+        chunk = _certify(rows, (alpha,), True, valuation_class)
+        # sum_i E[u_i], summed bidder by bidder
+        lhs = np.cumsum(chunk.utils[0], axis=1)[:, -1]
+        return (lhs - (lam * chunk.opt_value
+                       - alpha * chunk.outcome[3])).tolist()
 
     min_margin = math.inf
     count = 0
-    for chunk in _certified_chunks(checked(), (alpha,), True):
-        # sum_i E[u_i], summed bidder by bidder
-        lhs = np.cumsum(chunk.utils[0], axis=1)[:, -1]
-        margins = lhs - (lam * chunk.opt_value - alpha * chunk.outcome[3])
-        min_margin = min(min_margin, *margins.tolist())
-        count += len(margins)
+    for chunk_margins in map(margins, chunks):
+        min_margin = min(min_margin, *chunk_margins)
+        count += len(chunk_margins)
     if count == 0:
         raise ValueError("no cases supplied")
     return SmoothnessCertificate(kind, lam, alpha, min_margin,

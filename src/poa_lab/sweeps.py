@@ -1,13 +1,19 @@
 """Seeded randomized sweeps backing the certification suite.
 
 Every sweep derives one child generator per case from (seed, index), so
-runs are reproducible case by case.  Each sweep draws its cases in one
-serial loop.  The key-lemma and smoothness sweeps hand them to the
-certificate kernel, which packs each case into a row as it is drawn and
-certifies smoothness.CHUNK rows per numpy pass: it holds one chunk of
-packed rows and no case object.  The other sweeps hold one case at a
-time.  So no sweep's memory grows with the case count; a worst case is
-the first index with the minimal margin.
+runs are reproducible case by case.  The key-lemma and smoothness sweeps
+draw smoothness.CHUNK cases at a time straight into the certificate
+kernel's rows, with no instance, profile or valuation object.  Each
+case's generator draws n, k, the curve seeds and then the uniform numbers
+its bids scale, and is dropped; random_curves draws every curve of the
+chunk in one call; then each case's bids are its numbers times the caps
+its curves set.  Those are the calls random_instance and the profile
+generators make, in their order, so each row is _row of the objects the
+same generator gives.  The kernel checks each chunk's curves and bids,
+and the declared class, in numpy before certifying it, and holds one
+chunk of rows.  The other sweeps hold one case at a time.  So no sweep's
+memory grows with the case count; a worst case is the first index with
+the minimal margin.
 """
 
 from __future__ import annotations
@@ -41,14 +47,21 @@ from .mechanisms import (
 )
 from .smoothness import (
     CERTIFICATES,
+    CHUNK,
     MARGIN_TOL,
-    _key_lemma_worst,
+    _certify,
+    _key_lemma_least,
     _lookup,
+    _smoothness_certificate,
     expected_deviation_utility_exact,
     expected_deviation_utility_mc,
-    verify_smoothness,
 )
-from .valuations import flat_valuation, from_marginals, random_valuation
+from .valuations import (
+    flat_valuation,
+    from_marginals,
+    random_curves,
+    random_valuation,
+)
 from .welfare import enumerate_optimal, greedy_optimal_submodular, optimal_allocation
 
 
@@ -56,47 +69,114 @@ def case_rng(seed: int, index: int) -> random.Random:
     return random.Random(f"{seed}:{index}")
 
 
+def _shape(rng: random.Random, n_max: int, k_max: int):
+    """A random instance's first draws: its k and one seed per curve."""
+    n = rng.randint(2, n_max)
+    k = rng.randint(2, k_max)
+    return k, [rng.randrange(2 ** 31) for _ in range(n)]
+
+
 def random_instance(rng: random.Random, valuation_class: str, pricing: str,
                     n_max: int = 5, k_max: int = 8,
                     scale: float = 1.0) -> AuctionInstance:
-    n = rng.randint(2, n_max)
-    k = rng.randint(2, k_max)
-    vals = tuple(
-        random_valuation(valuation_class, k, scale, seed=rng.randrange(2 ** 31))
-        for _ in range(n))
+    k, seeds = _shape(rng, n_max, k_max)
+    vals = tuple(random_valuation(valuation_class, k, scale, seed=seed)
+                 for seed in seeds)
     return AuctionInstance(vals, k, pricing, tie_lexicographic())
+
+
+def _standard_vectors(curves, k: int, draw) -> list:
+    """One non-increasing bid vector per curve v(0..k), each prefix sum at
+    most the curve: each bid is draw(), a uniform [0, 1) number, times the
+    most it may be."""
+    vectors = []
+    for values in curves:
+        vec = []
+        acc = 0.0
+        prev = math.inf
+        for j in range(1, k + 1):
+            cap = min(prev, values[j] - acc)
+            b = draw() * max(cap, 0.0)
+            vec.append(b)
+            acc += b
+            prev = b
+        vectors.append(tuple(vec))
+    return vectors
+
+
+def _uniform_draws(rng: random.Random, n: int, k: int) -> list:
+    """Per bidder, a quantity uniform in 0..k and, unless it is 0, a
+    uniform [0, 1) price draw."""
+    draws = []
+    for _ in range(n):
+        q = rng.randint(0, k)
+        draws.append((q, rng.random() if q else 0.0))
+    return draws
+
+
+def _uniform_bids(curves, draws) -> list:
+    """One (price, quantity) bid per curve and (quantity, price draw): the
+    price capped so no prefix overbids."""
+    return [(r * min(values[s] / s for s in range(1, q + 1)), q) if q
+            else (0.0, 0) for values, (q, r) in zip(curves, draws)]
 
 
 def random_no_overbidding_profile(instance: AuctionInstance,
                                   rng: random.Random) -> BidProfile:
     """Non-increasing bids whose prefix sums never exceed the value curve."""
-    bids = []
-    for val in instance.valuations:
-        vec = []
-        acc = 0.0
-        prev = math.inf
-        for j in range(1, instance.k + 1):
-            cap = min(prev, val.value(j) - acc)
-            b = rng.random() * max(cap, 0.0)
-            vec.append(b)
-            acc += b
-            prev = b
-        bids.append(StandardBid(tuple(vec)))
-    return BidProfile(tuple(bids), STANDARD, instance.k)
+    return BidProfile(tuple(map(StandardBid, _standard_vectors(
+        [v.values for v in instance.valuations], instance.k, rng.random))),
+        STANDARD, instance.k)
 
 
 def random_no_overbidding_uniform_profile(instance: AuctionInstance,
                                           rng: random.Random) -> BidProfile:
     """Uniform (price, quantity) bids; price capped so no prefix overbids."""
-    bids = []
-    for val in instance.valuations:
-        q = rng.randint(0, instance.k)
-        if q == 0:
-            bids.append(UniformBid(0.0, 0))
-            continue
-        cap = min(val.value(s) / s for s in range(1, q + 1))
-        bids.append(UniformBid(rng.random() * cap, q))
-    return BidProfile(tuple(bids), UNIFORM_IFACE, instance.k)
+    return BidProfile(tuple(itertools.starmap(UniformBid, _uniform_bids(
+        [v.values for v in instance.valuations],
+        _uniform_draws(rng, instance.n, instance.k)))),
+        UNIFORM_IFACE, instance.k)
+
+
+def _drawn_chunks(count: int, seed: int, valuation_class: str, n_max: int,
+                  k_max: int, design):
+    """The rows of cases 0..count-1, CHUNK at a time: case index is
+    random_instance at design(index) = (pricing, interface), then a
+    no-overbidding profile on that interface, both drawn from
+    case_rng(seed, index) as the module docstring describes.  No chunk
+    is kept once it is yielded."""
+    for start in range(0, count, CHUNK):
+        yield _drawn_chunk(range(start, min(start + CHUNK, count)), seed,
+                           valuation_class, n_max, k_max, design)
+
+
+def _drawn_chunk(indices, seed: int, valuation_class: str, n_max: int,
+                 k_max: int, design) -> list:
+    cases = []
+    for index in indices:
+        rng = case_rng(seed, index)
+        k, seeds = _shape(rng, n_max, k_max)
+        pricing, interface = design(index)
+        if interface == STANDARD:
+            draws = [rng.random() for _ in range(len(seeds) * k)]
+        else:
+            draws = _uniform_draws(rng, len(seeds), k)
+        cases.append((k, seeds, pricing, interface, draws))
+    curves = iter(random_curves(
+        valuation_class, [k for k, seeds, *_ in cases for _ in seeds], 1.0,
+        [s for _, seeds, *_ in cases for s in seeds]))
+    tie = tie_lexicographic()
+    rows = []
+    for k, seeds, pricing, interface, draws in cases:
+        vals = list(itertools.islice(curves, len(seeds)))
+        if interface == STANDARD:
+            vectors = _standard_vectors(vals, k, iter(draws).__next__)
+        else:
+            vectors = [(p,) * q + (0.0,) * (k - q)
+                       for p, q in _uniform_bids(vals, draws)]
+        rows.append((k, vals, vectors, tie, pricing == UNIFORM,
+                     interface == STANDARD))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -123,19 +203,20 @@ def key_lemma_sweep(count: int, alphas, valuation_class: str, seed: int,
     Each case alternates between the two pricing rules; the checked margin
     is the exact expected deviation utility minus the closed-form lower
     bound (per-unit-value form), together with the per-bidder template form
-    whose lambda is halved for subadditive valuations.  The kernel reads
-    the cases a chunk at a time; worst_case is the first index with the
-    minimal margin.
+    whose lambda is halved for subadditive valuations.  The kernel
+    certifies the cases a chunk at a time, checking each chunk's curves
+    against the class; worst_case is the first index with the minimal
+    margin.
     """
+    def design(index: int):
+        return (DISCRIMINATORY, UNIFORM)[index % 2], STANDARD
 
-    def one(index: int):
-        rng = case_rng(seed, index)
-        pricing = DISCRIMINATORY if index % 2 == 0 else UNIFORM
-        instance = random_instance(rng, valuation_class, pricing, n_max, k_max)
-        return instance, random_no_overbidding_profile(instance, rng)
-
+    # map, unlike a generator expression, keeps no chunk of rows bound
+    certified = map(
+        lambda rows: _certify(rows, alphas, False, valuation_class),
+        _drawn_chunks(count, seed, valuation_class, n_max, k_max, design))
     worst, worst_index = min(zip(
-        _key_lemma_worst(map(one, range(count)), alphas, valuation_class),
+        _key_lemma_least(certified, alphas, valuation_class),
         itertools.count()))
     return SweepResult(count, worst, worst_index)
 
@@ -147,21 +228,18 @@ def smoothness_sweep(count: int, alpha: float, kind: str,
 
     Weak certificates alternate between uniform-interface profiles (checked
     directly) and standard-interface profiles (checked through the
-    uniformization transform).  The cases reach verify_smoothness from a
-    generator, which its kernel reads a chunk at a time.
+    uniformization transform).  The cases reach verify_smoothness's kernel
+    as rows, drawn a chunk at a time.
     """
     pricing = _lookup(CERTIFICATES, kind, "certificate kind")
 
-    def one(index: int):
-        rng = case_rng(seed, index)
-        instance = random_instance(rng, valuation_class, pricing, n_max, k_max)
-        if pricing == UNIFORM and index % 2 == 0:
-            profile = random_no_overbidding_uniform_profile(instance, rng)
-        else:
-            profile = random_no_overbidding_profile(instance, rng)
-        return instance, profile
+    def design(index: int):
+        uniform = pricing == UNIFORM and index % 2 == 0
+        return pricing, UNIFORM_IFACE if uniform else STANDARD
 
-    return verify_smoothness(map(one, range(count)), alpha, kind, valuation_class)
+    return _smoothness_certificate(
+        _drawn_chunks(count, seed, valuation_class, n_max, k_max, design),
+        alpha, kind, valuation_class)
 
 
 # ---------------------------------------------------------------------------

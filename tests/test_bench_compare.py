@@ -36,6 +36,12 @@ def test_layers_script_runs_against_src():
             "is_pure_nash_lex_n5_k6_us",
             "is_pure_nash_explicit_n5_k6_us",
             "smoothness_sweep_500_case_us", "key_lemma_sweep_500_case_us",
+            "key_lemma_sweep_subadditive_500_case_us",
+            "smoothness_sweep_subadditive_500_case_us",
+            "weak_smoothness_sweep_subadditive_500_case_us",
+            "random_valuation_subadditive_k8_us",
+            "random_valuation_submodular_k8_us",
+            "random_valuation_general_k3_us",
             "smoothness_sweep_1000_peak_kib",
             "key_lemma_sweep_1000_peak_kib"} == set(costs)
     assert all(0.0 < cost < math.inf for cost in costs.values())

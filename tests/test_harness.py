@@ -675,3 +675,25 @@ def test_cli_game_file_numbers_exit_2(tmp_path, capsys, change, value):
     path.write_text(json.dumps(blob))
     assert cli_main(["run", str(cfg_path)]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_verify_bne_at_zero_welfare_reports_the_regret(tmp_path, capsys):
+    """Both bidders bid (0, 0), so no unit is sold: the strategy's welfare
+    is 0 and its PoA undefined, an empty poa as in verify-instance.  The
+    regret is still reported: bidding (0.25, 0.25) wins both units, for
+    0.75 - 0.5."""
+    from poa_lab.equilibria import BayesianGame, BidGrid, pure_strategy
+    from poa_lab.mechanisms import StandardBid, tie_lexicographic
+
+    v = valuation(0, 0.5, 0.75)
+    game = BayesianGame(2, ((v,), (v,)), ((1.0,), (1.0,)),
+                        BidGrid(0.25, 1.0), tie_lexicographic(),
+                        "discriminatory")
+    zero = StandardBid((0.0, 0.0))
+    cfg_path = _write_game(tmp_path, game, pure_strategy(((zero,), (zero,))))
+    assert cli_main(["run", cfg_path]) == 1
+    assert "FAIL bne_regret value=0.25" in capsys.readouterr().out
+    report = run(json.loads((tmp_path / "cfg.json").read_text()))
+    assert report.checks == [{"name": "bne_regret", "passed": False,
+                              "value": 0.25, "detail": ""}]
+    assert [row["poa"] for row in report.rows] == [""]

@@ -430,16 +430,17 @@ def test_key_lemma_margins_mixed_opposition():
 
 
 def _count_kernel_steps(monkeypatch):
-    """Counts of packed cases and of the rows the kernel optimises and
-    computes every beta_-i of."""
+    """Counts of the rows the kernel packs, optimises and computes every
+    beta_-i of.  Rows are counted where their curves are packed, which
+    sweeps drawing rows and object cases read through _row both reach."""
     calls = {"packed": 0, "optimised": 0, "betas": 0}
-    row = smoothness._row
+    packed = smoothness._packed
     optimal_allocations = smoothness.optimal_allocations
     betas_minus = smoothness._betas_minus
 
-    def counted_row(*args):
-        calls["packed"] += 1
-        return row(*args)
+    def counted_packed(rows, n, k, part, *rest):
+        calls["packed"] += len(rows) if part == 1 else 0
+        return packed(rows, n, k, part, *rest)
 
     def counted_optimum(values, k):
         calls["optimised"] += len(k)
@@ -449,7 +450,7 @@ def _count_kernel_steps(monkeypatch):
         calls["betas"] += len(k)
         return betas_minus(bids, k)
 
-    monkeypatch.setattr(smoothness, "_row", counted_row)
+    monkeypatch.setattr(smoothness, "_packed", counted_packed)
     monkeypatch.setattr(smoothness, "optimal_allocations", counted_optimum)
     monkeypatch.setattr(smoothness, "_betas_minus", counted_betas)
     return calls
@@ -758,6 +759,24 @@ def test_theorem6_da_frontier_holds():
         res = theorem6_da_frontier(named.instance,
                                    named.profile("lower-bound-witness"), mu)
         assert res["holds"], (k, mu, res)
+
+
+@pytest.mark.parametrize("past, holds", [(-1e-9, True), (1e-9, False)])
+def test_theorem6_da_frontier_slack_is_1e_6(monkeypatch, past, holds):
+    """lhs <= bound + 1e-6 is the frontier's one slack: a patched sup
+    utility puts lhs 1e-9 inside it, then 1e-9 past it."""
+    from poa_lab.instances import theorem6_da_instance
+
+    named = theorem6_da_instance(20, 1.0)
+    profile = named.profile("lower-bound-witness")
+    res = theorem6_da_frontier(named.instance, profile, 1.0)
+    target = res["bound"] + 1e-6 + past - res["sum_beta"]
+    monkeypatch.setattr(smoothness, "_sup_utility",
+                        lambda instance, profile, i, vectors:
+                        target if i == 0 else 0.0)
+    res = theorem6_da_frontier(named.instance, profile, 1.0)
+    assert abs(res["lhs"] - (res["bound"] + 1e-6 + past)) < 1e-12
+    assert res["holds"] is holds
 
 
 def test_equalizing_curve_is_tight_for_the_guarantee():

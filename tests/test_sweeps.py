@@ -11,7 +11,7 @@ import pytest
 from poa_lab import mechanisms, smoothness, sweeps
 from poa_lab.equilibria import BidGrid, find_pure_nash
 from poa_lab.mechanisms import DISCRIMINATORY, UNIFORM, run_auction
-from poa_lab.smoothness import optimal_alpha, verify_smoothness
+from poa_lab.smoothness import _row, optimal_alpha, verify_smoothness
 
 ALPHAS = (0.5, 0.87, 1.0, 2.0)
 WEAK_ALPHA = optimal_alpha("uniform")
@@ -55,22 +55,135 @@ def test_sweep_peak_memory_does_not_grow_with_count(name):
     assert large <= 1.5 * small, (small, large)
 
 
+class _Rows(list):
+    """A chunk of rows that a weak reference can follow."""
+
+
 @pytest.mark.parametrize("name", sorted(SWEEPS))
 def test_sweep_keeps_no_earlier_case_alive(name, monkeypatch):
+    """The sweeps draw their cases as rows, a chunk at a time: each chunk
+    is dropped before the next but one is drawn."""
     made = []
     alive = []
+    sizes = []
 
     def tracked(*args, **kwargs):
-        alive.append(sum(ref() is not None for ref in made))
-        instance = random_instance(*args, **kwargs)
-        made.append(weakref.ref(instance))
-        return instance
+        for rows in drawn_chunks(*args, **kwargs):
+            alive.append(sum(ref() is not None for ref in made))
+            sizes.append(len(rows))
+            rows = _Rows(rows)
+            made.append(weakref.ref(rows))
+            yield rows
 
-    random_instance = sweeps.random_instance
-    monkeypatch.setattr(sweeps, "random_instance", tracked)
-    SWEEPS[name](40)
-    # the case being checked may still be bound while the next is drawn
-    assert len(alive) == 40 and max(alive) <= 1, alive
+    drawn_chunks = sweeps._drawn_chunks
+    monkeypatch.setattr(sweeps, "_drawn_chunks", tracked)
+    count = 3 * smoothness.CHUNK + 8
+    SWEEPS[name](count)
+    # the chunk being checked may still be bound while the next is drawn
+    assert sizes == [smoothness.CHUNK] * 3 + [8]
+    assert max(alive) <= 1, alive
+
+
+def _recorded_rows(monkeypatch):
+    """Every row the sweeps draw, in case order."""
+    rows = []
+
+    def recording(*args, **kwargs):
+        for chunk in drawn_chunks(*args, **kwargs):
+            rows.extend(chunk)
+            yield chunk
+
+    drawn_chunks = sweeps._drawn_chunks
+    monkeypatch.setattr(sweeps, "_drawn_chunks", recording)
+    return rows
+
+
+# (sweep, seed) at the shapes and seeds of acceptance criteria 4 and 5
+DRAWN = {
+    ("key_lemma", "submodular"): 1001, ("key_lemma", "subadditive"): 1002,
+    ("smooth", "submodular"): 1003, ("smooth", "subadditive"): 1004,
+    ("weakly_smooth", "submodular"): 1005,
+    ("weakly_smooth", "subadditive"): 1006}
+
+
+@pytest.mark.parametrize("kind, valuation_class", sorted(DRAWN))
+def test_drawn_rows_equal_the_object_path(kind, valuation_class, monkeypatch):
+    """2,000 rows of each sweep, bit for bit the _row of the instance and
+    profile the object generators draw from the same case_rng."""
+    seed, count = DRAWN[kind, valuation_class], 2000
+    rows = _recorded_rows(monkeypatch)
+    if kind == "key_lemma":
+        assert sweeps.key_lemma_sweep(count, ALPHAS, valuation_class,
+                                      seed).passed
+    else:
+        alpha = 1.0 if kind == "smooth" else WEAK_ALPHA
+        assert sweeps.smoothness_sweep(count, alpha, kind, valuation_class,
+                                       seed).verified
+    assert len(rows) == count
+    uniform_rows = 0
+    for index, row in enumerate(rows):
+        rng = sweeps.case_rng(seed, index)
+        if kind == "key_lemma":
+            pricing = (DISCRIMINATORY, UNIFORM)[index % 2]
+        else:
+            pricing = smoothness.CERTIFICATES[kind]
+        instance = sweeps.random_instance(rng, valuation_class, pricing)
+        if pricing == UNIFORM and kind != "key_lemma" and index % 2 == 0:
+            profile = sweeps.random_no_overbidding_uniform_profile(instance,
+                                                                   rng)
+            uniform_rows += 1
+        else:
+            profile = sweeps.random_no_overbidding_profile(instance, rng)
+        assert repr(row) == repr(_row(instance, profile)), index
+    assert uniform_rows == (count // 2 if kind == "weakly_smooth" else 0)
+
+
+PLANTS = {
+    # valid curves, marginals (0.25, 0.5, 0, ...) and (0.1, 0.5, 0, ...)
+    "not submodular": ("random_curves", lambda size: (0.0, 0.25)
+                       + (0.75,) * (size - 2), "declared class"),
+    "not subadditive": ("random_curves", lambda size: (0.0, 0.1)
+                        + (0.6,) * (size - 2), "declared class"),
+    "decreasing": ("random_curves", lambda size: (0.0, 0.5)
+                   + (0.25,) * (size - 2), "non-decreasing"),
+    "increasing bids": ("_standard_vectors", lambda size: (0.0,) * (size - 1)
+                        + (0.1,), "non-increasing"),
+}
+
+
+@pytest.mark.parametrize("plant, name, valuation_class", [
+    ("not submodular", "smooth", "submodular"),
+    ("not submodular", "key_lemma", "submodular"),
+    ("not subadditive", "weakly_smooth", "subadditive"),
+    ("not subadditive", "key_lemma", "subadditive"),
+    ("decreasing", "key_lemma", "subadditive"),
+    ("increasing bids", "weakly_smooth", "submodular"),
+    ("increasing bids", "key_lemma", "submodular")])
+def test_a_planted_row_fails_the_sweep(plant, name, valuation_class,
+                                       monkeypatch):
+    """One bad curve or bid vector among a sweep's rows is a ValueError;
+    without it the same sweep passes."""
+    target, bad, message = PLANTS[plant]
+    alpha = {"smooth": 1.0, "weakly_smooth": WEAK_ALPHA}.get(name)
+
+    def sweep():
+        if name == "key_lemma":
+            return sweeps.key_lemma_sweep(70, ALPHAS[:2], valuation_class,
+                                          7, 3, 4).passed
+        return sweeps.smoothness_sweep(70, alpha, name, valuation_class, 7,
+                                       3, 4).verified
+
+    assert sweep()
+    draw = getattr(sweeps, target)
+
+    def planted(*args):
+        out = draw(*args)
+        out[-1] = bad(len(out[-1]))
+        return out
+
+    monkeypatch.setattr(sweeps, target, planted)
+    with pytest.raises(ValueError, match=message):
+        sweep()
 
 
 @pytest.mark.parametrize("seed", [11, 12, 13])

@@ -1,14 +1,19 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
+from poa_lab import valuations
 from poa_lab.valuations import (
     Valuation,
     from_marginals,
     is_subadditive,
     is_submodular,
+    random_curves,
     random_valuation,
+    subadditive_curves,
+    submodular_curves,
     tau,
     valuation,
 )
@@ -135,6 +140,71 @@ def test_random_valuation_draws_unchanged(kind):
             for seed in range(300):
                 assert (random_valuation(kind, k, scale, seed=seed)
                         == _reference_random_valuation(kind, k, scale, seed))
+
+
+def _subadditive_attempts(k, scale, seed):
+    """(curve, attempts) of the rejection sampler as first written."""
+    rng = random.Random(seed)
+    for attempt in range(1, 10001):
+        val = from_marginals(rng.uniform(0.0, scale) for _ in range(k))
+        if is_subadditive(val):
+            return val.values, attempt
+    raise RuntimeError("subadditive rejection sampling did not converge")
+
+
+def test_batched_subadditive_curves_equal_one_at_a_time():
+    """A batch of every k, in mixed order, with curves that need two and
+    three blocks of attempts: each curve is the one random_valuation and
+    the first sampler draw for its seed."""
+    rng = random.Random(4)
+    ks = [rng.randint(1, 8) for _ in range(400)]
+    seeds = [rng.randrange(2 ** 31) for _ in ks]
+    want = [_subadditive_attempts(k, 0.3, seed) for k, seed in zip(ks, seeds)]
+    attempts = [a for _, a in want]
+    assert set(ks) == set(range(1, 9))
+    assert max(attempts) > 2 * valuations._BLOCK
+    assert sum(a > valuations._BLOCK for a in attempts) >= 20
+    batch = random_curves("subadditive", ks, 0.3, seeds)
+    assert repr(batch) == repr([values for values, _ in want])
+    assert repr(batch) == repr([random_valuation("subadditive", k, 0.3,
+                                                 seed=seed).values
+                                for k, seed in zip(ks, seeds)])
+
+
+def test_random_curves_rejects_what_random_valuation_rejects():
+    for args in (("subadditive", [2, 0], 1.0, [1, 2]),
+                 ("general", [2], 0.0, [1]), ("concave", [2], 1.0, [1])):
+        with pytest.raises(ValueError):
+            random_curves(*args)
+
+
+def test_packed_class_predicates_match_the_scalar_ones():
+    """Curves of every k, padded with zeros to k = 8 in one array, whose
+    marginals sit on a grid and then move by up to 2e-12, so that many
+    pairs fall on either side of the 1e-12 slack: the packed predicates
+    give is_submodular's and is_subadditive's answer for each."""
+    rng = random.Random(9)
+    curves, ks = [], []
+    for _ in range(3000):
+        k = rng.randint(1, 8)
+        margs = [level + (rng.choice((0.0, 0.5e-12, 1e-12, 2e-12))
+                          if level else 0.0)
+                 for level in (rng.choice((0.0, 0.25, 0.5))
+                               for _ in range(k))]
+        curves.append(from_marginals(margs))
+        ks.append(k)
+    values = np.zeros((len(curves), 9))
+    for row, val in zip(values, curves):
+        row[:val.k + 1] = val.values
+    k = np.array(ks)
+    for packed, scalar in ((submodular_curves, is_submodular),
+                           (subadditive_curves, is_subadditive)):
+        want = [scalar(val) for val in curves]
+        assert packed(values, k).tolist() == want
+        # the same curves, two to a row of a (rows, 2, 9) chunk
+        paired = packed(values.reshape(-1, 2, 9), k.reshape(-1, 2))
+        assert paired.ravel().tolist() == want
+        assert 500 < sum(want) < 2500
 
 
 def test_random_valuation_rejects_unknown_class():
