@@ -34,8 +34,8 @@ ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10
 
 # Per-call costs of the exhaustive search's layers, of the ranking layers,
-# of random_valuation and, per case, of five 500-case certification
-# sweeps, in microseconds (keys ending in _us): the best of 5 passes over
+# of random_valuation and random_instance and, per case, of five 500-case
+# certification sweeps, in microseconds (keys ending in _us): the best of 5 passes over
 # `calls` calls.  Then the memory two 1000-case certification sweeps hold,
 # in KiB (keys ending in _kib): their tracemalloc peak.  All in a fresh
 # process of one checkout.  reference_loop_us times a fixed pure-Python
@@ -175,10 +175,16 @@ out["smoothness_sweep_subadditive_500_case_us"] = cost(
 out["weak_smoothness_sweep_subadditive_500_case_us"] = cost(
     lambda: sweeps.smoothness_sweep(500, weak, "weakly_smooth",
                                     "subadditive", 1006), 1) / 500
-# one curve per call, as the other sweeps and the searches draw them
+# one curve per call
 for kind, k in (("subadditive", 8), ("submodular", 8), ("general", 3)):
     out[f"random_valuation_{kind}_k{k}_us"] = cost(
         lambda: [random_valuation(kind, k, 1.0, seed=s)
+                 for s in range(200)], 1) / 200
+# one instance per call, n in 2..5 and k in 2..8, as the oracle sweeps and
+# proposition1_sweep draw them: 200 seeded instances per pass
+for kind in ("subadditive", "submodular"):
+    out[f"random_instance_{kind}_n5_k8_us"] = cost(
+        lambda: [sweeps.random_instance(random.Random(s), kind, "uniform")
                  for s in range(200)], 1) / 200
 # sweep memory, at the shapes and seeds of acceptance criteria 4 and 5.
 # CPython keeps up to 2000 freed tuples of each length below 20 for reuse,

@@ -549,20 +549,6 @@ def deviation_outcomes(profiles: Sequence[BidProfile], i: int,
     return tuple(np.broadcast_to(a, shape) for a in (units, utils))
 
 
-def uniformize_profile(profile: BidProfile, tie: TieBreakRule) -> BidProfile:
-    """Replace every bid by (last winning bid, units won) as a uniform bid.
-
-    Winners keep their allocation and their willingness-to-pay
-    x_i * b_i(x_i); losing bids are zeroed out.  Bidders with no units map
-    to the null bid (0, 0).
-    """
-    allocation = allocate(profile, tie).allocation
-    return BidProfile(tuple(UniformBid(profile.vector(i)[x - 1], x) if x
-                            else UniformBid(0.0, 0)
-                            for i, x in enumerate(allocation)),
-                      UNIFORM_IFACE, profile.k)
-
-
 @dataclass(frozen=True)
 class AuctionInstance:
     """Valuation profile plus mechanism configuration."""

@@ -402,18 +402,12 @@ def _certify(rows, alphas, auction: bool,
         outcome)
 
 
-def _chunks(cases):
-    """_row of each of an iterable of (instance, profile) cases, read once,
-    CHUNK rows at a time: a chunk holds the rows, not the cases."""
-    rows = itertools.starmap(_row, cases)
-    while chunk := list(itertools.islice(rows, CHUNK)):
+def _chunks(items):
+    """Lists of CHUNK items of an iterable read once, the last one shorter:
+    the one place the kernel's chunk size is applied."""
+    items = iter(items)
+    while chunk := list(itertools.islice(items, CHUNK)):
         yield chunk
-
-
-def _certified_chunks(cases, alphas, auction: bool):
-    """_certify over (instance, profile) cases, CHUNK at a time."""
-    for rows in _chunks(cases):
-        yield _certify(rows, alphas, auction)
 
 
 def _key_lemma_forms(alphas, valuation_class: str):
@@ -447,8 +441,8 @@ def key_lemma_margins(instance: AuctionInstance, opposing, alphas,
     n = instance.n
     lhs = exp_beta = 0.0
     probs = iter(prob for _, prob in opposing)
-    for chunk in _certified_chunks(
-            ((instance, profile) for profile, _ in opposing), alphas, False):
+    for chunk in map(lambda rows: _certify(rows, alphas, False), _chunks(
+            _row(instance, profile) for profile, _ in opposing)):
         for r, prob in zip(range(len(chunk.n)), probs):
             lhs = lhs + prob * chunk.utils[:, r, :n]
             exp_beta = exp_beta + prob * chunk.beta_sums[r, :n]
@@ -458,17 +452,10 @@ def key_lemma_margins(instance: AuctionInstance, opposing, alphas,
                 chunk.values_at_opt[0, :n]).tolist()]
 
 
-def _key_lemma_worst(cases, alphas, valuation_class: str):
-    """Each case's least margin of key_lemma_margins against its one
-    profile, the first in that order over alphas, per-unit then template
-    forms and bidders; cases are read once, a chunk at a time."""
-    return _key_lemma_least(_certified_chunks(cases, alphas, False), alphas,
-                            valuation_class)
-
-
 def _key_lemma_least(certified, alphas, valuation_class: str):
-    """_key_lemma_worst of each row of _certify's chunks.  Each chunk is
-    let go once its margins are read, before the next one is made."""
+    """Each row's least margin of key_lemma_margins against its one
+    profile, over alphas, both forms and bidders, from _certify's chunks;
+    each chunk is let go once read, before the next one is made."""
     margins = _key_lemma_forms(alphas, valuation_class)
 
     def least(chunk):
@@ -535,8 +522,8 @@ def verify_smoothness(cases, alpha: float, kind: str,
     count.  Every valuation is checked against the class in the packed
     chunk (see _certify).
     """
-    return _smoothness_certificate(_chunks(cases), alpha, kind,
-                                   valuation_class)
+    return _smoothness_certificate(_chunks(itertools.starmap(_row, cases)),
+                                   alpha, kind, valuation_class)
 
 
 def _smoothness_certificate(chunks, alpha: float, kind: str,

@@ -1,19 +1,19 @@
 """Seeded randomized sweeps backing the certification suite.
 
 Every sweep derives one child generator per case from (seed, index), so
-runs are reproducible case by case.  The key-lemma and smoothness sweeps
-draw smoothness.CHUNK cases at a time straight into the certificate
-kernel's rows, with no instance, profile or valuation object.  Each
-case's generator draws n, k, the curve seeds and then the uniform numbers
-its bids scale, and is dropped; random_curves draws every curve of the
-chunk in one call; then each case's bids are its numbers times the caps
-its curves set.  Those are the calls random_instance and the profile
-generators make, in their order, so each row is _row of the objects the
-same generator gives.  The kernel checks each chunk's curves and bids,
-and the declared class, in numpy before certifying it, and holds one
-chunk of rows.  The other sweeps hold one case at a time.  So no sweep's
-memory grows with the case count; a worst case is the first index with
-the minimal margin.
+runs are reproducible case by case.  An instance's generator draws n, k
+and a seed per curve, then one random_curves call draws all its curves.
+The key-lemma and smoothness sweeps draw smoothness.CHUNK cases at a time
+straight into the certificate kernel's rows, with no instance, profile or
+valuation object: each case's generator draws n, k, the curve seeds and
+then the uniform numbers its bids scale, as random_instance and a
+no-overbidding profile do, and is dropped; one random_curves call draws
+every curve of the chunk; each case's bids are its numbers times the caps
+its curves set.  So each row is _row of the objects the same generator
+gives.  The kernel checks each chunk's curves, bids and declared class in
+numpy before certifying it, and holds one chunk of rows; the other sweeps
+hold one case at a time.  So no sweep's memory grows with the case count;
+a worst case is the first index with the minimal margin.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .mechanisms import (
     AuctionInstance,
     BidProfile,
     StandardBid,
-    UniformBid,
     beta_minus_i,
     run_auction,  # noqa: F401  bound here for perfbench's tracer
     social_welfare,
@@ -47,9 +46,9 @@ from .mechanisms import (
 )
 from .smoothness import (
     CERTIFICATES,
-    CHUNK,
     MARGIN_TOL,
     _certify,
+    _chunks,
     _key_lemma_least,
     _lookup,
     _smoothness_certificate,
@@ -57,10 +56,11 @@ from .smoothness import (
     expected_deviation_utility_mc,
 )
 from .valuations import (
+    Valuation,
     flat_valuation,
     from_marginals,
+    is_submodular,
     random_curves,
-    random_valuation,
 )
 from .welfare import enumerate_optimal, greedy_optimal_submodular, optimal_allocation
 
@@ -79,9 +79,13 @@ def _shape(rng: random.Random, n_max: int, k_max: int):
 def random_instance(rng: random.Random, valuation_class: str, pricing: str,
                     n_max: int = 5, k_max: int = 8,
                     scale: float = 1.0) -> AuctionInstance:
+    """_shape's draws, then one random_curves call for every curve; a
+    submodular curve is re-checked with is_submodular."""
     k, seeds = _shape(rng, n_max, k_max)
-    vals = tuple(random_valuation(valuation_class, k, scale, seed=seed)
-                 for seed in seeds)
+    vals = tuple(map(Valuation, random_curves(
+        valuation_class, [k] * len(seeds), scale, seeds)))
+    if valuation_class == "submodular" and not all(map(is_submodular, vals)):
+        raise AssertionError("generator produced non-submodular curve")
     return AuctionInstance(vals, k, pricing, tie_lexicographic())
 
 
@@ -129,15 +133,6 @@ def random_no_overbidding_profile(instance: AuctionInstance,
         STANDARD, instance.k)
 
 
-def random_no_overbidding_uniform_profile(instance: AuctionInstance,
-                                          rng: random.Random) -> BidProfile:
-    """Uniform (price, quantity) bids; price capped so no prefix overbids."""
-    return BidProfile(tuple(itertools.starmap(UniformBid, _uniform_bids(
-        [v.values for v in instance.valuations],
-        _uniform_draws(rng, instance.n, instance.k)))),
-        UNIFORM_IFACE, instance.k)
-
-
 def _drawn_chunks(count: int, seed: int, valuation_class: str, n_max: int,
                   k_max: int, design):
     """The rows of cases 0..count-1, CHUNK at a time: case index is
@@ -145,38 +140,32 @@ def _drawn_chunks(count: int, seed: int, valuation_class: str, n_max: int,
     no-overbidding profile on that interface, both drawn from
     case_rng(seed, index) as the module docstring describes.  No chunk
     is kept once it is yielded."""
-    for start in range(0, count, CHUNK):
-        yield _drawn_chunk(range(start, min(start + CHUNK, count)), seed,
-                           valuation_class, n_max, k_max, design)
-
-
-def _drawn_chunk(indices, seed: int, valuation_class: str, n_max: int,
-                 k_max: int, design) -> list:
-    cases = []
-    for index in indices:
-        rng = case_rng(seed, index)
-        k, seeds = _shape(rng, n_max, k_max)
-        pricing, interface = design(index)
-        if interface == STANDARD:
-            draws = [rng.random() for _ in range(len(seeds) * k)]
-        else:
-            draws = _uniform_draws(rng, len(seeds), k)
-        cases.append((k, seeds, pricing, interface, draws))
-    curves = iter(random_curves(
-        valuation_class, [k for k, seeds, *_ in cases for _ in seeds], 1.0,
-        [s for _, seeds, *_ in cases for s in seeds]))
     tie = tie_lexicographic()
-    rows = []
-    for k, seeds, pricing, interface, draws in cases:
-        vals = list(itertools.islice(curves, len(seeds)))
-        if interface == STANDARD:
-            vectors = _standard_vectors(vals, k, iter(draws).__next__)
-        else:
-            vectors = [(p,) * q + (0.0,) * (k - q)
-                       for p, q in _uniform_bids(vals, draws)]
-        rows.append((k, vals, vectors, tie, pricing == UNIFORM,
-                     interface == STANDARD))
-    return rows
+    for indices in _chunks(range(count)):
+        cases = []
+        for index in indices:
+            rng = case_rng(seed, index)
+            k, seeds = _shape(rng, n_max, k_max)
+            pricing, interface = design(index)
+            if interface == STANDARD:
+                draws = [rng.random() for _ in range(len(seeds) * k)]
+            else:
+                draws = _uniform_draws(rng, len(seeds), k)
+            cases.append((k, seeds, pricing, interface, draws))
+        curves = iter(random_curves(
+            valuation_class, [k for k, seeds, *_ in cases for _ in seeds],
+            1.0, [s for _, seeds, *_ in cases for s in seeds]))
+        rows = []
+        for k, seeds, pricing, interface, draws in cases:
+            vals = list(itertools.islice(curves, len(seeds)))
+            if interface == STANDARD:
+                vectors = _standard_vectors(vals, k, iter(draws).__next__)
+            else:
+                vectors = [(p,) * q + (0.0,) * (k - q)
+                           for p, q in _uniform_bids(vals, draws)]
+            rows.append((k, vals, vectors, tie, pricing == UNIFORM,
+                         interface == STANDARD))
+        yield rows
 
 
 # ---------------------------------------------------------------------------
@@ -330,9 +319,9 @@ def pne_efficiency_sweep(count: int, seed: int, tick: float = 0.125,
     def one(index: int):
         rng = case_rng(seed, index)
         k = 2 + index % 2
-        vals = tuple(
-            random_valuation("general", k, 0.75 / k, seed=rng.randrange(2 ** 31))
-            for _ in range(2))
+        seeds = [rng.randrange(2 ** 31) for _ in range(2)]
+        vals = tuple(map(Valuation, random_curves("general", (k, k),
+                                                  0.75 / k, seeds)))
         instance = AuctionInstance(vals, k, DISCRIMINATORY, tie_lexicographic())
         grid = BidGrid(tick, max_bid, STANDARD)
         result = find_pure_nash(instance, grid, mode="exhaustive")
@@ -413,13 +402,8 @@ def proposition1_sweep(count: int, seed: int,
     from .instances import verify_proposition1
 
     for index in range(count):
-        rng = case_rng(seed, index)
-        n = rng.randint(2, 4)
-        k = rng.randint(2, 4)
-        vals = tuple(
-            random_valuation("submodular", k, 1.0, seed=rng.randrange(2 ** 31))
-            for _ in range(n))
-        instance = AuctionInstance(vals, k, DISCRIMINATORY, tie_lexicographic())
+        instance = random_instance(case_rng(seed, index), "submodular",
+                                   DISCRIMINATORY, 4, 4)
         checks = verify_proposition1(instance, eps_values)
         for c in checks:
             if not c.passed:

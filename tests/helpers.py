@@ -1,5 +1,6 @@
 """Shared helpers for the test suite."""
 
+import itertools
 import math
 import random
 from dataclasses import replace
@@ -20,8 +21,10 @@ from poa_lab.mechanisms import (
     UNIFORM,
     UNIFORM_IFACE,
     AuctionInstance,
+    BidProfile,
     StandardBid,
     UniformBid,
+    allocate,
     beta_minus_i,
     deviation_outcomes,
     run_auction,
@@ -32,6 +35,7 @@ from poa_lab.mechanisms import (
     tie_lexicographic,
 )
 from poa_lab.smoothness import _upper_limit
+from poa_lab.sweeps import _uniform_bids, _uniform_draws
 from poa_lab.valuations import Valuation, tau
 
 
@@ -41,6 +45,31 @@ def random_profile(rng: random.Random, n: int, k: int, scale: float = 1.0):
         vec = sorted((rng.uniform(0, scale) for _ in range(k)), reverse=True)
         bids.append(StandardBid(tuple(vec)))
     return standard_profile(k, *bids)
+
+
+def random_no_overbidding_uniform_profile(instance: AuctionInstance,
+                                          rng: random.Random) -> BidProfile:
+    """Uniform (price, quantity) bids; price capped so no prefix overbids.
+    The draws are those a sweep makes for a uniform-interface row."""
+    return BidProfile(tuple(itertools.starmap(UniformBid, _uniform_bids(
+        [v.values for v in instance.valuations],
+        _uniform_draws(rng, instance.n, instance.k)))),
+        UNIFORM_IFACE, instance.k)
+
+
+def uniformize_profile(profile, tie) -> BidProfile:
+    """Replace every bid by (last winning bid, units won) as a uniform bid:
+    the opposing profile the certificate kernel builds inline.
+
+    Winners keep their allocation and their willingness-to-pay
+    x_i * b_i(x_i); losing bids are zeroed out.  Bidders with no units map
+    to the null bid (0, 0).
+    """
+    allocation = allocate(profile, tie).allocation
+    return BidProfile(tuple(UniformBid(profile.vector(i)[x - 1], x) if x
+                            else UniformBid(0.0, 0)
+                            for i, x in enumerate(allocation)),
+                      UNIFORM_IFACE, profile.k)
 
 
 def singleton_game(instance, grid) -> BayesianGame:

@@ -42,6 +42,8 @@ def test_layers_script_runs_against_src():
             "random_valuation_subadditive_k8_us",
             "random_valuation_submodular_k8_us",
             "random_valuation_general_k3_us",
+            "random_instance_subadditive_n5_k8_us",
+            "random_instance_submodular_n5_k8_us",
             "smoothness_sweep_1000_peak_kib",
             "key_lemma_sweep_1000_peak_kib"} == set(costs)
     assert all(0.0 < cost < math.inf for cost in costs.values())

@@ -5,11 +5,12 @@ v(tau)/tau, the exact quadrature and the margins built from them) must
 equal, repr for repr, the scalar computation kept in tests/helpers.py.
 """
 
+import itertools
 import math
 import random
 
 import pytest
-from helpers import _deviation_cases, random_tie
+from helpers import _deviation_cases, random_tie, uniformize_profile
 
 from poa_lab import smoothness
 from poa_lab.mechanisms import (
@@ -23,10 +24,11 @@ from poa_lab.mechanisms import (
     run_auction,
     standard_profile,
     uniform_profile,
-    uniformize_profile,
 )
 from poa_lab.smoothness import (
     CHUNK,
+    _chunks,
+    _row,
     guarantee_lambda,
     key_lemma_margins,
     optimal_alpha,
@@ -170,7 +172,8 @@ def test_kernel_matches_the_scalar_layers(cases):
     paths: against the (uniformized) profile after the auction, and
     against the raw profile without it."""
     for auction in (True, False):
-        chunks = smoothness._certified_chunks(iter(cases), ALPHAS, auction)
+        chunks = (smoothness._certify(rows, ALPHAS, auction)
+                  for rows in _chunks(itertools.starmap(_row, cases)))
         for (instance, profile), (chunk, r) in zip(cases, _rows(chunks),
                                                    strict=True):
             n, k = instance.n, instance.k
@@ -221,8 +224,10 @@ def test_key_lemma_margins_match_the_scalar_code(cases):
 
 def test_key_lemma_sweep_margins_match_the_scalar_code(cases):
     """Each case's least margin, as key_lemma_sweep reads it, over chunks."""
-    got = list(smoothness._key_lemma_worst(iter(cases), ALPHAS,
-                                           "subadditive"))
+    got = list(smoothness._key_lemma_least(
+        (smoothness._certify(rows, ALPHAS, False)
+         for rows in _chunks(itertools.starmap(_row, cases))),
+        ALPHAS, "subadditive"))
     want = []
     for instance, profile in cases:
         worst = math.inf

@@ -27,12 +27,11 @@ from poa_lab.mechanisms import (
     tie_lexicographic,
     tie_ranks,
     uniform_profile,
-    uniformize_profile,
     zero_bid,
 )
 from poa_lab.valuations import Valuation, flat_valuation, random_valuation, valuation
 
-from helpers import random_profile, random_tie, utilities
+from helpers import random_profile, random_tie, uniformize_profile, utilities
 
 
 # -- bids ------------------------------------------------------------------

@@ -44,10 +44,11 @@ from poa_lab.sweeps import (
     case_rng,
     random_instance,
     random_no_overbidding_profile,
-    random_no_overbidding_uniform_profile,
 )
 from poa_lab.valuations import random_valuation, tau, valuation
 from poa_lab.welfare import optimal_allocation
+
+from helpers import random_no_overbidding_uniform_profile
 
 E = math.e
 ALPHAS = (0.5, 0.87, 1.0, 2.0)

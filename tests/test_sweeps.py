@@ -2,16 +2,19 @@
 give the numbers a list of every case gives."""
 
 import gc
+import hashlib
 import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
+from helpers import random_no_overbidding_uniform_profile
 
-from poa_lab import mechanisms, smoothness, sweeps
+from poa_lab import instances, mechanisms, smoothness, sweeps
 from poa_lab.equilibria import BidGrid, find_pure_nash
 from poa_lab.mechanisms import DISCRIMINATORY, UNIFORM, run_auction
 from poa_lab.smoothness import _row, optimal_alpha, verify_smoothness
+from poa_lab.valuations import random_valuation
 
 ALPHAS = (0.5, 0.87, 1.0, 2.0)
 WEAK_ALPHA = optimal_alpha("uniform")
@@ -129,8 +132,7 @@ def test_drawn_rows_equal_the_object_path(kind, valuation_class, monkeypatch):
             pricing = smoothness.CERTIFICATES[kind]
         instance = sweeps.random_instance(rng, valuation_class, pricing)
         if pricing == UNIFORM and kind != "key_lemma" and index % 2 == 0:
-            profile = sweeps.random_no_overbidding_uniform_profile(instance,
-                                                                   rng)
+            profile = random_no_overbidding_uniform_profile(instance, rng)
             uniform_rows += 1
         else:
             profile = sweeps.random_no_overbidding_profile(instance, rng)
@@ -186,6 +188,65 @@ def test_a_planted_row_fails_the_sweep(plant, name, valuation_class,
         sweep()
 
 
+@pytest.mark.parametrize("scale", [1.0, 0.3])
+@pytest.mark.parametrize("valuation_class",
+                         ["submodular", "subadditive", "general"])
+def test_random_instance_draws_what_random_valuation_draws(valuation_class,
+                                                           scale):
+    """Its one random_curves call gives, bit for bit, one random_valuation
+    call per bidder on the seeds the same generator draws, at every k in
+    2..8, and leaves the generator where those draws leave it."""
+    ks = set()
+    for index in range(60):
+        rng, ref = sweeps.case_rng(31, index), sweeps.case_rng(31, index)
+        instance = sweeps.random_instance(rng, valuation_class, UNIFORM, 5,
+                                          8, scale)
+        n, k = ref.randint(2, 5), ref.randint(2, 8)
+        want = tuple(random_valuation(valuation_class, k, scale,
+                                      seed=ref.randrange(2 ** 31))
+                     for _ in range(n))
+        assert repr(instance.valuations) == repr(want), index
+        assert (instance.k, instance.pricing) == (k, UNIFORM)
+        assert rng.random() == ref.random()
+        ks.add(k)
+    assert ks == set(range(2, 9))
+
+
+def test_a_planted_curve_fails_a_submodular_random_instance(monkeypatch):
+    """A valid curve that is not submodular, planted among the drawn ones,
+    is an AssertionError for the submodular class only."""
+    bad = PLANTS["not submodular"][1]
+    draw = sweeps.random_curves
+
+    def planted(*args):
+        out = draw(*args)
+        out[-1] = bad(len(out[-1]))
+        return out
+
+    sweeps.random_instance(sweeps.case_rng(5, 0), "submodular", UNIFORM)
+    monkeypatch.setattr(sweeps, "random_curves", planted)
+    instance = sweeps.random_instance(sweeps.case_rng(5, 0), "general",
+                                      UNIFORM)
+    assert instance.valuations[-1].values == bad(instance.k + 1)
+    with pytest.raises(AssertionError, match="non-submodular"):
+        sweeps.random_instance(sweeps.case_rng(5, 0), "submodular", UNIFORM)
+
+
+def test_proposition1_sweep_instances_are_unchanged(monkeypatch):
+    """A digest of its first 250 instances at seed 1008, the
+    tie-constructions benchmark's seed."""
+    seen = []
+
+    def record(instance, eps_values):
+        seen.append(instance)
+        return []
+
+    monkeypatch.setattr(instances, "verify_proposition1", record)
+    assert sweeps.proposition1_sweep(250, 1008) == 250
+    assert hashlib.sha256(repr(seen).encode()).hexdigest() == (
+        "61c261a547d5e08d07781c9e66423dce89d73849dc30c82e948104a3841e6d36")
+
+
 @pytest.mark.parametrize("seed", [11, 12, 13])
 @pytest.mark.parametrize("kind, valuation_class", [
     ("smooth", "submodular"), ("smooth", "subadditive"),
@@ -198,7 +259,7 @@ def test_streamed_certificate_matches_a_list_of_cases(kind, valuation_class,
     for index in range(40):
         rng = sweeps.case_rng(seed, index)
         instance = sweeps.random_instance(rng, valuation_class, pricing, 4, 5)
-        make = (sweeps.random_no_overbidding_uniform_profile
+        make = (random_no_overbidding_uniform_profile
                 if kind == "weakly_smooth" and index % 2 == 0
                 else sweeps.random_no_overbidding_profile)
         cases.append((instance, make(instance, rng)))
