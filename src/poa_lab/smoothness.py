@@ -403,11 +403,10 @@ def _certify(rows, alphas, auction: bool,
 
 
 def _chunks(items):
-    """Lists of CHUNK items of an iterable read once, the last one shorter:
-    the one place the kernel's chunk size is applied."""
+    """Lists of CHUNK items of an iterable, the last one shorter, none kept
+    once handed on: the one place the kernel's chunk size is applied."""
     items = iter(items)
-    while chunk := list(itertools.islice(items, CHUNK)):
-        yield chunk
+    return iter(lambda: list(itertools.islice(items, CHUNK)), [])
 
 
 def _key_lemma_forms(alphas, valuation_class: str):

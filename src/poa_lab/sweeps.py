@@ -79,8 +79,7 @@ def _shape(rng: random.Random, n_max: int, k_max: int):
 def random_instance(rng: random.Random, valuation_class: str, pricing: str,
                     n_max: int = 5, k_max: int = 8,
                     scale: float = 1.0) -> AuctionInstance:
-    """_shape's draws, then one random_curves call for every curve; a
-    submodular curve is re-checked with is_submodular."""
+    """_shape's draws, then one random_curves call for all n curves."""
     k, seeds = _shape(rng, n_max, k_max)
     vals = tuple(map(Valuation, random_curves(
         valuation_class, [k] * len(seeds), scale, seeds)))
@@ -138,10 +137,11 @@ def _drawn_chunks(count: int, seed: int, valuation_class: str, n_max: int,
     """The rows of cases 0..count-1, CHUNK at a time: case index is
     random_instance at design(index) = (pricing, interface), then a
     no-overbidding profile on that interface, both drawn from
-    case_rng(seed, index) as the module docstring describes.  No chunk
-    is kept once it is yielded."""
+    case_rng(seed, index) as the module docstring describes.  No chunk,
+    and none of its draws, is kept once it is handed on."""
     tie = tie_lexicographic()
-    for indices in _chunks(range(count)):
+
+    def chunk_rows(indices) -> list:
         cases = []
         for index in indices:
             rng = case_rng(seed, index)
@@ -165,7 +165,8 @@ def _drawn_chunks(count: int, seed: int, valuation_class: str, n_max: int,
                            for p, q in _uniform_bids(vals, draws)]
             rows.append((k, vals, vectors, tie, pricing == UNIFORM,
                          interface == STANDARD))
-        yield rows
+        return rows
+    return map(chunk_rows, _chunks(range(count)))
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ give the numbers a list of every case gives."""
 
 import gc
 import hashlib
+import sys
 import tracemalloc
 import weakref
 
@@ -85,6 +86,21 @@ def test_sweep_keeps_no_earlier_case_alive(name, monkeypatch):
     # the chunk being checked may still be bound while the next is drawn
     assert sizes == [smoothness.CHUNK] * 3 + [8]
     assert max(alive) <= 1, alive
+
+
+def test_chunk_helpers_hold_nothing_they_hand_on():
+    """smoothness._chunks and sweeps._drawn_chunks keep no reference to a
+    chunk once it is handed on, nor the drawn chunk's curves, so the
+    kernel's pass over one chunk runs without them."""
+    def design(index: int):
+        return DISCRIMINATORY, mechanisms.STANDARD
+
+    # each count is the loop name, or the row's vals list, and the argument
+    for chunk in smoothness._chunks([()] * 200):
+        assert sys.getrefcount(chunk) == 2
+    for chunk in sweeps._drawn_chunks(200, 7, "submodular", 5, 8, design):
+        refs = sys.getrefcount(chunk), sys.getrefcount(chunk[-1][1][0])
+        assert refs == (2, 2)
 
 
 def _recorded_rows(monkeypatch):
