@@ -35,8 +35,8 @@ PAIRS = 10
 
 # Per-call costs of the exhaustive search's layers, of the ranking layers,
 # of random_valuation and random_instance and, per case, of five 500-case
-# certification sweeps, in microseconds (keys ending in _us): the best of 5 passes over
-# `calls` calls.  Then the memory two 1000-case certification sweeps hold,
+# certification sweeps, in microseconds (keys ending in _us): the best of 5
+# passes over `calls` calls.  Then the memory two 1000-case certification sweeps hold,
 # in KiB (keys ending in _kib): their tracemalloc peak.  All in a fresh
 # process of one checkout.  reference_loop_us times a fixed pure-Python
 # loop that uses no package code, so it reads the host's speed: dividing
