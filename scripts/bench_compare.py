@@ -34,8 +34,9 @@ ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10
 
 # Per-call costs of the exhaustive search's layers, of the ranking layers,
-# of random_valuation and random_instance and, per case, of five 500-case
-# certification sweeps, in microseconds (keys ending in _us): the best of 5
+# of random_valuation and random_instance, per case of five 500-case
+# certification sweeps and of the two tie-construction sweeps, and per row
+# of the regret kernel, in microseconds (keys ending in _us): the best of 5
 # passes over `calls` calls.  Then the memory two 1000-case certification sweeps hold,
 # in KiB (keys ending in _kib): their tracemalloc peak.  All in a fresh
 # process of one checkout.  reference_loop_us times a fixed pure-Python
@@ -175,6 +176,22 @@ out["smoothness_sweep_subadditive_500_case_us"] = cost(
 out["weak_smoothness_sweep_subadditive_500_case_us"] = cost(
     lambda: sweeps.smoothness_sweep(500, weak, "weakly_smooth",
                                     "subadditive", 1006), 1) / 500
+# the tie-construction sweeps per case, at the tie-constructions workload's
+# shapes and seeds: one pass is the whole sweep
+out["proposition1_sweep_250_case_us"] = cost(
+    lambda: sweeps.proposition1_sweep(250, 1008), 1) / 250
+out["lemma1_conversion_sweep_500_case_us"] = cost(
+    lambda: sweeps.lemma1_conversion_sweep(500, 1009), 1) / 500
+# the batched regret kernel per row, on the rows of the first 64 cases of
+# that proposition1_sweep (a checkout without the kernel has no such key)
+if hasattr(equilibria, "_closed_form_regrets"):
+    from poa_lab import instances
+    rows = [row for index in range(64)
+            for row in instances._proposition1_case(sweeps.random_instance(
+                sweeps.case_rng(1008, index), "submodular", "discriminatory",
+                4, 4))[0]]
+    out["closed_form_regrets_row_us"] = cost(
+        lambda: equilibria._closed_form_regrets(rows), 20) / len(rows)
 # one curve per call
 for kind, k in (("subadditive", 8), ("submodular", 8), ("general", 3)):
     out[f"random_valuation_{kind}_k{k}_us"] = cost(

@@ -14,7 +14,12 @@ not bidder i's, beta_j is the value of opp[k - j] (0 if there is none);
 worst rank on slots 0..j-1), is ahead of opp[k - j], and then pays
 sum((c,) * j) as bid or j * beta_j at the uniform price.  is_pure_nash and
 best-response dynamics rank each profile once for the outcome and every
-response.  This closed form is exact for bidder-level tie-break rules only.
+response.  _closed_form_regrets gives is_pure_nash's regrets, bit for bit,
+for a chunk of profiles at once, on mechanisms._ranked_outcomes' outcomes
+and one lexsort per profile: instances.verify_proposition1 and the
+Proposition 1 and Lemma 1 sweeps judge their profiles with it, and the
+one-profile path stays for best_response, the dynamics and is_pure_nash.
+This closed form is exact for bidder-level tie-break rules only.
 Grid scans enumerate the grid once, as an array of marginal-bid vectors in
 grid_bids_for order: the Bayes-Nash regrets and the exhaustive pure-Nash
 search (exact under every tie rule) score whole arrays with the block
@@ -53,6 +58,7 @@ from .mechanisms import (
     _json_int,
     _overbids,
     _ranked_outcome,
+    _ranked_outcomes,
     allocate,
     block_allocation,
     block_utilities,
@@ -231,9 +237,108 @@ def is_pure_nash(profile: BidProfile, instance: AuctionInstance,
     return RegretReport(tuple(entries))
 
 
-def is_epsilon_equilibrium(profile: BidProfile, instance: AuctionInstance,
-                           grid: BidGrid, eps: float) -> bool:
-    return is_pure_nash(profile, instance, grid).max_regret <= eps + EQ_TOL
+def _regret_row(profile: BidProfile, instance: AuctionInstance,
+                grid: BidGrid, tie: TieBreakRule | None = None):
+    """What _closed_form_regrets reads of is_pure_nash(profile, instance,
+    grid), under tie if given, else the instance's rule."""
+    return (instance.k, [v.values for v in instance.valuations],
+            profile.vectors(), tie or instance.tie_break,
+            instance.pricing == UNIFORM, grid)
+
+
+def _padded(items, mask: np.ndarray, dtype=float) -> np.ndarray:
+    """The entries of items, sequences laid end to end, at the True places
+    of mask in C order; zeros elsewhere."""
+    out = np.zeros(mask.shape, dtype)
+    out[mask] = np.fromiter(itertools.chain.from_iterable(items), dtype,
+                            np.count_nonzero(mask))
+    return out
+
+
+def _rivals(bids: np.ndarray, ranks: np.ndarray, k: np.ndarray):
+    """(value, tie rank) arrays of each bidder's rival for j units, entry
+    [r, i, j - 1] for j <= k[r]: opp[k - j] of row r's ranking by (-value,
+    tie rank), or (0, a rank after every rank) where there is none.  With
+    width the chunk's largest k, bidder i's t-th opposing entry, t < width,
+    is among the first t + 1 + width entries of the ranking, as bidder i
+    has at most width; so only the first 2 * width are read."""
+    count, m, width = bids.shape
+    flat = bids.reshape(count, -1)
+    order = np.lexsort((ranks.reshape(count, -1), -flat))[:, :2 * width]
+    ranked = np.take_along_axis(flat, order, axis=1)
+    # seen[r, i, e]: how many of ranked entries 0..e are positive and not
+    # bidder i's, that is, in its opp
+    seen = np.cumsum(((order // width)[:, None, :] != np.arange(m)[:, None])
+                     & (ranked[:, None, :] > 0.0), axis=2)
+    # opp[k - j] is the first entry with seen = k - j + 1: its place is
+    # the count of those with less, and past the ranking there is none
+    at = (seen[:, :, :, None] <= k[:, None, None, None] - 1
+          - np.arange(width)).sum(axis=2).reshape(count, -1)
+    ranked = np.append(ranked, np.zeros((count, 1)), axis=1)
+    rank = np.append(np.take_along_axis(ranks.reshape(count, -1), order,
+                                        axis=1),
+                     np.full((count, 1), np.iinfo(np.int64).max), axis=1)
+    return (np.take_along_axis(ranked, at, axis=1).reshape(count, m, width),
+            np.take_along_axis(rank, at, axis=1).reshape(count, m, width))
+
+
+def _closed_form_regrets(rows) -> np.ndarray:
+    """is_pure_nash's regret of every bidder of a chunk of rows, bit for
+    bit: entry [r, i] for bidder i of row r, 0 past the row's bidders.
+
+    A row (k, curves, vectors, tie, uniform, grid), as _regret_row gives
+    it, holds each bidder's values v(0..k) and marginal-bid vector.  Rows
+    may mix n and k; bidder axes run to the chunk's largest n, slot axes to
+    its largest k, zero-padded.  The outcome is _ranked_outcomes'.  Each
+    response is _closed_form_response's, on the rivals that _rivals reads
+    from one lexsort of each row.  Both candidates of every j are scored
+    at once; a candidate's sum((c,) * j) and its no-overbidding prefix sums
+    are accumulated slot by slot, as there."""
+    count = len(rows)
+    n = np.array([len(row[1]) for row in rows])
+    k = np.array([row[0] for row in rows])
+    m, width = int(n.max()), int(k.max())
+    present = np.arange(m) < n[:, None]
+    slots = present[:, :, None] & (np.arange(width) < k[:, None, None])
+    values = _padded((c for row in rows for c in row[1]), present[:, :, None]
+                     & (np.arange(width + 1) <= k[:, None, None]))
+    bids = _padded((b for row in rows for b in row[2]), slots)
+    tables = [tie_ranks(row[3], len(row[1]), row[0]) for row in rows]
+    ranks = _padded((r for rank, _ in tables for r in rank), slots, np.int64)
+    worst = _padded((w for _, table in tables for w in table), slots,
+                    np.int64)
+    uniform = np.array([row[4] for row in rows])
+    grids = [row[5] for row in rows]
+    tick = np.array([g.tick for g in grids])[:, None, None]
+    cap = np.array([g.max_bid for g in grids])[:, None, None, None] + 1e-12
+    no_overbidding = np.array([g.no_overbidding for g in grids])
+
+    units, _, payments = _ranked_outcomes(bids, ranks, k, uniform)
+    current = np.take_along_axis(values, units[:, :, None], axis=2)[:, :, 0]
+    current -= payments
+
+    threshold, rival_rank = _rivals(bids, ranks, k)
+    ahead = rival_rank < worst
+
+    # candidates[r, i, j - 1]: the threshold and one tick above it
+    candidates = np.stack([threshold, threshold + tick], axis=-1)
+    valid = ((candidates > 0.0) & (candidates <= cap)
+             & ~(ahead[..., None] & (candidates == threshold[..., None]))
+             & slots[..., None])
+    j = np.arange(1, width + 1)[:, None]
+    # acc holds s copies of each candidate, summed one at a time
+    acc = np.zeros(candidates.shape)
+    paid = np.empty(candidates.shape)
+    for s in range(1, width + 1):
+        acc += candidates
+        valid &= ~(no_overbidding[:, None, None, None] & (j >= s) & (
+            acc > values[:, :, s, None, None] + NO_OVERBID_TOL))
+        paid[:, :, s - 1] = acc[:, :, s - 1]
+    paid[uniform] = (j[:, 0] * threshold[uniform])[..., None]
+    utility = np.subtract(values[:, :, 1:, None], paid, out=paid)
+    utility[~(valid & (utility > 0.0))] = 0.0
+    best = utility.max(axis=(2, 3))
+    return np.where(best > current, best - current, 0.0)
 
 
 def _space_size(grid: BidGrid, k: int) -> int:

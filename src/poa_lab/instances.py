@@ -6,12 +6,14 @@ import math
 from dataclasses import dataclass, replace
 
 from .equilibria import (
+    EQ_TOL,
     BayesianGame,
     BidGrid,
     Strategy,
+    _closed_form_regrets,
+    _regret_row,
     bayesian_poa,
     is_bayes_nash,
-    is_epsilon_equilibrium,
     is_pure_nash,
     lemma5_structure,
     pure_strategy,
@@ -344,6 +346,37 @@ def default_proposition1_instance() -> AuctionInstance:
     return AuctionInstance(vals, 2, DISCRIMINATORY, tie_lexicographic())
 
 
+def _proposition1_case(instance: AuctionInstance, eps_values=(0.1, 0.01),
+                       tick: float = 1e-3):
+    """verify_proposition1's rows for _closed_form_regrets and the reader
+    that turns their regrets into its checks: the all-equal profile under
+    its explicit rule, then each bumped profile under every preset."""
+    grid = BidGrid(tick, max(v.value(v.k) for v in instance.valuations) + 1.0,
+                   STANDARD)
+    profile, tie, bumped_profiles = proposition1(instance, eps_values)
+    presets = tie_break_presets(instance.n)
+    rows = [_regret_row(profile, instance, grid, tie)]
+    rows += [_regret_row(bumped, instance, grid, preset)
+             for bumped in bumped_profiles for preset in presets]
+    structure = lemma5_structure(profile, replace(instance, tie_break=tie))
+
+    def checks(regrets) -> list[CheckResult]:
+        worst = regrets.max(axis=1).tolist()
+        out = [CheckResult("prop1_pne_regret", worst[0] <= EQ_TOL, worst[0]),
+               CheckResult("lemma5_winning_bids_equal_d",
+                           structure["winning_bids_equal_d"]),
+               CheckResult("lemma5_winner_blocks",
+                           structure["winner_blocks_cover_ld"]),
+               CheckResult("lemma5_loser_blocks",
+                           structure["loser_blocks_at_most_ld"])]
+        for e, eps in enumerate(eps_values):
+            part = worst[1 + e * len(presets):1 + (e + 1) * len(presets)]
+            out.append(CheckResult(f"prop1_eps_{eps}",
+                                   all(r <= eps + EQ_TOL for r in part)))
+        return out
+    return rows, checks
+
+
 def verify_proposition1(instance: AuctionInstance | None = None,
                         eps_values=(0.1, 0.01),
                         tick: float = 1e-3) -> list[CheckResult]:
@@ -354,30 +387,13 @@ def verify_proposition1(instance: AuctionInstance | None = None,
     exact only under bidder-level rules; the prop1_pne_regret check can
     therefore miss a deviation that wins through a favoured slot.  The eps
     checks run under the bidder-level presets, where the check is exact.
+    Every regret comes from one _closed_form_regrets pass over the rows of
+    _proposition1_case, the path proposition1_sweep takes a chunk at a time.
     """
     if instance is None:
         instance = default_proposition1_instance()
-    grid = BidGrid(tick, max(v.value(v.k) for v in instance.valuations) + 1.0,
-                   STANDARD)
-    profile, tie, bumped_profiles = proposition1(instance, eps_values)
-    pinned = replace(instance, tie_break=tie)
-    report = is_pure_nash(profile, pinned, grid)
-    checks = [CheckResult("prop1_pne_regret", report.is_equilibrium(),
-                          report.max_regret)]
-    structure = lemma5_structure(profile, pinned)
-    checks.append(CheckResult("lemma5_winning_bids_equal_d",
-                              structure["winning_bids_equal_d"]))
-    checks.append(CheckResult("lemma5_winner_blocks",
-                              structure["winner_blocks_cover_ld"]))
-    checks.append(CheckResult("lemma5_loser_blocks",
-                              structure["loser_blocks_at_most_ld"]))
-    presets = [replace(instance, tie_break=tb)
-               for tb in tie_break_presets(instance.n)]
-    for eps, bumped in zip(eps_values, bumped_profiles):
-        ok = all(is_epsilon_equilibrium(bumped, preset, grid, eps)
-                 for preset in presets)
-        checks.append(CheckResult(f"prop1_eps_{eps}", ok))
-    return checks
+    rows, checks = _proposition1_case(instance, eps_values, tick)
+    return checks(_closed_form_regrets(rows))
 
 
 # ---------------------------------------------------------------------------

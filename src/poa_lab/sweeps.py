@@ -11,9 +11,11 @@ no-overbidding profile do, and is dropped; one random_curves call draws
 every curve of the chunk; each case's bids are its numbers times the caps
 its curves set.  So each row is _row of the objects the same generator
 gives.  The kernel checks each chunk's curves, bids and declared class in
-numpy before certifying it, and holds one chunk of rows; the other sweeps
-hold one case at a time.  So no sweep's memory grows with the case count;
-a worst case is the first index with the minimal margin.
+numpy before certifying it, and holds one chunk of rows.  The Proposition
+1 and Lemma 1 sweeps hold a chunk of cases too, with their profiles'
+rows for one equilibria._closed_form_regrets pass; the other sweeps hold
+one case at a time.  So no sweep's memory grows with the case count; a
+worst case is the first index with the minimal margin.
 """
 
 from __future__ import annotations
@@ -26,9 +28,10 @@ from dataclasses import dataclass, replace
 from .equilibria import (
     EQ_TOL,
     BidGrid,
+    _closed_form_regrets,
+    _regret_row,
     canonical_upa_profile,
     find_pure_nash,
-    is_pure_nash,
     pne_standard_to_uniform,
 )
 from .mechanisms import (
@@ -371,42 +374,89 @@ def lemma1_equilibrium(rng: random.Random) -> tuple[AuctionInstance, BidProfile]
     return instance, profile
 
 
+def _judged(count: int, case) -> int:
+    """Runs case(index) for index in 0..count-1, smoothness.CHUNK at a
+    time, and returns count.  case(index) gives a case's rows for
+    _closed_form_regrets and a judge that raises if their regrets (one row
+    of bidders each) fail it.  One kernel pass scores a chunk's rows; its
+    cases are then judged in index order, and an AssertionError or
+    ValueError raised while a case is built is raised after the cases
+    before it, so the first failing case's error is the one raised."""
+    for indices in _chunks(range(count)):
+        cases, error = [], None
+        for index in indices:
+            try:
+                cases.append(case(index))
+            except (AssertionError, ValueError) as exc:  # raised below
+                error = exc
+                break
+        if cases:
+            regrets = _closed_form_regrets([row for rows, _ in cases
+                                            for row in rows])
+            ends = itertools.accumulate(len(rows) for rows, _ in cases)
+            for (rows, judge), end in zip(cases, ends):
+                judge(regrets[end - len(rows):end])
+        if error is not None:
+            raise error
+    return count
+
+
 def lemma1_conversion_sweep(count: int, seed: int) -> int:
     """Canonical equilibria convert to uniform bidding losing nothing.
 
     Checks, per case: the standard profile is a pure equilibrium under
     no-overbidding deviations; the conversion preserves allocation, price
     and welfare exactly (pne_standard_to_uniform raises otherwise); and the
-    converted profile is itself an equilibrium.  Returns the number of
-    cases checked.
+    converted profile is itself an equilibrium.  Both regrets come from
+    _closed_form_regrets, a chunk of cases at a time.  Returns the number
+    of cases checked.
     """
-    for index in range(count):
-        rng = case_rng(seed, index)
-        instance, profile = lemma1_equilibrium(rng)
-        grid = BidGrid(1e-3, 2.0, STANDARD, no_overbidding=True)
-        report = is_pure_nash(profile, instance, grid)
-        if report.max_regret > EQ_TOL:
-            raise AssertionError(
-                f"case {index}: canonical profile has regret {report.max_regret}")
-        converted = pne_standard_to_uniform(profile, instance)
-        ugrid = replace(grid, interface=UNIFORM_IFACE)
-        report_u = is_pure_nash(converted, instance, ugrid)
-        if report_u.max_regret > EQ_TOL:
-            raise AssertionError(
-                f"case {index}: converted profile has regret {report_u.max_regret}")
-    return count
+    grid = BidGrid(1e-3, 2.0, STANDARD, no_overbidding=True)
+    ugrid = replace(grid, interface=UNIFORM_IFACE)
+
+    def case(index: int):
+        instance, profile = lemma1_equilibrium(case_rng(seed, index))
+        rows = [_regret_row(profile, instance, grid)]
+        error = None
+        try:
+            converted = pne_standard_to_uniform(profile, instance)
+        except (AssertionError, ValueError) as exc:  # raised by judge
+            error = exc
+        else:
+            rows.append(_regret_row(converted, instance, ugrid))
+
+        def judge(regrets):
+            worst = regrets.max(axis=1).tolist()
+            if worst[0] > EQ_TOL:
+                raise AssertionError(
+                    f"case {index}: canonical profile has regret {worst[0]}")
+            if error is not None:
+                raise error
+            if worst[1] > EQ_TOL:
+                raise AssertionError(
+                    f"case {index}: converted profile has regret {worst[1]}")
+        return rows, judge
+
+    return _judged(count, case)
 
 
 def proposition1_sweep(count: int, seed: int,
                        eps_values=(0.1, 0.01)) -> int:
-    """Random submodular instances through both tie-break constructions."""
-    from .instances import verify_proposition1
+    """Random submodular instances through both tie-break constructions:
+    instances._proposition1_case's rows and checks, judged a chunk at a
+    time by _judged."""
+    from .instances import _proposition1_case
 
-    for index in range(count):
+    def case(index: int):
         instance = random_instance(case_rng(seed, index), "submodular",
                                    DISCRIMINATORY, 4, 4)
-        checks = verify_proposition1(instance, eps_values)
-        for c in checks:
-            if not c.passed:
-                raise AssertionError(f"case {index}: {c.name} failed ({c.value})")
-    return count
+        rows, checks = _proposition1_case(instance, eps_values)
+
+        def judge(regrets):
+            for c in checks(regrets):
+                if not c.passed:
+                    raise AssertionError(
+                        f"case {index}: {c.name} failed ({c.value})")
+        return rows, judge
+
+    return _judged(count, case)

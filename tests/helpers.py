@@ -8,15 +8,21 @@ from typing import Sequence
 
 import numpy as np
 
+from poa_lab import instances, sweeps
 from poa_lab.equilibria import (
+    EQ_TOL,
     BayesianGame,
     BestResponse,
     BidGrid,
     _grid_bids,
     _grid_spaces,
+    is_pure_nash,
+    lemma5_structure,
     pure_strategy,
 )
+from poa_lab.instances import CheckResult
 from poa_lab.mechanisms import (
+    DISCRIMINATORY,
     STANDARD,
     UNIFORM,
     UNIFORM_IFACE,
@@ -32,6 +38,7 @@ from poa_lab.mechanisms import (
     tie_explicit,
     tie_favor_bidder,
     tie_favor_last,
+    tie_break_presets,
     tie_lexicographic,
 )
 from poa_lab.smoothness import _upper_limit
@@ -209,3 +216,62 @@ def _deviation_cases(instance: AuctionInstance, x_opt: Sequence[int],
             utils.append(lhs)
         cases.append((x, unit_value, exp_beta, utils))
     return cases
+
+
+# -- the tie-construction sweeps, one is_pure_nash call per profile ------------
+# They call the functions the sweeps call through their modules, so that a
+# test's patches reach both.
+
+
+def scalar_verify_proposition1(instance, eps_values=(0.1, 0.01), tick=1e-3):
+    grid = BidGrid(tick, max(v.value(v.k) for v in instance.valuations) + 1.0,
+                   STANDARD)
+    profile, tie, bumped_profiles = instances.proposition1(instance,
+                                                           eps_values)
+    pinned = replace(instance, tie_break=tie)
+    report = is_pure_nash(profile, pinned, grid)
+    structure = lemma5_structure(profile, pinned)
+    checks = [CheckResult("prop1_pne_regret", report.is_equilibrium(),
+                          report.max_regret),
+              CheckResult("lemma5_winning_bids_equal_d",
+                          structure["winning_bids_equal_d"]),
+              CheckResult("lemma5_winner_blocks",
+                          structure["winner_blocks_cover_ld"]),
+              CheckResult("lemma5_loser_blocks",
+                          structure["loser_blocks_at_most_ld"])]
+    presets = [replace(instance, tie_break=tb)
+               for tb in tie_break_presets(instance.n)]
+    for eps, bumped in zip(eps_values, bumped_profiles):
+        ok = all(is_pure_nash(bumped, preset, grid).max_regret
+                 <= eps + EQ_TOL for preset in presets)
+        checks.append(CheckResult(f"prop1_eps_{eps}", ok))
+    return checks
+
+
+def scalar_proposition1_sweep(count, seed, eps_values=(0.1, 0.01)):
+    for index in range(count):
+        instance = sweeps.random_instance(sweeps.case_rng(seed, index),
+                                          "submodular", DISCRIMINATORY, 4, 4)
+        for c in scalar_verify_proposition1(instance, eps_values):
+            if not c.passed:
+                raise AssertionError(
+                    f"case {index}: {c.name} failed ({c.value})")
+    return count
+
+
+def scalar_lemma1_conversion_sweep(count, seed):
+    for index in range(count):
+        instance, profile = sweeps.lemma1_equilibrium(
+            sweeps.case_rng(seed, index))
+        grid = BidGrid(1e-3, 2.0, STANDARD, no_overbidding=True)
+        report = is_pure_nash(profile, instance, grid)
+        if report.max_regret > EQ_TOL:
+            raise AssertionError(f"case {index}: canonical profile has "
+                                 f"regret {report.max_regret}")
+        converted = sweeps.pne_standard_to_uniform(profile, instance)
+        report_u = is_pure_nash(converted, instance,
+                                replace(grid, interface=UNIFORM_IFACE))
+        if report_u.max_regret > EQ_TOL:
+            raise AssertionError(f"case {index}: converted profile has "
+                                 f"regret {report_u.max_regret}")
+    return count

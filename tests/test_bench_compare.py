@@ -44,6 +44,9 @@ def test_layers_script_runs_against_src():
             "random_valuation_general_k3_us",
             "random_instance_subadditive_n5_k8_us",
             "random_instance_submodular_n5_k8_us",
+            "proposition1_sweep_250_case_us",
+            "lemma1_conversion_sweep_500_case_us",
+            "closed_form_regrets_row_us",
             "smoothness_sweep_1000_peak_kib",
             "key_lemma_sweep_1000_peak_kib"} == set(costs)
     assert all(0.0 < cost < math.inf for cost in costs.values())

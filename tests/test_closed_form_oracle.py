@@ -1,21 +1,27 @@
 """The closed-form best response and is_pure_nash read from one ranking,
 checked bit for bit against reference implementations that run a whole
-auction for the outcome and for every candidate."""
+auction for the outcome and for every candidate; and the batched regret
+kernel, checked bit for bit against is_pure_nash."""
 
 import math
 
 import pytest
 
+from poa_lab import sweeps
 from poa_lab.equilibria import (
     BestResponse,
     BidGrid,
     RegretEntry,
     RegretReport,
+    _closed_form_regrets,
+    _regret_row,
     best_response,
     is_pure_nash,
 )
+from poa_lab.instances import theorem4_instance
 from poa_lab.mechanisms import (
     DISCRIMINATORY,
+    STANDARD,
     UNIFORM,
     AuctionInstance,
     BidProfile,
@@ -29,12 +35,14 @@ from poa_lab.mechanisms import (
     standard_bid,
     standard_profile,
     tie_explicit,
+    tie_favor_bidder,
     tie_favor_last,
     tie_lexicographic,
+    uniform_profile,
     zero_bid,
 )
 from poa_lab.sweeps import case_rng
-from poa_lab.valuations import random_valuation, valuation
+from poa_lab.valuations import Valuation, random_valuation, valuation
 
 from helpers import random_tie
 
@@ -255,3 +263,104 @@ def test_threshold_plus_tick_rounding_to_threshold_matches_reference():
         grid = BidGrid(1.0, 2e20)
         assert (best_response(inst, prof, 0, grid)
                 == reference_best_response(inst, prof, 0, grid))
+
+
+# -- the batched regret kernel -----------------------------------------------------
+
+
+def assert_kernel_matches(cases):
+    """One _closed_form_regrets pass over the (instance, profile, grid)
+    cases, each row bit for bit is_pure_nash's regrets, then zeros."""
+    regrets = _closed_form_regrets([_regret_row(profile, instance, grid)
+                                    for instance, profile, grid in cases])
+    for row, (instance, profile, grid) in zip(regrets.tolist(), cases):
+        expected = [e.regret for e in is_pure_nash(profile, instance,
+                                                   grid).entries]
+        assert repr(row) == repr(expected + [0.0] * (len(row) - len(expected)))
+
+
+def test_regret_kernel_equals_is_pure_nash_on_mixed_chunks():
+    kinds = set()
+    cases = [random_case(index) for index in range(1600)]
+    for instance, profile, grid in cases:
+        kinds.add((instance.tie_break.kind, instance.pricing,
+                   profile.interface, grid.no_overbidding))
+    # every tie kind under both pricings, both interfaces, no-overbidding on
+    # and off, in chunks of mixed n and k (1..5 each)
+    assert len(kinds) == 4 * 2 * 2 * 2
+    for start in range(0, len(cases), 64):
+        assert_kernel_matches(cases[start:start + 64])
+
+
+def test_regret_kernel_edge_cases_in_one_chunk():
+    one = (valuation(0, 1.0), valuation(0, 1.0))
+    two = (valuation(0, 1.0, 2.5), valuation(0, 1.0, 2.0))
+    three = (valuation(0, 1.0, 1.8, 2.4), valuation(0, 1.0, 1.0, 1.0))
+    slot_level = tie_explicit([(0, 0), (1, 0), (1, 1)])
+    named = theorem4_instance(4, 1e-6)
+    cases = [
+        # one opposing entry for k = 3: fewer than k opposing positive bids
+        (AuctionInstance(three, 3, UNIFORM, tie_lexicographic()),
+         standard_profile(3, zero_bid(3), standard_bid(0.5, 0.0, 0.0)),
+         BidGrid(0.125, 1.0)),
+        # threshold + tick above max_bid, and the cap itself
+        (AuctionInstance(one, 1, DISCRIMINATORY, tie_lexicographic()),
+         standard_profile(1, standard_bid(0.5), zero_bid(1)),
+         BidGrid(0.25, 0.5)),
+        (AuctionInstance(one, 1, UNIFORM, tie_lexicographic()),
+         standard_profile(1, zero_bid(1), standard_bid(0.5 + 1e-12)),
+         BidGrid(0.25, 0.5)),
+        # a rival ahead at the threshold, by slot and by bidder
+        (AuctionInstance(two, 2, DISCRIMINATORY, slot_level),
+         standard_profile(2, zero_bid(2), standard_bid(0.5, 0.5)),
+         BidGrid(0.25, 1.0)),
+        (AuctionInstance(two, 2, DISCRIMINATORY, tie_favor_bidder(1)),
+         standard_profile(2, zero_bid(2), standard_bid(0.5, 0.5)),
+         BidGrid(0.25, 1.0, no_overbidding=True)),
+        # a tick lost to rounding: both candidates equal the threshold
+        (AuctionInstance((valuation(0, 3e20, 3e20), valuation(0, 1.0, 1.0)),
+                         2, UNIFORM, tie_favor_last()),
+         standard_profile(2, zero_bid(2), standard_bid(1e20, 1e20)),
+         BidGrid(1.0, 2e20)),
+        # zero regret: an equilibrium on the uniform interface
+        (named.instance, named.profile("equilibrium"), named.grid),
+        # one bidder, who faces nobody
+        (AuctionInstance((Valuation((0.0, 0.5)),), 1, DISCRIMINATORY,
+                         tie_lexicographic()),
+         uniform_profile(1, UniformBid(0.0, 0)), BidGrid(0.125, 1.0)),
+    ]
+    assert_kernel_matches(cases)
+    regrets = _closed_form_regrets([_regret_row(p, i, g)
+                                    for i, p, g in cases])
+    assert regrets[6].tolist() == [0.0] * 4
+    assert regrets[0, 0] == 1.8 and regrets[1, 1] == 0.0
+
+
+def test_regret_kernel_on_the_tie_construction_rows(monkeypatch):
+    """Every row the tie-constructions benchmark's sweeps score at its
+    seeds, 1008 and 1009, against is_pure_nash on the row's objects."""
+    chunks = []
+    kernel = sweeps._closed_form_regrets
+
+    def kept(rows):
+        chunks.append((rows, kernel(rows)))
+        return chunks[-1][1]
+
+    monkeypatch.setattr(sweeps, "_closed_form_regrets", kept)
+    assert sweeps.proposition1_sweep(250, 1008) == 250
+    assert sweeps.lemma1_conversion_sweep(500, 1009) == 500
+    scored = 0
+    for rows, regrets in chunks:
+        for (k, curves, vectors, tie, uniform, grid), row in zip(
+                rows, regrets.tolist()):
+            instance = AuctionInstance(tuple(map(Valuation, curves)), k,
+                                       UNIFORM if uniform else DISCRIMINATORY,
+                                       tie)
+            profile = BidProfile(tuple(map(StandardBid, vectors)), STANDARD,
+                                 k)
+            expected = [e.regret for e in is_pure_nash(profile, instance,
+                                                       grid).entries]
+            assert repr(row[:len(expected)]) == repr(expected)
+            assert not any(row[len(expected):])
+            scored += 1
+    assert scored == 3718

@@ -21,7 +21,6 @@ from poa_lab.equilibria import (
     find_pure_nash,
     grid_bids_for,
     is_bayes_nash,
-    is_epsilon_equilibrium,
     is_pure_nash,
     is_undominated_upa,
     pne_standard_to_uniform,
@@ -274,8 +273,8 @@ def test_priced_out_loser_with_value_has_regret():
 def test_exact_pne_is_eps_equilibrium_for_all_eps():
     named = theorem4_instance(6, 1e-6)
     for eps in (0.0, 0.01, 0.5):
-        assert is_epsilon_equilibrium(named.profile("equilibrium"),
-                                      named.instance, named.grid, eps)
+        assert is_pure_nash(named.profile("equilibrium"), named.instance,
+                            named.grid).max_regret <= eps + EQ_TOL
 
 
 # -- search -------------------------------------------------------------------
@@ -1270,7 +1269,7 @@ def test_no_continuum_equilibrium_instance_on_grid():
                            "discriminatory", tie_favor_bidder(1))
     grid = BidGrid(0.25, 1.0)
     tied = standard_profile(1, standard_bid(0.5), standard_bid(0.5))
-    assert not is_epsilon_equilibrium(tied, inst, grid, 0.1)
+    assert is_pure_nash(tied, inst, grid).max_regret > 0.1 + EQ_TOL
     res = find_pure_nash(inst, grid)
     assert res.equilibria
     for prof in res.equilibria:

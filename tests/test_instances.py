@@ -1,6 +1,7 @@
 import pytest
+from helpers import scalar_verify_proposition1
 
-from poa_lab import equilibria
+from poa_lab import equilibria, sweeps
 from poa_lab.cli import main as cli_main
 from poa_lab.equilibria import is_bayes_nash, lemma5_structure
 from poa_lab.instances import (
@@ -11,6 +12,7 @@ from poa_lab.instances import (
     theorem4_instance,
     theorem6_da_instance,
     theorem6_upa_instance,
+    verify_proposition1,
 )
 from poa_lab.mechanisms import (
     AuctionInstance,
@@ -118,6 +120,16 @@ def test_proposition1_epsilon_profile_unambiguous():
             proposition1(inst, (eps,))
     for i in range(inst.n):
         assert tiny.vector(i) == pytest.approx(base.vector(i), abs=1e-11)
+
+
+@pytest.mark.parametrize("eps_values", [(0.1, 0.01), (), (1e-6, 0.5, 0.1)])
+def test_verify_proposition1_equals_one_is_pure_nash_per_profile(eps_values):
+    cases = [default_proposition1_instance()] + [
+        sweeps.random_instance(sweeps.case_rng(1008, index), "submodular",
+                               "discriminatory", 4, 4) for index in range(40)]
+    for instance in cases:
+        assert (repr(verify_proposition1(instance, eps_values))
+                == repr(scalar_verify_proposition1(instance, eps_values)))
 
 
 def test_proposition1_random_sweep():

@@ -9,11 +9,24 @@ import weakref
 
 import numpy as np
 import pytest
-from helpers import random_no_overbidding_uniform_profile
+from helpers import (
+    random_no_overbidding_uniform_profile,
+    scalar_lemma1_conversion_sweep,
+    scalar_proposition1_sweep,
+)
 
 from poa_lab import instances, mechanisms, smoothness, sweeps
 from poa_lab.equilibria import BidGrid, find_pure_nash
-from poa_lab.mechanisms import DISCRIMINATORY, UNIFORM, run_auction
+from poa_lab.mechanisms import (
+    DISCRIMINATORY,
+    UNIFORM,
+    UniformBid,
+    run_auction,
+    standard_profile,
+    standard_bid,
+    uniform_profile,
+    zero_bid,
+)
 from poa_lab.smoothness import _row, optimal_alpha, verify_smoothness
 from poa_lab.valuations import random_valuation
 
@@ -250,17 +263,110 @@ def test_a_planted_curve_fails_a_submodular_random_instance(monkeypatch):
 
 def test_proposition1_sweep_instances_are_unchanged(monkeypatch):
     """A digest of its first 250 instances at seed 1008, the
-    tie-constructions benchmark's seed."""
+    tie-constructions benchmark's seed, as they reach the per-instance
+    row builder."""
     seen = []
+    build = instances._proposition1_case
 
     def record(instance, eps_values):
         seen.append(instance)
-        return []
+        return build(instance, eps_values)
 
-    monkeypatch.setattr(instances, "verify_proposition1", record)
+    monkeypatch.setattr(instances, "_proposition1_case", record)
     assert sweeps.proposition1_sweep(250, 1008) == 250
     assert hashlib.sha256(repr(seen).encode()).hexdigest() == (
         "61c261a547d5e08d07781c9e66423dce89d73849dc30c82e948104a3841e6d36")
+
+
+def plant_failures(monkeypatch, plants: dict) -> None:
+    """Makes case index fail as plants[index] says, through the functions
+    both tie-construction sweeps and their scalar references in helpers
+    call; a case's index is read from its case_rng call."""
+    building = [None]
+    case_rng = sweeps.case_rng
+    construct = instances.proposition1
+    equilibrium = sweeps.lemma1_equilibrium
+    convert = sweeps.pne_standard_to_uniform
+
+    def indexed(seed, index):
+        building[0] = index
+        return case_rng(seed, index)
+
+    def overpaying(instance):
+        # every bidder bids over every value on every unit: winners regret
+        top = max(v.values[-1] for v in instance.valuations) + 1.0
+        return standard_profile(instance.k, *[standard_bid(
+            *(top,) * instance.k)] * instance.n)
+
+    def proposition1(instance, eps_values=()):
+        kind = plants.get(building[0])
+        if kind == "construction":
+            raise ValueError("k-th largest marginal must be positive")
+        profile, tie, bumped = construct(instance, eps_values)
+        if kind == "prop1 regret":
+            profile = overpaying(instance)
+        if kind == "eps":
+            bumped = [bumped[0], overpaying(instance)]
+        return profile, tie, bumped
+
+    def lemma1_equilibrium(rng):
+        instance, profile = equilibrium(rng)
+        if plants.get(building[0]) == "standard regret":
+            # nobody bids: a winner takes a unit for a tick, at price 0
+            profile = standard_profile(instance.k,
+                                       *[zero_bid(instance.k)] * instance.n)
+        return instance, profile
+
+    def pne_standard_to_uniform(profile, instance):
+        kind = plants.get(building[0])
+        if kind == "conversion":
+            raise AssertionError("conversion changed the uniform price")
+        converted = convert(profile, instance)
+        if kind == "converted regret":
+            return uniform_profile(instance.k,
+                                   *[UniformBid(0.0, 0)] * instance.n)
+        return converted
+
+    monkeypatch.setattr(sweeps, "case_rng", indexed)
+    monkeypatch.setattr(instances, "proposition1", proposition1)
+    monkeypatch.setattr(sweeps, "lemma1_equilibrium", lemma1_equilibrium)
+    monkeypatch.setattr(sweeps, "pne_standard_to_uniform",
+                        pne_standard_to_uniform)
+
+
+def raised(sweep, *args):
+    with pytest.raises((AssertionError, ValueError)) as info:
+        sweep(*args)
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("indices", [(5, 23, 40), (40, 5, 23), (23, 40, 5),
+                                     (70, 99, 127)])
+@pytest.mark.parametrize("sweep, scalar, kinds", [
+    (sweeps.proposition1_sweep, scalar_proposition1_sweep,
+     ("prop1 regret", "eps", "construction")),
+    (sweeps.lemma1_conversion_sweep, scalar_lemma1_conversion_sweep,
+     ("standard regret", "conversion", "converted regret")),
+], ids=["proposition1", "lemma1"])
+def test_tie_sweeps_raise_the_first_failing_case(monkeypatch, sweep, scalar,
+                                                 kinds, indices):
+    """Each failure kind planted once in a chunk, the kinds in turn at the
+    lowest index, or all three in the second chunk: the sweep raises what
+    the one-case-at-a-time code raises, at the lowest failing index."""
+    plants = dict(zip(indices, kinds))
+    plant_failures(monkeypatch, plants)
+    kind, message = raised(sweep, 128, 1008)
+    assert (kind, message) == raised(scalar, 128, 1008)
+    assert kind is AssertionError or plants[min(indices)] == "construction"
+    assert message.startswith({
+        "prop1 regret": f"case {min(indices)}: prop1_pne_regret failed (",
+        "eps": f"case {min(indices)}: prop1_eps_0.01 failed (None)",
+        "construction": "k-th largest marginal must be positive",
+        "standard regret": f"case {min(indices)}: canonical profile has",
+        "conversion": "conversion changed the uniform price",
+        "converted regret": f"case {min(indices)}: converted profile has",
+    }[plants[min(indices)]])
+    assert sweep(min(indices), 1008) == min(indices)
 
 
 @pytest.mark.parametrize("seed", [11, 12, 13])
