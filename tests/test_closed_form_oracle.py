@@ -322,6 +322,13 @@ def test_regret_kernel_edge_cases_in_one_chunk():
                          2, UNIFORM, tie_favor_last()),
          standard_profile(2, zero_bid(2), standard_bid(1e20, 1e20)),
          BidGrid(1.0, 2e20)),
+        # six copies of 0.1 sum to 0.6 one at a time, but 6 * 0.1 is
+        # 0.6000000000000001: the best response pays the sum
+        (AuctionInstance((Valuation((0.0, 0.2, 0.4, 0.6, 0.8, 1.0, 1.5)),
+                          Valuation((0.0,) * 7)), 6, DISCRIMINATORY,
+                         tie_favor_bidder(0)),
+         standard_profile(6, zero_bid(6), standard_bid(*(0.1,) * 6)),
+         BidGrid(0.125, 1.0)),
         # zero regret: an equilibrium on the uniform interface
         (named.instance, named.profile("equilibrium"), named.grid),
         # one bidder, who faces nobody
@@ -332,8 +339,9 @@ def test_regret_kernel_edge_cases_in_one_chunk():
     assert_kernel_matches(cases)
     regrets = _closed_form_regrets([_regret_row(p, i, g)
                                     for i, p, g in cases])
-    assert regrets[6].tolist() == [0.0] * 4
+    assert regrets[7].tolist() == [0.0] * 4
     assert regrets[0, 0] == 1.8 and regrets[1, 1] == 0.0
+    assert regrets[6, 0] == 1.5 - 0.6 != 1.5 - 6 * 0.1
 
 
 def test_regret_kernel_on_the_tie_construction_rows(monkeypatch):

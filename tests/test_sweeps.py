@@ -22,8 +22,8 @@ from poa_lab.mechanisms import (
     UNIFORM,
     UniformBid,
     run_auction,
-    standard_profile,
     standard_bid,
+    standard_profile,
     uniform_profile,
     zero_bid,
 )
