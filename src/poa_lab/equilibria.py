@@ -294,7 +294,6 @@ def _closed_form_regrets(rows) -> np.ndarray:
     from one lexsort of each row.  Both candidates of every j are scored
     at once; a candidate's sum((c,) * j) and its no-overbidding prefix sums
     are accumulated slot by slot, as there."""
-    count = len(rows)
     n = np.array([len(row[1]) for row in rows])
     k = np.array([row[0] for row in rows])
     m, width = int(n.max()), int(k.max())
